@@ -8,8 +8,8 @@ serves predictions over HTTP.
 
 from .bundle import ModelBundle, bundle_predict, load_model, make_bundle, save_model
 from .classical import (
-    LabeledMatrix,
-    Prediction,
+    CLASSICAL_KINDS,
+    KindSpec,
     fit_bernoulli_nb,
     fit_decision_tree,
     fit_linear_svm,
@@ -38,17 +38,17 @@ from .evaluation import (
     stratified_split,
 )
 from .featurize import (
-    SparseVector,
+    LabeledMatrix,
     VectorizerConfig,
     Vocabulary,
     fit_vocabulary,
-    transform_count,
-    transform_tfidf,
+    transform,
 )
 from .lstm import (
     EmbeddingTable,
     LstmParams,
     LstmTrainConfig,
+    Prediction,
     load_embeddings,
     lstm_forward,
     predict_lstm,

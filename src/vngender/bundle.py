@@ -1,40 +1,50 @@
 """Model bundles: a single binary file holding vectorizer, parameters, the
 component mask used at train time, and run metadata.
 
-Layout: magic, big-endian format version, section count, then length-prefixed
-named sections, then a SHA-256 checksum of everything before it. Embedding
+Layout (format version 2): magic, big-endian format version, section count,
+then length-prefixed named sections, then a SHA-256 checksum of everything
+before it. Two sections:
+
+- ``meta``: UTF-8 JSON with the model kind, mask label, model id, training
+  metadata, vectorizer config and vocabulary (both null for the LSTM), and
+  ``model``, the model's fields that are not arrays.
+- ``arrays``: an npz archive of the model's array fields, by field name;
+  arrays of a nested dataclass are named ``<field>.<name>`` (the LSTM's
+  ``params.w_i``, ...). It is read with ``allow_pickle=False``.
+
+Every kind goes through the same field-by-field encoding; the model class of
+a kind comes from `classical.CLASSICAL_KINDS`, or is `LstmPayload`. Embedding
 tables are referenced (path + content hash, or a seed for random tables)
-rather than embedded.
+rather than embedded, and resolved once when the payload is built.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
 import struct
 import time
+import typing
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import classical, featurize, lstm, names_core
-from .classical import (
-    BernoulliNbModel,
-    DecisionTreeModel,
-    LinearSvmModel,
-    LogisticRegressionModel,
-    MultinomialNbModel,
-    Prediction,
-    RandomForestModel,
-    TreeNode,
+from .errors import (
+    BundleError,
+    BundleFormatError,
+    BundleVersionError,
+    EmptySequenceError,
+    ToolkitError,
 )
-from .errors import BundleError, BundleFormatError, BundleVersionError
 from .featurize import VectorizerConfig, Vocabulary
-from .names_core import ComponentMask
+from .names_core import ComponentMask, NameComponents
 
 MAGIC = b"VNGBUNDL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -42,6 +52,13 @@ class LstmPayload:
     params: lstm.LstmParams
     cfg: lstm.LstmTrainConfig
     embedding_source: dict
+    embeddings: lstm.EmbeddingTable | None = dataclasses.field(
+        default=None, repr=False, metadata={"stored": False}
+    )
+
+    def __post_init__(self):
+        if self.embeddings is None:
+            self.embeddings = _resolve_embeddings(self.embedding_source)
 
 
 @dataclass
@@ -73,39 +90,33 @@ def _pack_sections(sections: list[tuple[str, bytes]]) -> bytes:
 
 
 def _unpack_sections(blob: bytes) -> dict[str, bytes]:
-    if len(blob) < len(MAGIC) + 8:
+    if len(blob) < 16 + 32:
         raise BundleFormatError("truncated bundle file")
     if blob[: len(MAGIC)] != MAGIC:
         raise BundleFormatError("not a model bundle (bad magic string)")
-    version = struct.unpack(">I", blob[8:12])[0]
+    version, count = struct.unpack_from(">II", blob, len(MAGIC))
     if version != FORMAT_VERSION:
         raise BundleVersionError(
             f"bundle format version {version}; this reader supports version {FORMAT_VERSION}"
         )
-    if len(blob) < 16 + 32:
-        raise BundleFormatError("truncated bundle file")
     body, checksum = blob[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != checksum:
         raise BundleFormatError("bundle checksum mismatch")
-    count = struct.unpack(">I", blob[12:16])[0]
     sections: dict[str, bytes] = {}
     offset = 16
     for _ in range(count):
         if offset + 2 > len(body):
-            raise BundleFormatError("truncated bundle file")
-        (name_len,) = struct.unpack(">H", body[offset:offset + 2])
-        offset += 2
-        name = body[offset:offset + name_len].decode("utf-8")
-        offset += name_len
+            break
+        (name_len,) = struct.unpack_from(">H", body, offset)
+        name = body[offset + 2:offset + 2 + name_len].decode("utf-8")
+        offset += 2 + name_len
         if offset + 8 > len(body):
-            raise BundleFormatError("truncated bundle file")
-        (payload_len,) = struct.unpack(">Q", body[offset:offset + 8])
-        offset += 8
-        payload = body[offset:offset + payload_len]
-        if len(payload) != payload_len:
-            raise BundleFormatError("truncated bundle file")
-        sections[name] = payload
-        offset += payload_len
+            break
+        (size,) = struct.unpack_from(">Q", body, offset)
+        sections[name] = body[offset + 8:offset + 8 + size]
+        offset += 8 + size
+    if offset != len(body):
+        raise BundleFormatError("bundle sections do not fill the file")
     return sections
 
 
@@ -114,98 +125,56 @@ def _json_bytes(obj) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Model payload encoding
+# Model encoding: array fields to npz members, the rest to JSON
 # ---------------------------------------------------------------------------
 
-def _encode_classical(model) -> bytes:
-    kind = model.kind
-    body: dict = {"kind": kind, "n_features": model.n_features,
-                  "train_meta": model.train_meta}
-    if kind == "multinomial_nb":
-        body["class_log_prior"] = model.class_log_prior.tolist()
-        body["feature_log_prob"] = model.feature_log_prob.tolist()
-    elif kind == "bernoulli_nb":
-        body["class_log_prior"] = model.class_log_prior.tolist()
-        body["log_presence"] = model.log_presence.tolist()
-        body["log_absence"] = model.log_absence.tolist()
-    elif kind in ("logistic_regression", "linear_svm"):
-        body["weights"] = model.weights.tolist()
-        body["bias"] = model.bias
-    elif kind == "decision_tree":
-        body["nodes"] = _encode_nodes(model.nodes)
-    elif kind == "random_forest":
-        body["trees"] = [_encode_nodes(t.nodes) for t in model.trees]
-        body["tree_meta"] = [t.train_meta for t in model.trees]
-    else:
-        raise BundleError(f"cannot serialize model kind {kind!r}")
-    return _json_bytes(body)
+def _stored_fields(cls_or_obj):
+    return [f for f in dataclasses.fields(cls_or_obj) if f.metadata.get("stored", True)]
 
 
-def _encode_nodes(nodes: list[TreeNode]) -> list[list]:
-    return [[n.feature, n.threshold, n.left, n.right, n.p1, n.n] for n in nodes]
+def _split_fields(obj, prefix: str = "") -> tuple[dict[str, np.ndarray], dict]:
+    arrays, meta = {}, {}
+    for f in _stored_fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            arrays[prefix + f.name] = value
+        elif dataclasses.is_dataclass(value):
+            sub_arrays, meta[f.name] = _split_fields(value, f"{prefix}{f.name}.")
+            arrays.update(sub_arrays)
+        else:
+            meta[f.name] = value
+    return arrays, meta
 
 
-def _decode_nodes(raw: list[list]) -> list[TreeNode]:
-    return [TreeNode(int(f), float(t), int(l), int(r), float(p1), int(n))
-            for f, t, l, r, p1, n in raw]
+def _join_fields(cls, arrays: dict[str, np.ndarray], meta: dict, prefix: str = ""):
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in _stored_fields(cls):
+        sub_cls = hints[f.name]
+        if dataclasses.is_dataclass(sub_cls):
+            kwargs[f.name] = _join_fields(sub_cls, arrays, meta[f.name], f"{prefix}{f.name}.")
+        elif prefix + f.name in arrays:
+            kwargs[f.name] = arrays[prefix + f.name]
+        else:
+            kwargs[f.name] = meta[f.name]
+    return cls(**kwargs)
 
 
-def _decode_classical(payload: bytes):
-    body = json.loads(payload.decode("utf-8"))
-    kind = body["kind"]
-    v = int(body["n_features"])
-    meta = body["train_meta"]
-    if kind == "multinomial_nb":
-        return MultinomialNbModel(
-            np.array(body["class_log_prior"]), np.array(body["feature_log_prob"]),
-            v, meta,
-        )
-    if kind == "bernoulli_nb":
-        return BernoulliNbModel(
-            np.array(body["class_log_prior"]), np.array(body["log_presence"]),
-            np.array(body["log_absence"]), v, meta,
-        )
-    if kind == "logistic_regression":
-        return LogisticRegressionModel(
-            np.array(body["weights"]), float(body["bias"]), v, meta
-        )
-    if kind == "linear_svm":
-        return LinearSvmModel(np.array(body["weights"]), float(body["bias"]), v, meta)
-    if kind == "decision_tree":
-        return DecisionTreeModel(_decode_nodes(body["nodes"]), v, meta)
-    if kind == "random_forest":
-        trees = [
-            DecisionTreeModel(_decode_nodes(nodes), v, tmeta)
-            for nodes, tmeta in zip(body["trees"], body["tree_meta"])
-        ]
-        return RandomForestModel(trees, v, meta)
-    raise BundleError(f"cannot deserialize model kind {kind!r}")
-
-
-def _encode_lstm(payload: LstmPayload) -> tuple[bytes, bytes]:
+def _encode_model(model) -> tuple[bytes, dict]:
+    """(npz bytes, JSON-ready metadata); equal models encode to equal bytes."""
+    arrays, meta = _split_fields(model)
     buf = io.BytesIO()
-    np.savez(buf, **payload.params.tensors())
-    meta = {
-        "cfg": {
-            "batch_size": payload.cfg.batch_size,
-            "epochs": payload.cfg.epochs,
-            "learning_rate": payload.cfg.learning_rate,
-            "max_seq_len": payload.cfg.max_seq_len,
-            "hidden": payload.cfg.hidden,
-            "seed": payload.cfg.seed,
-        },
-        "embedding_source": payload.embedding_source,
-    }
-    return buf.getvalue(), _json_bytes(meta)
+    np.savez(buf, **arrays)
+    return buf.getvalue(), meta
 
 
-def _decode_lstm(params_blob: bytes, meta_blob: bytes) -> LstmPayload:
-    with np.load(io.BytesIO(params_blob)) as archive:
-        tensors = {name: archive[name] for name in archive.files}
-    params = lstm.LstmParams(**tensors)
-    meta = json.loads(meta_blob.decode("utf-8"))
-    cfg = lstm.LstmTrainConfig(**meta["cfg"])
-    return LstmPayload(params, cfg, meta["embedding_source"])
+def _model_class(kind: str) -> type:
+    if kind == "lstm":
+        return LstmPayload
+    spec = classical.CLASSICAL_KINDS.get(kind)
+    if spec is None:
+        raise BundleFormatError(f"unknown model kind {kind!r}")
+    return spec.model
 
 
 def _resolve_embeddings(source: dict) -> lstm.EmbeddingTable:
@@ -223,6 +192,16 @@ def _resolve_embeddings(source: dict) -> lstm.EmbeddingTable:
     raise BundleError(f"unknown embedding source {source.get('kind')!r}")
 
 
+def _vocab_meta(vocabulary: Vocabulary | None) -> dict | None:
+    if vocabulary is None:
+        return None
+    return {
+        "tokens": list(vocabulary.tokens),
+        "doc_freq": vocabulary.doc_freq.tolist(),
+        "n_docs": vocabulary.n_docs,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
@@ -237,17 +216,13 @@ def make_bundle(
     """Assemble a bundle and derive its model_id from the payload bytes."""
     meta = dict(train_meta or {})
     meta.setdefault("created_unix", int(time.time()))
-    if isinstance(model, LstmPayload):
-        kind = "lstm"
-        params_blob, lstm_meta = _encode_lstm(model)
-        digest = hashlib.sha256(params_blob + lstm_meta).hexdigest()
-    else:
-        kind = model.kind
-        if vectorizer_cfg is None or vocabulary is None:
-            raise BundleError("classical bundles need a vectorizer config and vocabulary")
-        payload = _encode_classical(model)
-        digest = hashlib.sha256(payload + _encode_vocab(vocabulary)).hexdigest()
-    model_id = f"{kind}-{digest[:12]}"
+    kind = "lstm" if isinstance(model, LstmPayload) else model.kind
+    if kind != "lstm" and (vectorizer_cfg is None or vocabulary is None):
+        raise BundleError("classical bundles need a vectorizer config and vocabulary")
+    arrays_blob, model_meta = _encode_model(model)
+    digest = hashlib.sha256(
+        arrays_blob + _json_bytes([model_meta, _vocab_meta(vocabulary)])
+    ).hexdigest()
     return ModelBundle(
         format_version=FORMAT_VERSION,
         model_kind=kind,
@@ -256,104 +231,109 @@ def make_bundle(
         vocabulary=vocabulary,
         model=model,
         train_meta=meta,
-        model_id=model_id,
-    )
-
-
-def _encode_vocab(vocabulary: Vocabulary) -> bytes:
-    return _json_bytes({
-        "tokens": list(vocabulary.tokens),
-        "doc_freq": vocabulary.doc_freq.tolist(),
-        "n_docs": vocabulary.n_docs,
-    })
-
-
-def _decode_vocab(payload: bytes) -> Vocabulary:
-    body = json.loads(payload.decode("utf-8"))
-    tokens = tuple(body["tokens"])
-    return Vocabulary(
-        tokens,
-        {tok: i for i, tok in enumerate(tokens)},
-        np.array(body["doc_freq"], dtype=np.int64),
-        int(body["n_docs"]),
+        model_id=f"{kind}-{digest[:12]}",
     )
 
 
 def save_model(bundle: ModelBundle, path) -> None:
+    arrays_blob, model_meta = _encode_model(bundle.model)
+    vcfg = bundle.vectorizer_cfg
     meta = {
         "model_kind": bundle.model_kind,
         "mask": bundle.component_mask.label,
         "model_id": bundle.model_id,
         "train_meta": bundle.train_meta,
-        "vectorizer": (
-            {"mode": bundle.vectorizer_cfg.mode,
-             "max_features": bundle.vectorizer_cfg.max_features}
-            if bundle.vectorizer_cfg else None
-        ),
+        "vectorizer": dataclasses.asdict(vcfg) if vcfg else None,
+        "vocabulary": _vocab_meta(bundle.vocabulary),
+        "model": model_meta,
     }
-    sections = [("meta", _json_bytes(meta))]
-    if bundle.model_kind == "lstm":
-        params_blob, lstm_meta = _encode_lstm(bundle.model)
-        sections.append(("lstm_params", params_blob))
-        sections.append(("lstm_meta", lstm_meta))
-    else:
-        sections.append(("vocabulary", _encode_vocab(bundle.vocabulary)))
-        sections.append(("model", _encode_classical(bundle.model)))
     with open(path, "wb") as fh:
-        fh.write(_pack_sections(sections))
+        fh.write(_pack_sections([("meta", _json_bytes(meta)), ("arrays", arrays_blob)]))
 
 
 def load_model(path) -> ModelBundle:
+    """Read a bundle; a file that cannot be decoded raises a `BundleError`."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except FileNotFoundError as exc:
-        raise BundleError(f"bundle file not found: {path}") from exc
-    sections = _unpack_sections(blob)
+    except OSError as exc:
+        raise BundleError(f"cannot read bundle file {path}: {exc}") from exc
     try:
+        sections = _unpack_sections(blob)
         meta = json.loads(sections["meta"].decode("utf-8"))
-    except KeyError as exc:
-        raise BundleFormatError("bundle is missing its meta section") from exc
-    mask = names_core.parse_mask(meta["mask"])
-    vcfg = None
-    if meta.get("vectorizer"):
-        vcfg = VectorizerConfig(
-            meta["vectorizer"]["mode"], meta["vectorizer"]["max_features"]
+        with np.load(io.BytesIO(sections["arrays"]), allow_pickle=False) as archive:
+            if any(info.compress_type != zipfile.ZIP_STORED for info in archive.zip.infolist()):
+                raise BundleFormatError("compressed array member")
+            arrays = {name: archive[name] for name in archive.files}
+        kind = meta["model_kind"]
+        model = _join_fields(_model_class(kind), arrays, meta["model"])
+        vocab = meta["vocabulary"]
+        vocabulary = None if vocab is None else Vocabulary(
+            tuple(vocab["tokens"]),
+            {tok: i for i, tok in enumerate(vocab["tokens"])},
+            np.array(vocab["doc_freq"], dtype=np.int64),
+            int(vocab["n_docs"]),
         )
-    if meta["model_kind"] == "lstm":
-        model = _decode_lstm(sections["lstm_params"], sections["lstm_meta"])
-        vocabulary = None
-    else:
-        vocabulary = _decode_vocab(sections["vocabulary"])
-        model = _decode_classical(sections["model"])
-    return ModelBundle(
-        format_version=FORMAT_VERSION,
-        model_kind=meta["model_kind"],
-        component_mask=mask,
-        vectorizer_cfg=vcfg,
-        vocabulary=vocabulary,
-        model=model,
-        train_meta=meta["train_meta"],
-        model_id=meta["model_id"],
-    )
+        if kind != "lstm" and model.n_features != len(vocabulary):
+            raise BundleFormatError("model and vocabulary sizes differ")
+        vcfg = meta["vectorizer"]
+        return ModelBundle(
+            format_version=FORMAT_VERSION,
+            model_kind=kind,
+            component_mask=names_core.parse_mask(meta["mask"]),
+            vectorizer_cfg=None if vcfg is None else VectorizerConfig(**vcfg),
+            vocabulary=vocabulary,
+            model=model,
+            train_meta=meta["train_meta"],
+            model_id=meta["model_id"],
+        )
+    except BundleError:
+        raise
+    except (ToolkitError, LookupError, TypeError, ValueError, AttributeError, EOFError,
+            OSError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise BundleFormatError(f"cannot decode bundle: {type(exc).__name__}: {exc}") from exc
+
+
+def select_tokens(bundle: ModelBundle, raw_name: str) -> tuple[NameComponents, list[str]]:
+    """Segment a raw name and keep the bundle's components.
+
+    Raises `EmptyNameError` for a blank name and `EmptySequenceError` when the
+    mask selects no tokens; training skips such records, so every kind
+    refuses to score them.
+    """
+    comps = names_core.segment(names_core.normalize(raw_name))
+    tokens = names_core.select_components(comps, bundle.component_mask)
+    if not tokens:
+        raise EmptySequenceError(
+            f"mask {bundle.component_mask.label!r} selects no tokens of {raw_name!r}"
+        )
+    return comps, tokens
+
+
+def predict_docs(bundle: ModelBundle, docs: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, scores) for token lists that `select_tokens` returned."""
+    if bundle.model_kind == "lstm":
+        payload: LstmPayload = bundle.model
+        preds = [
+            lstm.predict_lstm(doc, payload.embeddings, payload.params, payload.cfg.max_seq_len)
+            for doc in docs
+        ]
+        return (np.array([p.label for p in preds], dtype=np.int64),
+                np.array([p.score for p in preds], dtype=np.float64))
+    x = featurize.transform(docs, bundle.vocabulary, bundle.vectorizer_cfg)
+    return classical.predict(bundle.model, x)
 
 
 def bundle_predict(bundle: ModelBundle, raw_name: str) -> dict:
-    """Full pipeline for one name; returns the wire-format response dict."""
-    normalized = names_core.normalize(raw_name)
-    comps = names_core.segment(normalized)
-    tokens = names_core.select_components(comps, bundle.component_mask)
-    if bundle.model_kind == "lstm":
-        payload: LstmPayload = bundle.model
-        emb = _embeddings_for(bundle)
-        pred = lstm.predict_lstm(tokens, emb, payload.params, payload.cfg.max_seq_len)
-    else:
-        vec = featurize.transform(tokens, bundle.vocabulary, bundle.vectorizer_cfg)
-        pred = classical.predict(bundle.model, vec)
+    """Full pipeline for one name, as a batch of one; returns the wire-format
+    response dict."""
+    comps, tokens = select_tokens(bundle, raw_name)
+    labels, scores = predict_docs(bundle, [tokens])
+    label = int(labels[0])
     return {
-        "label": pred.label,
-        "gender": "male" if pred.label == 1 else "female",
-        "score": pred.score,
+        "label": label,
+        "gender": "male" if label == 1 else "female",
+        "score": float(scores[0]),
         "components": {
             "family": comps.family,
             "middle": list(comps.middle),
@@ -361,12 +341,3 @@ def bundle_predict(bundle: ModelBundle, raw_name: str) -> dict:
         },
         "model_id": bundle.model_id,
     }
-
-
-def _embeddings_for(bundle: ModelBundle) -> lstm.EmbeddingTable:
-    payload: LstmPayload = bundle.model
-    cached = getattr(bundle, "_embeddings", None)
-    if cached is None:
-        cached = _resolve_embeddings(payload.embedding_source)
-        bundle._embeddings = cached
-    return cached

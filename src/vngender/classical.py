@@ -1,78 +1,34 @@
-"""Six classical classifiers behind one fit/predict contract.
+"""Six classical classifiers behind one fit / batch-score contract.
 
 Multinomial and Bernoulli naive Bayes, logistic regression (full-batch
 gradient descent), a linear SVM (stochastic subgradient with 1/t steps),
 a Gini decision tree, and a bagging random forest. Training code is all
 local; numpy is used for array arithmetic only.
+
+`score(x)` gives one score per row of a `LabeledMatrix`: P(label 1), the
+SVM margin, or the forest's share of label-1 votes. Row sums use
+`LabeledMatrix.row_sums`, so a row scores bit-identically alone and in any
+batch. `predict` labels a score 1 from the kind's threshold up (ties to 1).
+`CLASSICAL_KINDS` registers each kind's model class, fit function, seed use,
+threshold and `vngender train` flags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .errors import DivergenceError, PredictionError, TrainingError
-from .featurize import SparseVector
-
-
-@dataclass
-class LabeledMatrix:
-    """Sparse rows with binary labels and a fixed feature count."""
-
-    rows: list[SparseVector]
-    labels: list[int]
-    n_features: int
-    _csr: tuple | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.rows) != len(self.labels):
-            raise TrainingError("rows and labels must have the same length")
-        if any(lab not in (0, 1) for lab in self.labels):
-            raise TrainingError("labels must be 0 or 1")
-        for row in self.rows:
-            if row.indices.size and int(row.indices[-1]) >= self.n_features:
-                raise TrainingError(
-                    f"feature index {int(row.indices[-1])} out of range "
-                    f"(n_features={self.n_features})"
-                )
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row_ids, col_ids, values) over all stored entries."""
-        if self._csr is None:
-            counts = np.array([r.indices.size for r in self.rows], dtype=np.int64)
-            row_ids = np.repeat(np.arange(len(self.rows), dtype=np.int64), counts)
-            if counts.sum():
-                col_ids = np.concatenate([r.indices for r in self.rows])
-                values = np.concatenate([r.values for r in self.rows])
-            else:
-                col_ids = np.empty(0, np.int64)
-                values = np.empty(0, np.float64)
-            self._csr = (row_ids, col_ids, values)
-        return self._csr
-
-    def dot_weights(self, weights: np.ndarray, bias: float) -> np.ndarray:
-        row_ids, col_ids, values = self.csr()
-        z = np.bincount(row_ids, weights=values * weights[col_ids], minlength=len(self.rows))
-        return z + bias
-
-    def label_array(self) -> np.ndarray:
-        return np.asarray(self.labels, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    label: int
-    score: float
+from .featurize import LabeledMatrix
 
 
 def _require_both_classes(labels) -> None:
-    ones = sum(labels)
+    if labels is None:
+        raise TrainingError("training needs labelled rows")
+    ones = int(labels.sum())
     if ones == 0 or ones == len(labels):
         raise TrainingError("training set contains a single class")
 
@@ -87,14 +43,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _posterior_from_joints(j0: float, j1: float) -> float:
-    """P(label 1) from per-class joint log scores; degenerate -inf/-inf -> 0.5."""
-    if math.isinf(j0) and j0 < 0 and math.isinf(j1) and j1 < 0:
-        return 0.5
-    m = max(j0, j1)
-    e0 = math.exp(j0 - m)
-    e1 = math.exp(j1 - m)
-    return e1 / (e0 + e1)
+def _posterior(j0: np.ndarray, j1: np.ndarray) -> np.ndarray:
+    """P(label 1) from per-class joint log scores; -inf for both -> 0.5."""
+    m = np.maximum(j0, j1)
+    both_inf = np.isneginf(m)
+    m[both_inf] = 0.0
+    e0 = np.exp(j0 - m)
+    e1 = np.exp(j1 - m)
+    with np.errstate(invalid="ignore"):
+        p = e1 / (e0 + e1)
+    p[both_inf] = 0.5
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +68,12 @@ class MultinomialNbModel:
     n_features: int
     train_meta: dict
 
-    def score_one(self, x: SparseVector) -> float:
-        joints = []
-        for c in (0, 1):
-            j = float(self.class_log_prior[c])
-            if x.indices.size:
-                j += float(self.feature_log_prob[c, x.indices] @ x.values)
-            joints.append(j)
-        return _posterior_from_joints(joints[0], joints[1])
+    def score(self, x: LabeledMatrix) -> np.ndarray:
+        j0, j1 = (
+            self.class_log_prior[c] + x.row_sums(self.feature_log_prob[c, x.indices] * x.data)
+            for c in (0, 1)
+        )
+        return _posterior(j0, j1)
 
 
 @dataclass
@@ -128,67 +85,62 @@ class BernoulliNbModel:
     n_features: int
     train_meta: dict
 
-    def score_one(self, x: SparseVector) -> float:
-        present = np.zeros(self.n_features, dtype=bool)
-        if x.indices.size:
-            present[x.indices] = True
+    def score(self, x: LabeledMatrix) -> np.ndarray:
+        """prior + sum(log_absence) + sum over present features of
+        (log_presence - log_absence), in O(nnz) per row. A -inf factor
+        (alpha = 0) is counted apart, since -inf - -inf is NaN."""
         joints = []
         for c in (0, 1):
-            j = float(self.class_log_prior[c])
-            j += float(self.log_presence[c, present].sum())
-            j += float(self.log_absence[c, ~present].sum())
+            p_inf = np.isneginf(self.log_presence[c])
+            q_inf = np.isneginf(self.log_absence[c])
+            log_p = np.where(p_inf, 0.0, self.log_presence[c])
+            log_q = np.where(q_inf, 0.0, self.log_absence[c])
+            cols = x.indices
+            j = self.class_log_prior[c] + log_q.sum() + x.row_sums(log_p[cols] - log_q[cols])
+            n_inf = x.row_sums(p_inf[cols]) + q_inf.sum() - x.row_sums(q_inf[cols])
+            j[n_inf > 0] = -np.inf
             joints.append(j)
-        return _posterior_from_joints(joints[0], joints[1])
+        return _posterior(*joints)
 
 
-def _class_priors(data: LabeledMatrix) -> tuple[np.ndarray, np.ndarray]:
-    y = data.label_array()
-    n1 = int(y.sum())
-    n0 = len(y) - n1
-    priors = np.log(np.array([n0, n1], dtype=np.float64)) - math.log(len(y))
-    return y, priors
+def _nb_counts(data: LabeledMatrix, alpha: float, entry_values) -> tuple:
+    """Validates the fit; returns class log-priors, per-class sums of the
+    entries' values for every feature (2, V) and rows per class."""
+    if alpha < 0:
+        raise TrainingError("alpha must be >= 0")
+    _require_both_classes(data.labels)
+    n_per_class = np.bincount(data.labels, minlength=2).astype(np.float64)
+    priors = np.log(n_per_class) - math.log(len(data))
+    entry_class = data.labels[data.row_ids]
+    sums = np.zeros((2, data.n_features), dtype=np.float64)
+    for c in (0, 1):
+        mask = entry_class == c
+        weights = None if entry_values is None else entry_values[mask]
+        sums[c] = np.bincount(data.indices[mask], weights=weights, minlength=data.n_features)
+    return priors, sums, n_per_class
 
 
 def fit_multinomial_nb(data: LabeledMatrix, alpha: float = 1.0) -> MultinomialNbModel:
     """Class log-priors from label frequencies, token log-probabilities with
     additive smoothing `alpha` over the full feature set."""
-    if alpha < 0:
-        raise TrainingError("alpha must be >= 0")
-    _require_both_classes(data.labels)
-    y, priors = _class_priors(data)
-    v = data.n_features
-    row_ids, col_ids, values = data.csr()
-    counts = np.zeros((2, v), dtype=np.float64)
-    for c in (0, 1):
-        mask = y[row_ids] == c
-        counts[c] = np.bincount(col_ids[mask], weights=values[mask], minlength=v)
+    priors, counts, _ = _nb_counts(data, alpha, data.data)
     with np.errstate(divide="ignore"):
         log_prob = np.log(counts + alpha) - np.log(
-            counts.sum(axis=1, keepdims=True) + alpha * v
+            counts.sum(axis=1, keepdims=True) + alpha * data.n_features
         )
     meta = {"alpha": alpha, "n_train": len(data)}
-    return MultinomialNbModel(priors, log_prob, v, meta)
+    return MultinomialNbModel(priors, log_prob, data.n_features, meta)
 
 
 def fit_bernoulli_nb(data: LabeledMatrix, alpha: float = 1.0) -> BernoulliNbModel:
     """As multinomial, but on feature presence, with explicit absence factors."""
-    if alpha < 0:
-        raise TrainingError("alpha must be >= 0")
-    _require_both_classes(data.labels)
-    y, priors = _class_priors(data)
-    v = data.n_features
-    row_ids, col_ids, _ = data.csr()
-    doc_counts = np.zeros((2, v), dtype=np.float64)
-    for c in (0, 1):
-        mask = y[row_ids] == c
-        doc_counts[c] = np.bincount(col_ids[mask], minlength=v)
-    n_per_class = np.array([len(y) - y.sum(), y.sum()], dtype=np.float64)
+    priors, doc_counts, n_per_class = _nb_counts(data, alpha, None)
     p = (doc_counts + alpha) / (n_per_class[:, None] + 2.0 * alpha)
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
         log_q = np.log(1.0 - p)
     meta = {"alpha": alpha, "n_train": len(data)}
-    return BernoulliNbModel(priors, log_p, log_q, v, meta)
+    return BernoulliNbModel(priors, log_p, log_q, data.n_features, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +155,13 @@ class LogisticRegressionModel:
     n_features: int
     train_meta: dict
 
-    def score_one(self, x: SparseVector) -> float:
-        return float(_sigmoid(np.array(x.dot(self.weights) + self.bias))[()])
+    def score(self, x: LabeledMatrix) -> np.ndarray:
+        return _sigmoid(x.dot_weights(self.weights, self.bias))
 
 
 def logistic_loss(data: LabeledMatrix, weights: np.ndarray, bias: float, l2: float) -> float:
     """Mean log-loss plus (l2/2) * ||w||^2 (bias unregularized)."""
-    y = data.label_array().astype(np.float64)
+    y = data.labels.astype(np.float64)
     z = data.dot_weights(weights, bias)
     losses = np.logaddexp(0.0, z) - y * z
     return float(losses.mean() + 0.5 * l2 * (weights @ weights))
@@ -218,11 +170,11 @@ def logistic_loss(data: LabeledMatrix, weights: np.ndarray, bias: float, l2: flo
 def logistic_gradient(
     data: LabeledMatrix, weights: np.ndarray, bias: float, l2: float
 ) -> tuple[np.ndarray, float]:
-    y = data.label_array().astype(np.float64)
+    y = data.labels.astype(np.float64)
     z = data.dot_weights(weights, bias)
     residual = (_sigmoid(z) - y) / len(data)
-    row_ids, col_ids, values = data.csr()
-    gw = np.bincount(col_ids, weights=values * residual[row_ids], minlength=data.n_features)
+    gw = np.bincount(data.indices, weights=data.data * residual[data.row_ids],
+                     minlength=data.n_features)
     gw += l2 * weights
     return gw, float(residual.sum())
 
@@ -279,13 +231,13 @@ class LinearSvmModel:
     n_features: int
     train_meta: dict
 
-    def score_one(self, x: SparseVector) -> float:
-        return x.dot(self.weights) + self.bias
+    def score(self, x: LabeledMatrix) -> np.ndarray:
+        return x.dot_weights(self.weights, self.bias)
 
 
 def svm_objective(data: LabeledMatrix, weights: np.ndarray, bias: float, c: float) -> float:
     """(1/2)(||w||^2 + b^2) + c * sum of hinge losses."""
-    y_pm = 2.0 * data.label_array().astype(np.float64) - 1.0
+    y_pm = 2.0 * data.labels.astype(np.float64) - 1.0
     margins = y_pm * data.dot_weights(weights, bias)
     hinge = np.maximum(0.0, 1.0 - margins).sum()
     return float(0.5 * (weights @ weights + bias * bias) + c * hinge)
@@ -311,7 +263,9 @@ def fit_linear_svm(
     _require_both_classes(data.labels)
     rng = np.random.default_rng(seed)
     n = len(data)
-    y_pm = 2.0 * data.label_array().astype(np.float64) - 1.0
+    y_pm = 2.0 * data.labels.astype(np.float64) - 1.0
+    row_cols = np.split(data.indices, data.indptr[1:-1])
+    row_vals = np.split(data.data, data.indptr[1:-1])
     w = np.zeros(data.n_features, dtype=np.float64)
     b = 0.0
     t = 0
@@ -321,14 +275,14 @@ def fit_linear_svm(
         for i in order:
             t += 1
             eta = lr / t
-            row = data.rows[i]
-            margin = y_pm[i] * (row.dot(w) + b)
+            cols, vals = row_cols[i], row_vals[i]
+            margin = y_pm[i] * ((float(w[cols] @ vals) if cols.size else 0.0) + b)
             w *= 1.0 - eta
             b *= 1.0 - eta
             if margin < 1.0:
                 scale = eta * c * n * y_pm[i]
-                if row.indices.size:
-                    w[row.indices] += scale * row.values
+                if cols.size:
+                    w[cols] += scale * vals
                 b += scale
         if not (np.isfinite(w).all() and math.isfinite(b)):
             raise DivergenceError(f"linear SVM diverged during epoch {epoch}")
@@ -344,54 +298,93 @@ def fit_linear_svm(
 # Decision tree and random forest
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TreeNode:
-    feature: int      # -1 marks a leaf
-    threshold: float
-    left: int
-    right: int
-    p1: float         # fraction of label-1 rows at the node
-    n: int
-
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "p1", "n")
 
 
 @dataclass
-class DecisionTreeModel:
+class _TreeEnsemble:
+    """Trees as flat node arrays; tree t starts at node `roots[t]`.
+
+    Node i sends a row whose value of feature `feature[i]` is >= `threshold[i]`
+    to node `right[i]`, any other row to `left[i]`. Leaves have feature -1 and
+    children -1. `p1` is the share of label-1 training rows at the node and
+    `n` their count. Children come after their parent, so every walk ends.
+    """
+
+    feature: np.ndarray    # int64
+    threshold: np.ndarray  # float64
+    left: np.ndarray       # int64
+    right: np.ndarray      # int64
+    p1: np.ndarray         # float64
+    n: np.ndarray          # int64
+    roots: np.ndarray      # int64
+    n_features: int
+    train_meta: dict
+
+    def __post_init__(self):
+        size = self.feature.size
+        inner = np.flatnonzero(self.feature >= 0)
+        children = np.concatenate([self.left[inner], self.right[inner]])
+        if (self.roots.size == 0 or np.any((self.roots < 0) | (self.roots >= size))
+                or np.any(self.feature >= self.n_features)
+                or np.any(children <= np.tile(inner, 2)) or np.any(children >= size)):
+            raise PredictionError("malformed tree node arrays")
+
+    def leaves(self, x: LabeledMatrix) -> np.ndarray:
+        """Leaf reached by every row in every tree, shape (rows, trees).
+
+        Each step moves all unfinished (row, tree) pairs down one level.
+        """
+        n_trees = self.roots.size
+        node = np.tile(self.roots, len(x))
+        row = np.repeat(np.arange(len(x)), n_trees)
+        # Entry keys increase strictly; a -1 sentinel makes "absent" a miss.
+        width = max(self.n_features, x.n_features)
+        keys = np.append(x.row_ids * width + x.indices, -1)
+        data = np.append(x.data, 0.0)
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            query = row[live] * width + self.feature[at]
+            pos = np.searchsorted(keys[:-1], query)
+            value = np.where(keys[pos] == query, data[pos], 0.0)
+            node[live] = np.where(value >= self.threshold[at], self.right[at], self.left[at])
+            live = live[self.feature[node[live]] >= 0]
+        return node.reshape(len(x), n_trees)
+
+
+@dataclass
+class DecisionTreeModel(_TreeEnsemble):
     kind: ClassVar[str] = "decision_tree"
-    nodes: list[TreeNode]
-    n_features: int
-    train_meta: dict
 
-    def leaf_for(self, x: SparseVector) -> TreeNode:
-        node = self.nodes[0]
-        while not node.is_leaf():
-            if x.value_at(node.feature) >= node.threshold:
-                node = self.nodes[node.right]
-            else:
-                node = self.nodes[node.left]
-        return node
-
-    def score_one(self, x: SparseVector) -> float:
-        return self.leaf_for(x).p1
+    def score(self, x: LabeledMatrix) -> np.ndarray:
+        return self.p1[self.leaves(x)[:, 0]]
 
 
 @dataclass
-class RandomForestModel:
+class RandomForestModel(_TreeEnsemble):
     kind: ClassVar[str] = "random_forest"
-    trees: list[DecisionTreeModel]
-    n_features: int
-    train_meta: dict
 
-    def score_one(self, x: SparseVector) -> float:
-        votes = sum(1 for tree in self.trees if tree.leaf_for(x).p1 >= 0.5)
-        return votes / len(self.trees)
+    def score(self, x: LabeledMatrix) -> np.ndarray:
+        votes = (self.p1[self.leaves(x)] >= 0.5).sum(axis=1)
+        return votes / self.roots.size
+
+
+def _stack_trees(trees: list[dict]) -> dict:
+    """One set of node arrays for several trees, with their `roots`."""
+    sizes = [tree["feature"].size for tree in trees]
+    roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+    out = {name: np.concatenate([tree[name] for tree in trees]) for name in _NODE_ARRAYS}
+    shift = np.repeat(roots, sizes)
+    for name in ("left", "right"):
+        out[name] = np.where(out[name] >= 0, out[name] + shift, -1)
+    out["roots"] = roots
+    return out
 
 
 def _feature_columns(data: LabeledMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-feature (row_ids, values) arrays sorted by row id."""
-    row_ids, col_ids, values = data.csr()
+    row_ids, col_ids, values = data.row_ids, data.indices, data.data
     order = np.lexsort((row_ids, col_ids))
     col_sorted = col_ids[order]
     starts = np.searchsorted(col_sorted, np.arange(data.n_features + 1))
@@ -488,20 +481,17 @@ def _best_split(cols, y01, rows, features, min_leaf):
     return best[2], best[3]
 
 
-def _grow_tree(cols, y01, rows, *, max_depth, min_leaf, mtry, rng, n_features):
-    nodes: list[TreeNode] = []
+def _grow_tree(cols, y01, rows, *, max_depth, min_leaf, mtry, rng, n_features) -> dict:
+    """Grow one tree depth-first; returns its node arrays, root first."""
+    nodes: dict[str, list] = {name: [] for name in _NODE_ARRAYS}
     stack = [(np.sort(rows), 0, -1, True)]  # rows, depth, parent index, is-left-child
     while stack:
         node_rows, depth, parent, is_left = stack.pop()
-        idx = len(nodes)
+        idx = len(nodes["feature"])
         if parent >= 0:
-            if is_left:
-                nodes[parent].left = idx
-            else:
-                nodes[parent].right = idx
+            nodes["left" if is_left else "right"][parent] = idx
         n = node_rows.size
         n1 = int(y01[node_rows].sum())
-        p1 = n1 / n
         split = None
         can_split = (
             0 < n1 < n
@@ -514,38 +504,36 @@ def _grow_tree(cols, y01, rows, *, max_depth, min_leaf, mtry, rng, n_features):
             else:
                 features = np.arange(n_features)
             split = _best_split(cols, y01, node_rows, features, min_leaf)
+        f, thr = split if split is not None else (-1, 0.0)
+        for name, value in zip(_NODE_ARRAYS, (f, thr, -1, -1, n1 / n, n)):
+            nodes[name].append(value)
         if split is None:
-            nodes.append(TreeNode(-1, 0.0, -1, -1, p1, n))
             continue
-        f, thr = split
         vals = _node_values(cols[f], node_rows)
-        right_rows = node_rows[vals >= thr]
-        left_rows = node_rows[vals < thr]
-        nodes.append(TreeNode(f, thr, -1, -1, p1, n))
-        stack.append((right_rows, depth + 1, idx, False))
-        stack.append((left_rows, depth + 1, idx, True))
-    return nodes
+        stack.append((node_rows[vals >= thr], depth + 1, idx, False))
+        stack.append((node_rows[vals < thr], depth + 1, idx, True))
+    return {
+        name: np.array(values, dtype=np.float64 if name in ("threshold", "p1") else np.int64)
+        for name, values in nodes.items()
+    }
 
 
 def fit_decision_tree(
     data: LabeledMatrix,
     max_depth: int | None = None,
     min_leaf: int = 1,
-    seed: int = 0,
 ) -> DecisionTreeModel:
     """Greedy binary Gini tree over (feature, count >= threshold) splits."""
     if min_leaf < 1:
         raise TrainingError("min_leaf must be >= 1")
     _require_both_classes(data.labels)
-    cols = _feature_columns(data)
-    y01 = data.label_array()
-    nodes = _grow_tree(
-        cols, y01, np.arange(len(data)),
+    tree = _grow_tree(
+        _feature_columns(data), data.labels, np.arange(len(data)),
         max_depth=max_depth, min_leaf=min_leaf, mtry=None, rng=None,
         n_features=data.n_features,
     )
-    meta = {"max_depth": max_depth, "min_leaf": min_leaf, "seed": seed}
-    return DecisionTreeModel(nodes, data.n_features, meta)
+    meta = {"max_depth": max_depth, "min_leaf": min_leaf}
+    return DecisionTreeModel(**_stack_trees([tree]), n_features=data.n_features, train_meta=meta)
 
 
 def fit_random_forest(
@@ -569,73 +557,77 @@ def fit_random_forest(
     _require_both_classes(data.labels)
 
     cols = _feature_columns(data)
-    y01 = data.label_array()
     n = len(data)
-    tree_seeds = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
-    for i in range(n_trees):
-        rng = np.random.default_rng(tree_seeds[i])
+    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(tree_seed)
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        nodes = _grow_tree(
-            cols, y01, rows,
+        trees.append(_grow_tree(
+            cols, data.labels, rows,
             max_depth=max_depth, min_leaf=min_leaf,
             mtry=mtry, rng=rng, n_features=data.n_features,
-        )
-        tree_meta = {"max_depth": max_depth, "min_leaf": min_leaf, "tree_index": i}
-        trees.append(DecisionTreeModel(nodes, data.n_features, tree_meta))
+        ))
     meta = {
         "n_trees": n_trees, "mtry": mtry, "bootstrap": bootstrap, "seed": seed,
         "max_depth": max_depth, "min_leaf": min_leaf,
     }
-    return RandomForestModel(trees, data.n_features, meta)
+    return RandomForestModel(**_stack_trees(trees), n_features=data.n_features, train_meta=meta)
 
 
 # ---------------------------------------------------------------------------
-# Unified prediction
+# Kind registry and batch prediction
 # ---------------------------------------------------------------------------
 
-CLASSICAL_KINDS = (
-    "multinomial_nb", "bernoulli_nb", "logistic_regression",
-    "linear_svm", "decision_tree", "random_forest",
-)
+@dataclass(frozen=True)
+class KindSpec:
+    """A classical model kind.
 
-_MARGIN_KINDS = {"linear_svm"}
-
-
-def predict(model, x: SparseVector) -> Prediction:
-    """Score a vector; probability kinds threshold at 0.5, SVM at sign.
-
-    Exact-threshold ties resolve to label 1.
+    `threshold`: scores at or above it get label 1. `train_flags`: the
+    `vngender train` flag (by its argparse destination) behind each fit
+    option.
     """
-    if x.indices.size and int(x.indices[-1]) >= model.n_features:
+
+    model: type
+    fit: Callable
+    seeded: bool
+    threshold: float
+    train_flags: dict
+
+
+CLASSICAL_KINDS: dict[str, KindSpec] = {spec.model.kind: spec for spec in (
+    KindSpec(MultinomialNbModel, fit_multinomial_nb, False, 0.5, {"alpha": "alpha"}),
+    KindSpec(BernoulliNbModel, fit_bernoulli_nb, False, 0.5, {"alpha": "alpha"}),
+    KindSpec(LogisticRegressionModel, fit_logistic_regression, False, 0.5,
+             {"l2": "l2", "lr": "lr", "max_iter": "max_iter", "tol": "tol"}),
+    KindSpec(LinearSvmModel, fit_linear_svm, True, 0.0,
+             {"c": "c", "lr": "svm_lr", "epochs": "epochs"}),
+    KindSpec(DecisionTreeModel, fit_decision_tree, False, 0.5,
+             {"max_depth": "max_depth", "min_leaf": "min_leaf"}),
+    KindSpec(RandomForestModel, fit_random_forest, True, 0.5,
+             {"n_trees": "trees", "mtry": "mtry", "bootstrap": "bootstrap",
+              "max_depth": "max_depth", "min_leaf": "min_leaf"}),
+)}
+
+
+def predict(model, x: LabeledMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, scores) for every row of `x`; ties at the threshold get label 1."""
+    if x.indices.size and int(x.indices.max()) >= model.n_features:
         raise PredictionError(
-            f"feature index {int(x.indices[-1])} out of range for a model "
+            f"feature index {int(x.indices.max())} out of range for a model "
             f"with {model.n_features} features"
         )
-    score = model.score_one(x)
-    threshold = 0.0 if model.kind in _MARGIN_KINDS else 0.5
-    return Prediction(1 if score >= threshold else 0, float(score))
-
-
-_FITTERS = {
-    "multinomial_nb": fit_multinomial_nb,
-    "bernoulli_nb": fit_bernoulli_nb,
-    "logistic_regression": fit_logistic_regression,
-    "linear_svm": fit_linear_svm,
-    "decision_tree": fit_decision_tree,
-    "random_forest": fit_random_forest,
-}
-
-_SEEDED_KINDS = {"linear_svm", "decision_tree", "random_forest"}
+    scores = model.score(x)
+    labels = (scores >= CLASSICAL_KINDS[model.kind].threshold).astype(np.int64)
+    return labels, scores
 
 
 def train_classifier(kind: str, data: LabeledMatrix, seed: int = 0, **options):
     """Dispatch to the fit function for `kind` with its keyword options."""
-    if kind not in _FITTERS:
+    spec = CLASSICAL_KINDS.get(kind)
+    if spec is None:
         raise TrainingError(
             f"unknown classifier kind {kind!r}; expected one of {', '.join(CLASSICAL_KINDS)}"
         )
-    if kind in _SEEDED_KINDS:
-        options = dict(options)
-        options.setdefault("seed", seed)
-    return _FITTERS[kind](data, **options)
+    if spec.seeded:
+        options = {"seed": seed, **options}
+    return spec.fit(data, **options)

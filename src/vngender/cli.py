@@ -8,15 +8,12 @@ import os
 import sys
 
 from . import bundle as bundle_mod
-from . import data_io, evaluation, lstm, names_core, service
+from . import classical, data_io, evaluation, names_core, service
 from .errors import ToolkitError
 from .evaluation import ModelSpec, SplitSpec
 from .featurize import VectorizerConfig
 
-MODEL_KINDS = (
-    "multinomial_nb", "bernoulli_nb", "logistic_regression",
-    "linear_svm", "decision_tree", "random_forest", "lstm",
-)
+MODEL_KINDS = (*classical.CLASSICAL_KINDS, "lstm")
 ENV_BUNDLE = "GENDER_MODEL_PATH"
 
 
@@ -38,28 +35,17 @@ def _vectorizer_config(args) -> VectorizerConfig:
 
 def _model_spec(args) -> ModelSpec:
     kind = args.model_kind
-    options: dict = {}
-    if kind in ("multinomial_nb", "bernoulli_nb"):
-        options["alpha"] = args.alpha
-    elif kind == "logistic_regression":
-        options.update(l2=args.l2, lr=args.lr, max_iter=args.max_iter, tol=args.tol)
-    elif kind == "linear_svm":
-        options.update(c=args.c, lr=args.svm_lr, epochs=args.epochs)
-    elif kind == "decision_tree":
-        options.update(max_depth=args.max_depth, min_leaf=args.min_leaf)
-    elif kind == "random_forest":
-        options.update(
-            n_trees=args.trees, mtry=args.mtry, bootstrap=not args.no_bootstrap,
-            max_depth=args.max_depth, min_leaf=args.min_leaf,
-        )
-    elif kind == "lstm":
-        options.update(
+    if kind == "lstm":
+        options = dict(
             hidden=args.hidden, epochs=args.epochs, batch_size=args.batch_size,
             learning_rate=args.lr, max_seq_len=args.max_seq_len,
             embedding_dim=args.embedding_dim, embedding_seed=args.seed,
         )
         if args.embedding:
             options["embedding_path"] = args.embedding
+    else:
+        flags = classical.CLASSICAL_KINDS[kind].train_flags
+        options = {option: getattr(args, dest) for option, dest in flags.items()}
     return ModelSpec(kind, seed=args.seed, options=options)
 
 
@@ -84,7 +70,8 @@ def cmd_train(args) -> int:
     }
     if spec.kind == "lstm":
         art = result.lstm_artifacts
-        payload = bundle_mod.LstmPayload(art.params, art.cfg, art.embeddings.source)
+        payload = bundle_mod.LstmPayload(art.params, art.cfg, art.embeddings.source,
+                                         art.embeddings)
         built = bundle_mod.make_bundle(payload, mask, train_meta=train_meta)
     else:
         built = bundle_mod.make_bundle(
@@ -101,19 +88,20 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     loaded = bundle_mod.load_model(_bundle_path(args))
     dataset = data_io.load_dataset(args.data)
-    y_true, y_pred, skipped = [], [], 0
+    docs, y_true = [], []
     for rec in dataset.records:
         try:
-            response = bundle_mod.bundle_predict(loaded, rec.full_name)
+            _, tokens = bundle_mod.select_tokens(loaded, rec.full_name)
         except ToolkitError:
-            skipped += 1
             continue
+        docs.append(tokens)
         y_true.append(rec.gender)
-        y_pred.append(response["label"])
-    if not y_true:
+    if not docs:
         raise ToolkitError("no records could be scored with this bundle")
-    cm = evaluation.confusion(y_true, y_pred)
+    y_pred, _ = bundle_mod.predict_docs(loaded, docs)
+    cm = evaluation.confusion(y_true, y_pred.tolist())
     sys.stdout.write(evaluation.format_metrics(evaluation.macro_metrics(cm), cm))
+    skipped = len(dataset.records) - len(docs)
     if skipped:
         sys.stdout.write(f"skipped\t{skipped}\n")
     return 0
@@ -221,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--epochs", type=int, default=None)
     train.add_argument("--trees", type=int, default=100)
     train.add_argument("--mtry", type=int, default=None)
-    train.add_argument("--no-bootstrap", action="store_true")
+    train.add_argument("--no-bootstrap", dest="bootstrap", action="store_false")
     train.add_argument("--max-depth", type=int, default=None)
     train.add_argument("--min-leaf", type=int, default=1)
     train.add_argument("--hidden", type=int, default=128)

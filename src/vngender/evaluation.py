@@ -274,17 +274,12 @@ def run_experiment(
         if vectorizer_cfg is None:
             raise EvaluationError("classical models need a vectorizer config")
         vocabulary = featurize.fit_vocabulary(train_docs, vectorizer_cfg)
-        rows = [featurize.transform(d, vocabulary, vectorizer_cfg) for d in train_docs]
-        matrix = classical.LabeledMatrix(rows, train_labels, len(vocabulary))
+        matrix = featurize.transform(train_docs, vocabulary, vectorizer_cfg, train_labels)
         classifier = classical.train_classifier(
             model_spec.kind, matrix, seed=model_spec.seed, **model_spec.options
         )
-        preds = [
-            classical.predict(
-                classifier, featurize.transform(d, vocabulary, vectorizer_cfg)
-            ).label
-            for d in test_docs
-        ]
+        test_matrix = featurize.transform(test_docs, vocabulary, vectorizer_cfg)
+        preds = classical.predict(classifier, test_matrix)[0].tolist()
         model_label = f"{model_spec.kind}+{vectorizer_cfg.mode}"
 
     cm = confusion(test_labels, preds)

@@ -1,11 +1,10 @@
-"""Token vocabularies and sparse count / TF-IDF feature vectors."""
+"""Token vocabularies and the CSR feature matrix of count / TF-IDF vectors."""
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -14,49 +13,56 @@ from .errors import FeaturizeError
 VECTORIZER_MODES = ("count", "tfidf")
 
 
-@dataclass(frozen=True, eq=False)
-class SparseVector:
-    """Sorted (index, weight) pairs; zero weights are never stored."""
+@dataclass(eq=False)
+class LabeledMatrix:
+    """Sparse feature rows in CSR form, with optional binary labels.
 
-    indices: np.ndarray  # int64, strictly increasing
-    values: np.ndarray   # float64
+    Row i holds the columns `indices[indptr[i]:indptr[i+1]]` (strictly
+    increasing) with the non-zero values `data[...]` at the same positions.
+    `labels` is None for rows that are only scored.
+    """
 
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, float]]) -> "SparseVector":
-        agg: dict[int, float] = {}
-        for idx, weight in pairs:
-            agg[int(idx)] = agg.get(int(idx), 0.0) + float(weight)
-        items = sorted((i, w) for i, w in agg.items() if w != 0.0)
-        indices = np.array([i for i, _ in items], dtype=np.int64)
-        values = np.array([w for _, w in items], dtype=np.float64)
-        return SparseVector(indices, values)
+    indptr: np.ndarray   # int64, n_rows + 1
+    indices: np.ndarray  # int64
+    data: np.ndarray     # float64
+    n_features: int
+    labels: np.ndarray | None = None  # int64, 0 or 1
+    row_ids: np.ndarray = field(init=False, repr=False)  # row of every entry
 
-    def nnz(self) -> int:
-        return int(self.indices.size)
+    def __post_init__(self):
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.data = np.asarray(self.data, dtype=np.float64)
+        sizes = np.diff(self.indptr)
+        if self.indptr[:1].tolist() != [0] or np.any(sizes < 0) or not (
+            self.indptr[-1] == self.indices.size == self.data.size
+        ):
+            raise FeaturizeError("indptr, indices and data do not describe a CSR matrix")
+        self.row_ids = np.repeat(np.arange(len(self), dtype=np.int64), sizes)
+        if np.any((self.indices < 0) | (self.indices >= self.n_features)):
+            raise FeaturizeError(f"feature index out of range (n_features={self.n_features})")
+        if np.any(np.diff(self.row_ids * self.n_features + self.indices) <= 0) or np.any(
+            self.data == 0
+        ):
+            raise FeaturizeError("rows need strictly increasing columns and non-zero values")
+        if self.labels is not None:
+            self.labels = np.asarray(self.labels, dtype=np.int64)
+            if self.labels.shape != (len(self),) or np.any(self.labels & ~1):
+                raise FeaturizeError("labels must be 0 or 1, one per row")
 
-    def to_pairs(self) -> list[tuple[int, float]]:
-        return [(int(i), float(w)) for i, w in zip(self.indices, self.values)]
+    def __len__(self) -> int:
+        return self.indptr.size - 1
 
-    def dot(self, dense: np.ndarray) -> float:
-        if self.indices.size == 0:
-            return 0.0
-        return float(dense[self.indices] @ self.values)
+    def row_sums(self, entry_values: np.ndarray) -> np.ndarray:
+        """Per-row sums of one value per stored entry, added in entry order.
 
-    def value_at(self, feature: int) -> float:
-        pos = int(np.searchsorted(self.indices, feature))
-        if pos < self.indices.size and self.indices[pos] == feature:
-            return float(self.values[pos])
-        return 0.0
+        A row's sum depends only on its own entries, so it is the same alone
+        as inside any batch.
+        """
+        return np.bincount(self.row_ids, weights=entry_values, minlength=len(self))
 
-    def l1(self) -> float:
-        return float(np.abs(self.values).sum())
-
-    def l2(self) -> float:
-        return float(math.sqrt(self.values @ self.values)) if self.values.size else 0.0
-
-
-def empty_vector() -> SparseVector:
-    return SparseVector(np.empty(0, np.int64), np.empty(0, np.float64))
+    def dot_weights(self, weights: np.ndarray, bias: float) -> np.ndarray:
+        return self.row_sums(self.data * weights[self.indices]) + bias
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,35 +118,31 @@ def fit_vocabulary(corpus: Sequence[Sequence[str]], cfg: VectorizerConfig) -> Vo
     return Vocabulary(tokens, index_of, doc_freq, len(corpus))
 
 
-def transform_count(doc: Sequence[str], vocab: Vocabulary) -> SparseVector:
-    """Raw term counts of in-vocabulary tokens; OOV tokens are dropped."""
-    counts = Counter(doc)
-    pairs = [
-        (vocab.index_of[tok], float(c))
-        for tok, c in counts.items()
-        if tok in vocab.index_of
-    ]
-    return SparseVector.from_pairs(pairs)
+def transform(
+    docs: Sequence[Sequence[str]],
+    vocab: Vocabulary,
+    cfg: VectorizerConfig,
+    labels: Sequence[int] | None = None,
+) -> LabeledMatrix:
+    """One CSR row per document; out-of-vocabulary tokens are dropped.
 
-
-def transform_tfidf(doc: Sequence[str], vocab: Vocabulary) -> SparseVector:
-    """Smoothed TF-IDF, L2-normalized: tf * (ln((1+N)/(1+df)) + 1)."""
-    counts = Counter(doc)
-    n = vocab.n_docs
-    pairs = []
-    for tok, c in counts.items():
-        idx = vocab.index_of.get(tok)
-        if idx is None:
-            continue
-        idf = math.log((1.0 + n) / (1.0 + float(vocab.doc_freq[idx]))) + 1.0
-        pairs.append((idx, c * idf))
-    if not pairs:
-        return empty_vector()
-    norm = math.sqrt(sum(w * w for _, w in pairs))
-    return SparseVector.from_pairs((i, w / norm) for i, w in pairs)
-
-
-def transform(doc: Sequence[str], vocab: Vocabulary, cfg: VectorizerConfig) -> SparseVector:
-    if cfg.mode == "count":
-        return transform_count(doc, vocab)
-    return transform_tfidf(doc, vocab)
+    "count" rows hold raw term counts. "tfidf" rows hold smoothed TF-IDF,
+    tf * (ln((1+N)/(1+df)) + 1), L2-normalized per row.
+    """
+    index_of = vocab.index_of
+    v = len(vocab)
+    ids = np.array([index_of.get(tok, -1) for doc in docs for tok in doc], dtype=np.int64)
+    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
+    rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+    keep = ids >= 0
+    keys, counts = np.unique(rows[keep] * v + ids[keep], return_counts=True)
+    row_ids, indices = np.divmod(keys, v)
+    data = counts.astype(np.float64)
+    if cfg.mode == "tfidf" and data.size:
+        idf = np.log((1.0 + vocab.n_docs) / (1.0 + vocab.doc_freq[indices])) + 1.0
+        data *= idf
+        norms = np.sqrt(np.bincount(row_ids, weights=data * data, minlength=len(docs)))
+        data /= norms[row_ids]
+    indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_ids, minlength=len(docs)), out=indptr[1:])
+    return LabeledMatrix(indptr, indices, data, v, labels)

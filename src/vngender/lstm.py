@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import Prediction
 from .errors import (
     DivergenceError,
     EmbeddingError,
@@ -32,6 +31,12 @@ def _oov_vector(token: str, seed: int, dim: int) -> np.ndarray:
     digest = hashlib.sha256(f"{seed}\x00{token}".encode("utf-8")).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "big"))
     return rng.uniform(-OOV_HALF_RANGE, OOV_HALF_RANGE, dim)
+
+
+@dataclass(frozen=True)
+class Prediction:
+    label: int
+    score: float
 
 
 @dataclass

@@ -1,21 +1,41 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
-from vngender import data_io, featurize, names_core
-from vngender.classical import LabeledMatrix
-from vngender.featurize import SparseVector
+from vngender import classical, cli, data_io, names_core
+from vngender.featurize import LabeledMatrix
+from vngender.lstm import Prediction
 
 
-def sv(pairs) -> SparseVector:
-    if isinstance(pairs, dict):
-        pairs = pairs.items()
-    return SparseVector.from_pairs(pairs)
+def csr(docs, labels=None, n_features=None) -> LabeledMatrix:
+    """docs as dicts feature -> value; zero values are not stored. Without
+    n_features, the matrix is as wide as its largest feature index."""
+    rows = [sorted((int(f), float(v)) for f, v in dict(d).items() if v) for d in docs]
+    if n_features is None:
+        n_features = 1 + max((f for row in rows for f, _ in row), default=0)
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = [f for row in rows for f, _ in row]
+    data = [v for row in rows for _, v in row]
+    return LabeledMatrix(indptr, indices, data, n_features, labels)
 
 
 def docs_to_matrix(docs, labels, n_features) -> LabeledMatrix:
     """docs as dicts feature -> count."""
-    rows = [sv(d) for d in docs]
-    return LabeledMatrix(rows, list(labels), n_features)
+    return csr(docs, list(labels), n_features)
+
+
+def predict_row(model, doc) -> Prediction:
+    """Label and score of one row, given as a dict feature -> value."""
+    labels, scores = classical.predict(model, csr([doc]))
+    return Prediction(int(labels[0]), float(scores[0]))
+
+
+def row_dict(matrix: LabeledMatrix, i: int) -> dict:
+    """Row i of a matrix as a dict feature -> value."""
+    sl = slice(matrix.indptr[i], matrix.indptr[i + 1])
+    return dict(zip(matrix.indices[sl].tolist(), matrix.data[sl].tolist()))
 
 
 def random_instance(seed, max_docs=8, max_features=6, max_count=4):
@@ -57,3 +77,53 @@ def planted_small():
 @pytest.fixture(scope="session")
 def planted_noisy():
     return data_io.generate_synthetic(2400, 0.9, 22)
+
+
+# Small options that keep the bundle fixtures fast.
+FAST_OPTIONS = {
+    "random_forest": ["--trees", "5", "--max-depth", "4"],
+    "decision_tree": ["--max-depth", "6"],
+    "lstm": ["--hidden", "4", "--embedding-dim", "8", "--epochs", "1"],
+}
+SPLIT_SEED = 3
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """`vngender <argv>` in-process: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="session")
+def names_csv(tmp_path_factory):
+    """Synthetic three-token names plus 60 one-token names, which have no
+    family component."""
+    dataset = data_io.generate_synthetic(600, 0.9, 23)
+    rng = np.random.default_rng(23)
+    one_token = [
+        data_io.DatasetRecord(str(rng.choice(data_io.GIVEN_POOL)).capitalize(),
+                              int(rng.integers(0, 2)))
+        for _ in range(60)
+    ]
+    path = tmp_path_factory.mktemp("data") / "names.csv"
+    data_io.save_dataset(data_io.Dataset(dataset.records + one_token), path)
+    return path
+
+
+@pytest.fixture(scope="session")
+def bundle_paths(names_csv, tmp_path_factory):
+    """Trained bundle paths by (kind, mask): every kind under "full", and
+    multinomial NB and the LSTM under "fan"."""
+    out = tmp_path_factory.mktemp("bundles")
+    wanted = [(kind, "full") for kind in cli.MODEL_KINDS]
+    wanted += [("multinomial_nb", "fan"), ("lstm", "fan")]
+    paths = {}
+    for kind, mask in wanted:
+        path = out / f"{kind}-{mask}.bundle"
+        code, _ = run_cli(["train", "--data", names_csv, "--model", kind, "--mask", mask,
+                           "--seed", SPLIT_SEED, "--out", path, *FAST_OPTIONS.get(kind, [])])
+        assert code == 0
+        paths[kind, mask] = path
+    return paths

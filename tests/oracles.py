@@ -3,6 +3,7 @@ against. These stay deliberately naive: probability-space products for naive
 Bayes, exhaustive enumeration with exact rational scoring for tree splits,
 central finite differences for gradients."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -104,3 +105,28 @@ def fd_gradient(fn, arr, h):
         arr.flat[i] = orig
         grad.flat[i] = (up - down) / (2.0 * h)
     return grad
+
+
+def vectorize(doc, tokens, doc_freq, n_docs, mode):
+    """One document as a dict feature -> weight, token by token: raw counts,
+    or smoothed TF-IDF tf * (ln((1+N)/(1+df)) + 1) scaled to unit L2 norm."""
+    index_of = {tok: i for i, tok in enumerate(tokens)}
+    counts = {}
+    for tok in doc:
+        if tok in index_of:
+            counts[index_of[tok]] = counts.get(index_of[tok], 0) + 1
+    if mode == "count":
+        return {f: float(c) for f, c in counts.items()}
+    weights = {f: c * (math.log((1.0 + n_docs) / (1.0 + doc_freq[f])) + 1.0)
+               for f, c in counts.items()}
+    norm = math.sqrt(sum(w * w for w in weights.values()))
+    return {f: w / norm for f, w in weights.items()}
+
+
+def tree_leaf(feature, threshold, left, right, root, row):
+    """Leaf index reached from `root` by one row (dict feature -> value)."""
+    node = root
+    while feature[node] >= 0:
+        go_right = row.get(int(feature[node]), 0.0) >= threshold[node]
+        node = right[node] if go_right else left[node]
+    return int(node)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import docs_to_matrix, random_instance, sv
+from conftest import docs_to_matrix, predict_row, random_instance, row_dict
 from vngender import classical as cl
 from vngender.errors import DivergenceError, TrainingError
 
@@ -30,15 +30,14 @@ class TestLogisticRegressionGradient:
 class TestLogisticRegressionFit:
     def test_zero_weights_score_half_and_tie_to_one(self):
         model = cl.LogisticRegressionModel(np.zeros(3), 0.0, 3, {})
-        pred = cl.predict(model, sv({1: 4}))
+        pred = predict_row(model, {1: 4})
         assert pred.score == 0.5
         assert pred.label == 1
 
     def test_separable_one_feature_reaches_perfect_accuracy(self):
         matrix = docs_to_matrix([{0: 1}, {0: 3}], [0, 1], 1)
         model = cl.fit_logistic_regression(matrix, l2=0.0, lr=0.5, max_iter=2000)
-        preds = [cl.predict(model, row).label for row in matrix.rows]
-        assert preds == [0, 1]
+        assert cl.predict(model, matrix)[0].tolist() == [0, 1]
 
     def test_divergence_names_iteration(self):
         matrix = docs_to_matrix([{0: 1}, {0: 3}], [0, 1], 1)
@@ -85,8 +84,8 @@ class TestLinearSvm:
     def test_separable_points_get_opposite_margins(self):
         matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
         model = cl.fit_linear_svm(matrix, c=1.0, epochs=30, seed=0)
-        pos = cl.predict(model, matrix.rows[0])
-        neg = cl.predict(model, matrix.rows[1])
+        pos = predict_row(model, row_dict(matrix, 0))
+        neg = predict_row(model, row_dict(matrix, 1))
         assert pos.label == 1 and neg.label == 0
         assert pos.score > 0 > neg.score
 
@@ -110,8 +109,9 @@ class TestLinearSvm:
         b = 0.125
         y_pm = [2 * y - 1 for y in matrix.labels]
         manual = 0.5 * (float(w @ w) + b * b)
-        for row, y in zip(matrix.rows, y_pm):
-            manual += 2.0 * max(0.0, 1.0 - y * (row.dot(w) + b))
+        for i, y in enumerate(y_pm):
+            dot = sum(w[f] * v for f, v in row_dict(matrix, i).items())
+            manual += 2.0 * max(0.0, 1.0 - y * (dot + b))
         assert cl.svm_objective(matrix, w, b, 2.0) == pytest.approx(manual, rel=1e-12)
 
     def test_same_seed_reproduces_weights(self):
@@ -122,13 +122,13 @@ class TestLinearSvm:
 
     def test_zero_vector_scores_bias(self):
         model = cl.LinearSvmModel(np.array([1.0, -2.0]), -0.75, 2, {})
-        pred = cl.predict(model, sv({}))
+        pred = predict_row(model, {})
         assert pred.score == -0.75
         assert pred.label == 0
 
     def test_zero_margin_ties_to_label_one(self):
         model = cl.LinearSvmModel(np.zeros(2), 0.0, 2, {})
-        assert cl.predict(model, sv({0: 3})).label == 1
+        assert predict_row(model, {0: 3}).label == 1
 
     def test_validation(self):
         matrix = svm_instance()

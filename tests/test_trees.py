@@ -1,9 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import docs_to_matrix, planted_docs, sv
+from conftest import csr, docs_to_matrix, planted_docs, predict_row
 from vngender import classical as cl
 from vngender import featurize as fz
 from vngender.errors import PredictionError, TrainingError
@@ -26,22 +28,35 @@ def tree_instance(seed, max_rows=10, max_features=4):
     return docs, labels, n_features
 
 
+def tree_model(cls, nodes, roots=(0,), n_features=2):
+    """A hand-built tree model from (feature, threshold, left, right, p1, n) rows."""
+    columns = [np.array(col) for col in zip(*nodes)]
+    names = ("feature", "threshold", "left", "right", "p1", "n")
+    arrays = {name: col.astype(np.float64 if name in ("threshold", "p1") else np.int64)
+              for name, col in zip(names, columns)}
+    return cls(**arrays, roots=np.array(roots, dtype=np.int64),
+               n_features=n_features, train_meta={})
+
+
+def is_leaf(model, idx) -> bool:
+    return model.feature[idx] < 0
+
+
 def validate_tree_shape(model: cl.DecisionTreeModel):
     """Every node reachable exactly once; internal nodes have two children."""
     seen = set()
     stack = [0]
     while stack:
         idx = stack.pop()
-        assert 0 <= idx < len(model.nodes)
+        assert 0 <= idx < model.feature.size
         assert idx not in seen
         seen.add(idx)
-        node = model.nodes[idx]
-        if node.is_leaf():
-            assert node.left == -1 and node.right == -1
+        if is_leaf(model, idx):
+            assert model.left[idx] == -1 and model.right[idx] == -1
         else:
-            assert node.left != -1 and node.right != -1
-            stack.extend((node.left, node.right))
-    assert seen == set(range(len(model.nodes)))
+            assert model.left[idx] != -1 and model.right[idx] != -1
+            stack.extend((int(model.left[idx]), int(model.right[idx])))
+    assert seen == set(range(model.feature.size))
 
 
 class TestDecisionTree:
@@ -52,51 +67,48 @@ class TestDecisionTree:
         matrix = docs_to_matrix(docs, labels, n_features)
         model = cl.fit_decision_tree(matrix)
         expected = oracles.best_split(docs, labels, n_features)
-        root = model.nodes[0]
         if expected is None:
-            assert root.is_leaf()
+            assert is_leaf(model, 0)
         else:
-            assert (root.feature, root.threshold) == expected
+            assert (model.feature[0], model.threshold[0]) == expected
 
     def test_perfect_feature_gives_depth_one_tree(self):
         docs = [{2: 1}, {2: 2}, {0: 1}, {1: 3}]
         labels = [1, 1, 0, 0]
         matrix = docs_to_matrix(docs, labels, 3)
         model = cl.fit_decision_tree(matrix)
-        assert len(model.nodes) == 3  # root plus two leaves
-        assert model.nodes[0].feature == 2
-        preds = [cl.predict(model, row).label for row in matrix.rows]
-        assert preds == labels
+        assert model.feature.size == 3  # root plus two leaves
+        assert model.feature[0] == 2
+        assert cl.predict(model, matrix)[0].tolist() == labels
 
     def test_pure_children_stop_splitting(self):
         docs = [{0: 1, 1: 1}, {0: 1, 1: 2}, {1: 1}, {1: 2}]
         matrix = docs_to_matrix(docs, [1, 1, 0, 0], 2)
         model = cl.fit_decision_tree(matrix)
-        assert all(n.is_leaf() for n in model.nodes[1:])
+        assert all(is_leaf(model, i) for i in range(1, model.feature.size))
 
     def test_tie_breaks_to_lowest_feature(self):
         # Features 1 and 3 carry the same perfect pattern; 1 must win.
         docs = [{1: 1, 3: 1}, {1: 1, 3: 1}, {}, {}]
         matrix = docs_to_matrix(docs, [1, 1, 0, 0], 4)
         model = cl.fit_decision_tree(matrix)
-        assert model.nodes[0].feature == 1
+        assert model.feature[0] == 1
 
     def test_min_leaf_respected(self):
         docs, labels, n_features = tree_instance(77, max_rows=10)
         matrix = docs_to_matrix(docs, labels, n_features)
         model = cl.fit_decision_tree(matrix, min_leaf=3)
-        for node in model.nodes:
-            if not node.is_leaf():
-                assert model.nodes[node.left].n >= 3
-                assert model.nodes[node.right].n >= 3
+        inner = model.feature >= 0
+        assert np.all(model.n[model.left[inner]] >= 3)
+        assert np.all(model.n[model.right[inner]] >= 3)
 
     def test_max_depth_limits_growth(self):
         docs, labels, n_features = tree_instance(78)
         matrix = docs_to_matrix(docs, labels, n_features)
         model = cl.fit_decision_tree(matrix, max_depth=1)
-        assert all(model.nodes[c].is_leaf()
-                   for c in (model.nodes[0].left, model.nodes[0].right)
-                   if not model.nodes[0].is_leaf())
+        assert all(is_leaf(model, c)
+                   for c in (model.left[0], model.right[0])
+                   if not is_leaf(model, 0))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 100_000))
@@ -106,9 +118,8 @@ class TestDecisionTree:
         validate_tree_shape(cl.fit_decision_tree(matrix))
 
     def test_leaf_tie_predicts_label_one(self):
-        leaf = cl.TreeNode(-1, 0.0, -1, -1, 0.5, 4)
-        model = cl.DecisionTreeModel([leaf], 2, {})
-        assert cl.predict(model, sv({})).label == 1
+        model = tree_model(cl.DecisionTreeModel, [(-1, 0.0, -1, -1, 0.5, 4)])
+        assert predict_row(model, {}).label == 1
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
@@ -118,6 +129,11 @@ class TestDecisionTree:
         matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
         with pytest.raises(TrainingError):
             cl.fit_decision_tree(matrix, min_leaf=0)
+
+
+def same_nodes(a, b) -> bool:
+    names = ("feature", "threshold", "left", "right", "p1", "n", "roots")
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in names)
 
 
 class TestRandomForest:
@@ -130,46 +146,53 @@ class TestRandomForest:
         )
         rng = np.random.default_rng(4)
         for _ in range(100):
-            probe = sv({int(f): float(rng.integers(0, 4))
-                        for f in rng.choice(n_features, 2, replace=False)})
-            assert cl.predict(tree, probe).label == cl.predict(forest, probe).label
+            probe = {int(f): float(rng.integers(0, 4))
+                     for f in rng.choice(n_features, 2, replace=False)}
+            assert predict_row(tree, probe).label == predict_row(forest, probe).label
 
     def test_same_seed_same_forest(self):
         docs, labels, n_features = tree_instance(13, max_rows=25)
         matrix = docs_to_matrix(docs, labels, n_features)
         a = cl.fit_random_forest(matrix, n_trees=7, seed=5)
         b = cl.fit_random_forest(matrix, n_trees=7, seed=5)
-        assert [[vars(n) for n in t.nodes] for t in a.trees] == [
-            [vars(n) for n in t.nodes] for t in b.trees
-        ]
+        assert same_nodes(a, b)
 
     def test_different_seeds_usually_differ(self):
         docs, labels, n_features = tree_instance(14, max_rows=25)
         matrix = docs_to_matrix(docs, labels, n_features)
         a = cl.fit_random_forest(matrix, n_trees=7, seed=5)
         b = cl.fit_random_forest(matrix, n_trees=7, seed=6)
-        assert [[vars(n) for n in t.nodes] for t in a.trees] != [
-            [vars(n) for n in t.nodes] for t in b.trees
-        ]
+        assert not same_nodes(a, b)
 
     def test_planted_rule_reaches_perfect_training_accuracy(self):
         docs, labels = planted_docs(800, 1.0, 31)
         vocab = fz.fit_vocabulary(docs, fz.VectorizerConfig("count"))
-        rows = [fz.transform_count(d, vocab) for d in docs]
-        matrix = cl.LabeledMatrix(rows, labels, len(vocab))
+        matrix = fz.transform(docs, vocab, fz.VectorizerConfig("count"), labels)
         forest = cl.fit_random_forest(matrix, n_trees=10, seed=8)
-        correct = sum(
-            cl.predict(forest, row).label == y for row, y in zip(rows, labels)
-        )
-        assert correct == len(labels)
+        assert cl.predict(forest, matrix)[0].tolist() == labels
 
     def test_vote_fraction_is_score_and_ties_to_one(self):
-        leaf_one = cl.DecisionTreeModel([cl.TreeNode(-1, 0.0, -1, -1, 1.0, 1)], 2, {})
-        leaf_zero = cl.DecisionTreeModel([cl.TreeNode(-1, 0.0, -1, -1, 0.0, 1)], 2, {})
-        forest = cl.RandomForestModel([leaf_one, leaf_zero], 2, {})
-        pred = cl.predict(forest, sv({}))
+        forest = tree_model(
+            cl.RandomForestModel,
+            [(-1, 0.0, -1, -1, 1.0, 1), (-1, 0.0, -1, -1, 0.0, 1)], roots=(0, 1),
+        )
+        pred = predict_row(forest, {})
         assert pred.score == 0.5
         assert pred.label == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_level_walk_matches_row_by_row_walk(self, seed):
+        docs, labels, n_features = tree_instance(seed, max_rows=15)
+        forest = cl.fit_random_forest(docs_to_matrix(docs, labels, n_features),
+                                      n_trees=5, seed=seed)
+        rng = np.random.default_rng(seed)
+        probes = docs + [{int(f): float(rng.integers(0, 5)) for f in range(n_features)}, {}]
+        leaves = forest.leaves(csr(probes, n_features=n_features))
+        arrays = (forest.feature, forest.threshold, forest.left, forest.right)
+        for i, probe in enumerate(probes):
+            expected = [oracles.tree_leaf(*arrays, root, probe) for root in forest.roots]
+            assert leaves[i].tolist() == expected
 
     def test_validation(self):
         matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
@@ -184,7 +207,7 @@ class TestPredictDispatch:
         matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
         model = cl.fit_multinomial_nb(matrix)
         with pytest.raises(PredictionError, match="out of range"):
-            cl.predict(model, sv({5: 1}))
+            predict_row(model, {5: 1})
 
     def test_train_classifier_dispatch(self):
         matrix = docs_to_matrix([{0: 2}, {1: 1}, {0: 1}, {1: 2}], [1, 0, 1, 0], 2)
@@ -192,8 +215,29 @@ class TestPredictDispatch:
             options = {"n_trees": 3} if kind == "random_forest" else {}
             model = cl.train_classifier(kind, matrix, seed=1, **options)
             assert model.kind == kind
-            pred = cl.predict(model, matrix.rows[0])
-            assert pred.label in (0, 1)
+            labels, _ = cl.predict(model, matrix)
+            assert set(labels.tolist()) <= {0, 1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_row_scores_alone_equal_scores_in_batch(self, seed):
+        docs, labels, n_features = tree_instance(seed, max_rows=12)
+        matrix = docs_to_matrix(docs, labels, n_features)
+        for kind in cl.CLASSICAL_KINDS:
+            options = {"n_trees": 4} if kind == "random_forest" else {}
+            model = cl.train_classifier(kind, matrix, seed=seed, **options)
+            batch_labels, batch_scores = cl.predict(model, matrix)
+            for i, doc in enumerate(docs):
+                alone = cl.predict(model, csr([doc], n_features=n_features))
+                assert alone[0][0] == batch_labels[i]
+                assert alone[1][0] == batch_scores[i]
+
+    def test_registry_marks_seeded_kinds(self):
+        seeded = {kind for kind, spec in cl.CLASSICAL_KINDS.items() if spec.seeded}
+        assert seeded == {"linear_svm", "random_forest"}
+        for kind, spec in cl.CLASSICAL_KINDS.items():
+            assert spec.model.kind == kind
+            assert ("seed" in inspect.signature(spec.fit).parameters) == spec.seeded
 
     def test_unknown_kind_rejected(self):
         matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
