@@ -1,14 +1,14 @@
 """Gender prediction from Vietnamese full names.
 
 Segments names into family / middle / given components, featurizes them as
-count or TF-IDF vectors, trains six classical classifiers and a small LSTM,
-evaluates with macro-averaged F1, runs the seven-way component ablation, and
-serves predictions over HTTP.
+count or TF-IDF vectors, trains six classical classifiers and a small LSTM
+(seven kinds in one registry, `MODEL_KINDS`), evaluates with macro-averaged
+F1, runs the seven-way component ablation, and serves predictions over HTTP.
 """
 
 from .bundle import ModelBundle, bundle_predict, load_model, make_bundle, save_model
 from .classical import (
-    CLASSICAL_KINDS,
+    MODEL_KINDS,
     KindSpec,
     fit_bernoulli_nb,
     fit_decision_tree,
@@ -17,6 +17,7 @@ from .classical import (
     fit_multinomial_nb,
     fit_random_forest,
     predict,
+    predict_docs,
     train_classifier,
 )
 from .data_io import (
@@ -46,9 +47,11 @@ from .featurize import (
 )
 from .lstm import (
     EmbeddingTable,
+    LstmModel,
     LstmParams,
     LstmTrainConfig,
     Prediction,
+    fit_lstm,
     load_embeddings,
     lstm_forward,
     predict_lstm,

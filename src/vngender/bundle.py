@@ -1,21 +1,22 @@
 """Model bundles: a single binary file holding vectorizer, parameters, the
 component mask used at train time, and run metadata.
 
-Layout (format version 2): magic, big-endian format version, section count,
+Layout (format version 3): magic, big-endian format version, section count,
 then length-prefixed named sections, then a SHA-256 checksum of everything
 before it. Two sections:
 
 - ``meta``: UTF-8 JSON with the model kind, mask label, model id, training
-  metadata, vectorizer config and vocabulary (both null for the LSTM), and
-  ``model``, the model's fields that are not arrays.
+  metadata, vectorizer config and vocabulary (both null for a kind that
+  reads tokens, such as the LSTM), and ``model``, the model's fields that are
+  not arrays, its ``train_meta`` included.
 - ``arrays``: an npz archive of the model's array fields, by field name;
   arrays of a nested dataclass are named ``<field>.<name>`` (the LSTM's
   ``params.w_i``, ...). It is read with ``allow_pickle=False``.
 
-Every kind goes through the same field-by-field encoding; the model class of
-a kind comes from `classical.CLASSICAL_KINDS`, or is `LstmPayload`. Embedding
-tables are referenced (path + content hash, or a seed for random tables)
-rather than embedded, and resolved once when the payload is built.
+Every kind, the LSTM included, goes through the same field-by-field encoding,
+and the model class of a kind comes from `classical.MODEL_KINDS`. The LSTM's
+embedding table is referenced (path + content hash, or a seed for random
+tables) rather than embedded, and resolved once when the model is built.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical, featurize, lstm, names_core
+from . import classical, names_core
 from .errors import (
     BundleError,
     BundleFormatError,
@@ -44,21 +45,7 @@ from .featurize import VectorizerConfig, Vocabulary
 from .names_core import ComponentMask, NameComponents
 
 MAGIC = b"VNGBUNDL"
-FORMAT_VERSION = 2
-
-
-@dataclass
-class LstmPayload:
-    params: lstm.LstmParams
-    cfg: lstm.LstmTrainConfig
-    embedding_source: dict
-    embeddings: lstm.EmbeddingTable | None = dataclasses.field(
-        default=None, repr=False, metadata={"stored": False}
-    )
-
-    def __post_init__(self):
-        if self.embeddings is None:
-            self.embeddings = _resolve_embeddings(self.embedding_source)
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -68,7 +55,7 @@ class ModelBundle:
     component_mask: ComponentMask
     vectorizer_cfg: VectorizerConfig | None
     vocabulary: Vocabulary | None
-    model: object                      # classical model or LstmPayload
+    model: object                      # a model class of `classical.MODEL_KINDS`
     train_meta: dict
     model_id: str
 
@@ -169,27 +156,19 @@ def _encode_model(model) -> tuple[bytes, dict]:
 
 
 def _model_class(kind: str) -> type:
-    if kind == "lstm":
-        return LstmPayload
-    spec = classical.CLASSICAL_KINDS.get(kind)
+    spec = classical.MODEL_KINDS.get(kind)
     if spec is None:
         raise BundleFormatError(f"unknown model kind {kind!r}")
     return spec.model
 
 
-def _resolve_embeddings(source: dict) -> lstm.EmbeddingTable:
-    if source.get("kind") == "random":
-        return lstm.random_embeddings(source["dim"], source["seed"])
-    if source.get("kind") == "vec_file":
-        path = source["path"]
-        try:
-            actual = hashlib.sha256(open(path, "rb").read()).hexdigest()
-        except FileNotFoundError as exc:
-            raise BundleError(f"referenced embedding file missing: {path}") from exc
-        if actual != source["sha256"]:
-            raise BundleError(f"embedding file content changed: {path}")
-        return lstm.load_embeddings(path, source["dim"], oov_seed=source.get("oov_seed", 0))
-    raise BundleError(f"unknown embedding source {source.get('kind')!r}")
+def _check_features(model, vectorizer_cfg: VectorizerConfig | None,
+                    vocabulary: Vocabulary | None) -> None:
+    """A model that scores feature rows (it has `n_features`) needs a
+    vectorizer and a vocabulary of its width; any other model needs neither."""
+    width = None if vectorizer_cfg is None or vocabulary is None else len(vocabulary)
+    if getattr(model, "n_features", None) != width:
+        raise BundleFormatError(f"the {model.kind} model and the vocabulary do not match")
 
 
 def _vocab_meta(vocabulary: Vocabulary | None) -> dict | None:
@@ -216,22 +195,20 @@ def make_bundle(
     """Assemble a bundle and derive its model_id from the payload bytes."""
     meta = dict(train_meta or {})
     meta.setdefault("created_unix", int(time.time()))
-    kind = "lstm" if isinstance(model, LstmPayload) else model.kind
-    if kind != "lstm" and (vectorizer_cfg is None or vocabulary is None):
-        raise BundleError("classical bundles need a vectorizer config and vocabulary")
+    _check_features(model, vectorizer_cfg, vocabulary)
     arrays_blob, model_meta = _encode_model(model)
     digest = hashlib.sha256(
         arrays_blob + _json_bytes([model_meta, _vocab_meta(vocabulary)])
     ).hexdigest()
     return ModelBundle(
         format_version=FORMAT_VERSION,
-        model_kind=kind,
+        model_kind=model.kind,
         component_mask=component_mask,
         vectorizer_cfg=vectorizer_cfg,
         vocabulary=vocabulary,
         model=model,
         train_meta=meta,
-        model_id=f"{kind}-{digest[:12]}",
+        model_id=f"{model.kind}-{digest[:12]}",
     )
 
 
@@ -274,14 +251,14 @@ def load_model(path) -> ModelBundle:
             np.array(vocab["doc_freq"], dtype=np.int64),
             int(vocab["n_docs"]),
         )
-        if kind != "lstm" and model.n_features != len(vocabulary):
-            raise BundleFormatError("model and vocabulary sizes differ")
         vcfg = meta["vectorizer"]
+        vcfg = None if vcfg is None else VectorizerConfig(**vcfg)
+        _check_features(model, vcfg, vocabulary)
         return ModelBundle(
             format_version=FORMAT_VERSION,
             model_kind=kind,
             component_mask=names_core.parse_mask(meta["mask"]),
-            vectorizer_cfg=None if vcfg is None else VectorizerConfig(**vcfg),
+            vectorizer_cfg=vcfg,
             vocabulary=vocabulary,
             model=model,
             train_meta=meta["train_meta"],
@@ -312,16 +289,7 @@ def select_tokens(bundle: ModelBundle, raw_name: str) -> tuple[NameComponents, l
 
 def predict_docs(bundle: ModelBundle, docs: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
     """(labels, scores) for token lists that `select_tokens` returned."""
-    if bundle.model_kind == "lstm":
-        payload: LstmPayload = bundle.model
-        preds = [
-            lstm.predict_lstm(doc, payload.embeddings, payload.params, payload.cfg.max_seq_len)
-            for doc in docs
-        ]
-        return (np.array([p.label for p in preds], dtype=np.int64),
-                np.array([p.score for p in preds], dtype=np.float64))
-    x = featurize.transform(docs, bundle.vocabulary, bundle.vectorizer_cfg)
-    return classical.predict(bundle.model, x)
+    return classical.predict_docs(bundle.model, docs, bundle.vocabulary, bundle.vectorizer_cfg)
 
 
 def bundle_predict(bundle: ModelBundle, raw_name: str) -> dict:

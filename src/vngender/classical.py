@@ -1,4 +1,5 @@
-"""Six classical classifiers behind one fit / batch-score contract.
+"""The model kind registry, and six classical classifiers behind one fit /
+batch-score contract.
 
 Multinomial and Bernoulli naive Bayes, logistic regression (full-batch
 gradient descent), a linear SVM (stochastic subgradient with 1/t steps),
@@ -9,8 +10,9 @@ local; numpy is used for array arithmetic only.
 SVM margin, or the forest's share of label-1 votes. Row sums use
 `LabeledMatrix.row_sums`, so a row scores bit-identically alone and in any
 batch. `predict` labels a score 1 from the kind's threshold up (ties to 1).
-`CLASSICAL_KINDS` registers each kind's model class, fit function, seed use,
-threshold and `vngender train` flags.
+`MODEL_KINDS` registers all seven kinds, these six and the LSTM of `lstm`:
+each kind's model class, fit function, seed use, threshold, `vngender train`
+flags, and whether it reads token lists instead of a feature matrix.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
+from . import featurize
 from .errors import DivergenceError, PredictionError, TrainingError
-from .featurize import LabeledMatrix
+from .featurize import LabeledMatrix, VectorizerConfig, Vocabulary
+from .lstm import LstmModel, fit_lstm, sigmoid
 
 
 def _require_both_classes(labels) -> None:
@@ -31,16 +35,6 @@ def _require_both_classes(labels) -> None:
     ones = int(labels.sum())
     if ones == 0 or ones == len(labels):
         raise TrainingError("training set contains a single class")
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _posterior(j0: np.ndarray, j1: np.ndarray) -> np.ndarray:
@@ -156,7 +150,7 @@ class LogisticRegressionModel:
     train_meta: dict
 
     def score(self, x: LabeledMatrix) -> np.ndarray:
-        return _sigmoid(x.dot_weights(self.weights, self.bias))
+        return sigmoid(x.dot_weights(self.weights, self.bias))
 
 
 def logistic_loss(data: LabeledMatrix, weights: np.ndarray, bias: float, l2: float) -> float:
@@ -172,7 +166,7 @@ def logistic_gradient(
 ) -> tuple[np.ndarray, float]:
     y = data.labels.astype(np.float64)
     z = data.dot_weights(weights, bias)
-    residual = (_sigmoid(z) - y) / len(data)
+    residual = (sigmoid(z) - y) / len(data)
     gw = np.bincount(data.indices, weights=data.data * residual[data.row_ids],
                      minlength=data.n_features)
     gw += l2 * weights
@@ -580,11 +574,12 @@ def fit_random_forest(
 
 @dataclass(frozen=True)
 class KindSpec:
-    """A classical model kind.
+    """A model kind.
 
     `threshold`: scores at or above it get label 1. `train_flags`: the
     `vngender train` flag (by its argparse destination) behind each fit
-    option.
+    option. `reads_tokens`: the kind fits on (token lists, labels) and
+    scores token lists; the others fit on and score a `LabeledMatrix`.
     """
 
     model: type
@@ -592,9 +587,16 @@ class KindSpec:
     seeded: bool
     threshold: float
     train_flags: dict
+    reads_tokens: bool = False
+
+    def train(self, *data, seed: int = 0, **options):
+        """Fit on `data` with keyword options; only a seeded kind gets `seed`."""
+        if self.seeded:
+            options = {"seed": seed, **options}
+        return self.fit(*data, **options)
 
 
-CLASSICAL_KINDS: dict[str, KindSpec] = {spec.model.kind: spec for spec in (
+MODEL_KINDS: dict[str, KindSpec] = {spec.model.kind: spec for spec in (
     KindSpec(MultinomialNbModel, fit_multinomial_nb, False, 0.5, {"alpha": "alpha"}),
     KindSpec(BernoulliNbModel, fit_bernoulli_nb, False, 0.5, {"alpha": "alpha"}),
     KindSpec(LogisticRegressionModel, fit_logistic_regression, False, 0.5,
@@ -606,28 +608,50 @@ CLASSICAL_KINDS: dict[str, KindSpec] = {spec.model.kind: spec for spec in (
     KindSpec(RandomForestModel, fit_random_forest, True, 0.5,
              {"n_trees": "trees", "mtry": "mtry", "bootstrap": "bootstrap",
               "max_depth": "max_depth", "min_leaf": "min_leaf"}),
+    KindSpec(LstmModel, fit_lstm, True, 0.5,
+             {"hidden": "hidden", "epochs": "epochs", "batch_size": "batch_size",
+              "learning_rate": "lr", "max_seq_len": "max_seq_len",
+              "embedding_dim": "embedding_dim", "embedding_path": "embedding"},
+             reads_tokens=True),
 )}
 
 
-def predict(model, x: LabeledMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, scores) for every row of `x`; ties at the threshold get label 1."""
-    if x.indices.size and int(x.indices.max()) >= model.n_features:
+def kind_spec(kind: str) -> KindSpec:
+    """The registry entry of `kind`; an unknown kind raises `TrainingError`."""
+    spec = MODEL_KINDS.get(kind)
+    if spec is None:
+        raise TrainingError(
+            f"unknown model kind {kind!r}; expected one of {', '.join(MODEL_KINDS)}"
+        )
+    return spec
+
+
+def predict(model, x) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, scores) for every row of `x`, a `LabeledMatrix` or, for a kind
+    that reads tokens, a list of token lists; ties at the threshold get label 1."""
+    if isinstance(x, LabeledMatrix) and x.indices.size and (
+        int(x.indices.max()) >= model.n_features
+    ):
         raise PredictionError(
             f"feature index {int(x.indices.max())} out of range for a model "
             f"with {model.n_features} features"
         )
     scores = model.score(x)
-    labels = (scores >= CLASSICAL_KINDS[model.kind].threshold).astype(np.int64)
+    labels = (scores >= MODEL_KINDS[model.kind].threshold).astype(np.int64)
     return labels, scores
 
 
+def predict_docs(
+    model, docs: list[list[str]], vocabulary: Vocabulary | None,
+    vectorizer_cfg: VectorizerConfig | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, scores) for token lists: featurized with the vocabulary, or
+    as they are for a kind that reads tokens."""
+    if MODEL_KINDS[model.kind].reads_tokens:
+        return predict(model, docs)
+    return predict(model, featurize.transform(docs, vocabulary, vectorizer_cfg))
+
+
 def train_classifier(kind: str, data: LabeledMatrix, seed: int = 0, **options):
-    """Dispatch to the fit function for `kind` with its keyword options."""
-    spec = CLASSICAL_KINDS.get(kind)
-    if spec is None:
-        raise TrainingError(
-            f"unknown classifier kind {kind!r}; expected one of {', '.join(CLASSICAL_KINDS)}"
-        )
-    if spec.seeded:
-        options = {"seed": seed, **options}
-    return spec.fit(data, **options)
+    """Fit a kind that reads a feature matrix on `data`."""
+    return kind_spec(kind).train(data, seed=seed, **options)

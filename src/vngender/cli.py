@@ -13,7 +13,6 @@ from .errors import ToolkitError
 from .evaluation import ModelSpec, SplitSpec
 from .featurize import VectorizerConfig
 
-MODEL_KINDS = (*classical.CLASSICAL_KINDS, "lstm")
 ENV_BUNDLE = "GENDER_MODEL_PATH"
 
 
@@ -26,36 +25,20 @@ def _bundle_path(args) -> str:
     return path
 
 
-def _vectorizer_config(args) -> VectorizerConfig:
-    max_features = args.max_features
-    if max_features is None and args.vectorizer == "tfidf":
+def _vectorizer_config(mode: str, max_features: int | None = None) -> VectorizerConfig:
+    if max_features is None and mode == "tfidf":
         max_features = 4000
-    return VectorizerConfig(args.vectorizer, max_features)
-
-
-def _model_spec(args) -> ModelSpec:
-    kind = args.model_kind
-    if kind == "lstm":
-        options = dict(
-            hidden=args.hidden, epochs=args.epochs, batch_size=args.batch_size,
-            learning_rate=args.lr, max_seq_len=args.max_seq_len,
-            embedding_dim=args.embedding_dim, embedding_seed=args.seed,
-        )
-        if args.embedding:
-            options["embedding_path"] = args.embedding
-    else:
-        flags = classical.CLASSICAL_KINDS[kind].train_flags
-        options = {option: getattr(args, dest) for option, dest in flags.items()}
-    return ModelSpec(kind, seed=args.seed, options=options)
+    return VectorizerConfig(mode, max_features)
 
 
 def cmd_train(args) -> int:
     dataset = data_io.load_dataset(args.data)
     mask = names_core.parse_mask(args.mask)
-    spec = _model_spec(args)
-    vcfg = None if spec.kind == "lstm" else _vectorizer_config(args)
-    split = SplitSpec(seed=args.seed)
-    result = evaluation.run_experiment(dataset, mask, spec, vcfg, split)
+    flags = classical.MODEL_KINDS[args.model_kind].train_flags
+    options = {option: getattr(args, dest) for option, dest in flags.items() if dest in args}
+    spec = ModelSpec(args.model_kind, seed=args.seed, options=options)
+    vcfg = _vectorizer_config(args.vectorizer, args.max_features)
+    result = evaluation.run_experiment(dataset, mask, spec, vcfg, SplitSpec(seed=args.seed))
     train_meta = {
         "dataset": dataset.source_tag,
         "seed": args.seed,
@@ -68,18 +51,12 @@ def cmd_train(args) -> int:
             "macro_recall": result.metrics.macro_recall,
         },
     }
-    if spec.kind == "lstm":
-        art = result.lstm_artifacts
-        payload = bundle_mod.LstmPayload(art.params, art.cfg, art.embeddings.source,
-                                         art.embeddings)
-        built = bundle_mod.make_bundle(payload, mask, train_meta=train_meta)
-    else:
-        built = bundle_mod.make_bundle(
-            result.classifier, mask,
-            vectorizer_cfg=vcfg, vocabulary=result.vocabulary,
-            train_meta=train_meta,
-        )
+    built = bundle_mod.make_bundle(
+        result.model, mask, result.vectorizer_cfg, result.vocabulary, train_meta
+    )
     bundle_mod.save_model(built, args.out)
+    if result.model.train_meta.get("converged") is False:
+        sys.stderr.write(f"warning: the {spec.kind} fit stopped before it converged\n")
     sys.stdout.write(evaluation.format_metrics(result.metrics, result.confusion))
     sys.stdout.write(f"bundle\t{args.out}\t{built.model_id}\n")
     return 0
@@ -107,23 +84,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_model_list(text: str) -> tuple[list[ModelSpec], list[VectorizerConfig | None]]:
+def _parse_model_list(text: str) -> tuple[list[ModelSpec], list[VectorizerConfig]]:
     specs, cfgs = [], []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         kind, _, mode = item.partition(":")
-        if kind not in MODEL_KINDS:
+        if kind not in classical.MODEL_KINDS:
             raise ToolkitError(f"unknown model kind {kind!r} in --models")
-        if kind == "lstm":
-            specs.append(ModelSpec("lstm"))
-            cfgs.append(None)
-            continue
-        mode = mode or "count"
-        max_features = 4000 if mode == "tfidf" else None
         specs.append(ModelSpec(kind))
-        cfgs.append(VectorizerConfig(mode, max_features))
+        cfgs.append(_vectorizer_config(mode or "count"))
     if not specs:
         raise ToolkitError("--models selected no models")
     return specs, cfgs
@@ -154,9 +125,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    loaded = bundle_mod.load_model(_bundle_path(args))
-    sys.stderr.write(f"serving {loaded.model_id} on {args.bind}\n")
-    service.serve(loaded, args.bind)
+    service.serve(bundle_mod.load_model(_bundle_path(args)), args.bind)
     return 0
 
 
@@ -191,32 +160,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="train a model and write a bundle")
+    # A fit flag left unset is absent from the parsed arguments, so the fit
+    # function's own default (or `LstmTrainConfig`'s) applies.
+    train = sub.add_parser("train", help="train a model and write a bundle",
+                           argument_default=argparse.SUPPRESS)
     train.add_argument("--data", required=True)
-    train.add_argument("--model", dest="model_kind", required=True, choices=MODEL_KINDS)
+    train.add_argument("--model", dest="model_kind", required=True,
+                       choices=tuple(classical.MODEL_KINDS))
     train.add_argument("--vectorizer", choices=("count", "tfidf"), default="count")
     train.add_argument("--max-features", type=int, default=None)
     train.add_argument("--mask", default="full", choices=sorted(names_core.MASKS))
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True)
-    train.add_argument("--alpha", type=float, default=1.0)
-    train.add_argument("--l2", type=float, default=1e-4)
-    train.add_argument("--lr", type=float, default=None)
-    train.add_argument("--max-iter", type=int, default=1000)
-    train.add_argument("--tol", type=float, default=1e-6)
-    train.add_argument("--c", type=float, default=1.0)
-    train.add_argument("--svm-lr", type=float, default=1.0)
-    train.add_argument("--epochs", type=int, default=None)
-    train.add_argument("--trees", type=int, default=100)
-    train.add_argument("--mtry", type=int, default=None)
+    train.add_argument("--alpha", type=float)
+    train.add_argument("--l2", type=float)
+    train.add_argument("--lr", type=float)
+    train.add_argument("--max-iter", type=int)
+    train.add_argument("--tol", type=float)
+    train.add_argument("--c", type=float)
+    train.add_argument("--svm-lr", type=float)
+    train.add_argument("--epochs", type=int)
+    train.add_argument("--trees", type=int)
+    train.add_argument("--mtry", type=int)
     train.add_argument("--no-bootstrap", dest="bootstrap", action="store_false")
-    train.add_argument("--max-depth", type=int, default=None)
-    train.add_argument("--min-leaf", type=int, default=1)
-    train.add_argument("--hidden", type=int, default=128)
-    train.add_argument("--batch-size", type=int, default=32)
-    train.add_argument("--max-seq-len", type=int, default=8)
-    train.add_argument("--embedding", default=None, help="pretrained .vec file")
-    train.add_argument("--embedding-dim", type=int, default=300)
+    train.add_argument("--max-depth", type=int)
+    train.add_argument("--min-leaf", type=int)
+    train.add_argument("--hidden", type=int)
+    train.add_argument("--batch-size", type=int)
+    train.add_argument("--max-seq-len", type=int)
+    train.add_argument("--embedding", help="pretrained .vec file")
+    train.add_argument("--embedding-dim", type=int)
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("evaluate", help="score a dataset with a saved bundle")
@@ -257,20 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalize_defaults(args) -> None:
-    # Per-kind defaults for flags shared across model kinds.
-    if getattr(args, "command", None) != "train":
-        return
-    if args.epochs is None:
-        args.epochs = 2 if args.model_kind == "lstm" else 5
-    if args.lr is None:
-        args.lr = 0.05 if args.model_kind == "lstm" else 0.1
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _normalize_defaults(args)
     try:
         return args.func(args)
     except ToolkitError as exc:

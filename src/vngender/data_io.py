@@ -85,6 +85,8 @@ def load_dataset(path, fmt: str = "csv") -> Dataset:
             raw_rows = list(csv.reader(fh))
     except FileNotFoundError as exc:
         raise DataError(f"dataset file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
 
     start = 0
     if raw_rows and len(raw_rows[0]) == 2 and _parse_label(raw_rows[0][1]) is None:

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import classical, featurize, lstm, names_core
+from . import classical, featurize, names_core
 from .data_io import Dataset
 from .errors import EvaluationError
 from .featurize import VectorizerConfig, Vocabulary
@@ -159,23 +159,11 @@ def macro_metrics(cm: ConfusionMatrix) -> MacroMetrics:
 
 @dataclass
 class ModelSpec:
-    """What to train: a classical kind or "lstm", plus its options."""
+    """What to train: a kind of `classical.MODEL_KINDS`, plus its fit options."""
 
     kind: str
     seed: int = 0
     options: dict = field(default_factory=dict)
-
-    @property
-    def label(self) -> str:
-        return self.kind
-
-
-@dataclass
-class LstmArtifacts:
-    params: lstm.LstmParams
-    cfg: lstm.LstmTrainConfig
-    embeddings: lstm.EmbeddingTable
-    epoch_losses: list[float]
 
 
 @dataclass
@@ -187,11 +175,9 @@ class ExperimentResult:
     misclassified: list[tuple[str, int, int]]
     skipped: dict[str, int]
     subset_sizes: dict[str, int]
-    vectorizer_cfg: VectorizerConfig | None
+    vectorizer_cfg: VectorizerConfig | None   # None for a kind that reads tokens
     vocabulary: Vocabulary | None
-    classifier: object | None
-    lstm_artifacts: LstmArtifacts | None
-    run_meta: dict
+    model: object
 
 
 def _select_subset(subset: Dataset, mask: ComponentMask):
@@ -210,32 +196,6 @@ def _select_subset(subset: Dataset, mask: ComponentMask):
     return docs, labels, skipped
 
 
-def _lstm_embeddings(spec: ModelSpec) -> lstm.EmbeddingTable:
-    opts = spec.options
-    if "embedding" in opts:
-        return opts["embedding"]
-    if "embedding_path" in opts:
-        return lstm.load_embeddings(
-            opts["embedding_path"], opts.get("embedding_dim", 300),
-            oov_seed=opts.get("embedding_seed", 0),
-        )
-    return lstm.random_embeddings(
-        opts.get("embedding_dim", 300), opts.get("embedding_seed", 0)
-    )
-
-
-def _lstm_config(spec: ModelSpec) -> lstm.LstmTrainConfig:
-    opts = spec.options
-    return lstm.LstmTrainConfig(
-        batch_size=opts.get("batch_size", 32),
-        epochs=opts.get("epochs", 2),
-        learning_rate=opts.get("learning_rate", 0.05),
-        max_seq_len=opts.get("max_seq_len", 8),
-        hidden=opts.get("hidden", 128),
-        seed=spec.seed,
-    )
-
-
 def run_experiment(
     dataset: Dataset,
     mask: ComponentMask,
@@ -245,7 +205,8 @@ def run_experiment(
 ) -> ExperimentResult:
     """split -> segment/select -> fit vectorizer on train -> train -> score test.
 
-    The dev subset is produced and left untouched. Records whose selected
+    A kind that reads tokens skips the vectorizer, and its result carries
+    none. The dev subset is produced and left untouched. Records whose selected
     components are empty under the mask are skipped and counted.
     """
     train, dev, test = stratified_split(dataset, split_spec)
@@ -257,30 +218,22 @@ def run_experiment(
     if not test_docs:
         raise EvaluationError(f"no usable test records under mask {mask.label!r}")
 
-    vocabulary = None
-    classifier = None
-    lstm_artifacts = None
-    if model_spec.kind == "lstm":
-        emb = _lstm_embeddings(model_spec)
-        cfg = _lstm_config(model_spec)
-        result = lstm.train_lstm(train_docs, train_labels, emb, cfg)
-        lstm_artifacts = LstmArtifacts(result.params, cfg, emb, result.epoch_losses)
-        preds = [
-            lstm.predict_lstm(doc, emb, result.params, cfg.max_seq_len).label
-            for doc in test_docs
-        ]
-        model_label = "lstm"
+    spec = classical.kind_spec(model_spec.kind)
+    if spec.reads_tokens:
+        vectorizer_cfg = vocabulary = None
+        model = spec.train(train_docs, train_labels, seed=model_spec.seed,
+                           **model_spec.options)
+        model_label = model_spec.kind
     else:
         if vectorizer_cfg is None:
-            raise EvaluationError("classical models need a vectorizer config")
+            raise EvaluationError(f"{model_spec.kind} needs a vectorizer config")
         vocabulary = featurize.fit_vocabulary(train_docs, vectorizer_cfg)
         matrix = featurize.transform(train_docs, vocabulary, vectorizer_cfg, train_labels)
-        classifier = classical.train_classifier(
+        model = classical.train_classifier(
             model_spec.kind, matrix, seed=model_spec.seed, **model_spec.options
         )
-        test_matrix = featurize.transform(test_docs, vocabulary, vectorizer_cfg)
-        preds = classical.predict(classifier, test_matrix)[0].tolist()
         model_label = f"{model_spec.kind}+{vectorizer_cfg.mode}"
+    preds = classical.predict_docs(model, test_docs, vocabulary, vectorizer_cfg)[0].tolist()
 
     cm = confusion(test_labels, preds)
     misclassified = [
@@ -298,13 +251,7 @@ def run_experiment(
         subset_sizes={"train": len(train), "dev": len(dev), "test": len(test)},
         vectorizer_cfg=vectorizer_cfg,
         vocabulary=vocabulary,
-        classifier=classifier,
-        lstm_artifacts=lstm_artifacts,
-        run_meta={
-            "model_seed": model_spec.seed,
-            "split_seed": split_spec.seed,
-            "vectorizer_fit_on": "train",
-        },
+        model=model,
     )
 
 
@@ -358,7 +305,7 @@ def format_metrics(metrics: MacroMetrics, cm: ConfusionMatrix | None = None) -> 
         f"\t{100*metrics.macro_recall:.2f}\t{100*metrics.macro_f1:.2f}"
     )
     if cm is not None:
-        lines.append(f"confusion\ttp={cm.tp}\tfp={cm.fp}\ttn={cm.tn} fn={cm.fn}")
+        lines.append(f"confusion\ttp={cm.tp}\tfp={cm.fp}\ttn={cm.tn}\tfn={cm.fn}")
     return "\n".join(lines) + "\n"
 
 

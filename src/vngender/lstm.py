@@ -3,6 +3,12 @@
 Token embeddings come from a pretrained ``.vec`` text file or a seeded random
 table; they stay frozen during training. The final hidden state feeds a
 sigmoid readout for the binary gender probability.
+
+`LstmModel` is the `lstm` kind of the model registry in `classical`: it has a
+`kind`, a `train_meta` (the per-epoch losses) and stored fields like every
+classical model, and `score(docs)` gives P(label 1) for a batch of token
+lists, where the classical kinds score the rows of a feature matrix.
+`fit_lstm` is its fit function.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -111,6 +117,23 @@ def load_embeddings(path, expected_dim: int, oov_seed: int = 0) -> EmbeddingTabl
     return EmbeddingTable(dim, vectors, oov_seed=oov_seed, source=source)
 
 
+def resolve_embeddings(source: dict) -> EmbeddingTable:
+    """The table an `EmbeddingTable.source` describes; a referenced vector
+    file must still hold the content it was trained with."""
+    if source.get("kind") == "random":
+        return random_embeddings(source["dim"], source["seed"])
+    if source.get("kind") == "vec_file":
+        path = source["path"]
+        try:
+            actual = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        except FileNotFoundError as exc:
+            raise EmbeddingError(f"referenced embedding file missing: {path}") from exc
+        if actual != source["sha256"]:
+            raise EmbeddingError(f"embedding file content changed: {path}")
+        return load_embeddings(path, source["dim"], oov_seed=source.get("oov_seed", 0))
+    raise EmbeddingError(f"unknown embedding source {source.get('kind')!r}")
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -204,7 +227,9 @@ def truncate_tokens(tokens: Sequence[str], max_len: int) -> list[str]:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, without overflow for large |z|."""
+    z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -220,9 +245,9 @@ def _forward_group(x_steps: list[np.ndarray], p: LstmParams):
     c = np.zeros((hdim, batch))
     caches = []
     for x in x_steps:
-        gi = _sigmoid(p.w_i @ x + p.u_i @ h + p.b_i[:, None])
-        gf = _sigmoid(p.w_f @ x + p.u_f @ h + p.b_f[:, None])
-        go = _sigmoid(p.w_o @ x + p.u_o @ h + p.b_o[:, None])
+        gi = sigmoid(p.w_i @ x + p.u_i @ h + p.b_i[:, None])
+        gf = sigmoid(p.w_f @ x + p.u_f @ h + p.b_f[:, None])
+        go = sigmoid(p.w_o @ x + p.u_o @ h + p.b_o[:, None])
         gc = np.tanh(p.w_c @ x + p.u_c @ h + p.b_c[:, None])
         c_new = gf * c + gi * gc
         tc = np.tanh(c_new)
@@ -286,7 +311,7 @@ def lstm_forward(tokens: Sequence[str], emb: EmbeddingTable, params: LstmParams)
         raise EmptySequenceError("cannot run the LSTM on an empty token sequence")
     x_steps = [emb.lookup(tok).reshape(-1, 1) for tok in tokens]
     logits, _, _ = _forward_group(x_steps, params)
-    return float(_sigmoid(logits)[0])
+    return float(sigmoid(logits)[0])
 
 
 def batch_loss(sequences, labels, emb: EmbeddingTable, params: LstmParams) -> float:
@@ -316,7 +341,7 @@ def batch_gradients(sequences, labels, emb, params, compute_grads: bool = True):
         # BCE from logits: softplus(s) - y*s
         loss_sum += float((np.logaddexp(0.0, logits) - y_grp * logits).sum())
         if compute_grads:
-            dlogits = (_sigmoid(logits) - y_grp) / total
+            dlogits = (sigmoid(logits) - y_grp) / total
             _backward_group(params, caches, h_last, dlogits, grads)
     return loss_sum / total, grads
 
@@ -388,3 +413,52 @@ def predict_lstm(
     toks = truncate_tokens(tokens, max_seq_len) if max_seq_len else list(tokens)
     prob = lstm_forward(toks, emb, params)
     return Prediction(1 if prob >= 0.5 else 0, prob)
+
+
+@dataclass
+class LstmModel:
+    """A trained LSTM with the embedding table it reads, which is stored as
+    its `embedding_source` and resolved when the model is built."""
+
+    kind: ClassVar[str] = "lstm"
+    params: LstmParams
+    cfg: LstmTrainConfig
+    embedding_source: dict
+    train_meta: dict
+    embeddings: EmbeddingTable | None = field(
+        default=None, repr=False, metadata={"stored": False}
+    )
+
+    def __post_init__(self):
+        if self.embeddings is None:
+            self.embeddings = resolve_embeddings(self.embedding_source)
+
+    def score(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
+        """P(label 1) for every token list, each truncated to `cfg.max_seq_len`."""
+        return np.array([
+            predict_lstm(doc, self.embeddings, self.params, self.cfg.max_seq_len).score
+            for doc in docs
+        ], dtype=np.float64)
+
+
+def fit_lstm(
+    sequences: Sequence[Sequence[str]],
+    labels: Sequence[int],
+    seed: int = 0,
+    embedding_dim: int = 300,
+    embedding_path=None,
+    **options,
+) -> LstmModel:
+    """Train on token lists; `options` are `LstmTrainConfig` fields.
+
+    Embeddings come from the vector file at `embedding_path`, or are seeded
+    random draws; `seed` also seeds out-of-vocabulary vectors, parameter
+    init and batch order.
+    """
+    if embedding_path is None:
+        emb = random_embeddings(embedding_dim, seed)
+    else:
+        emb = load_embeddings(embedding_path, embedding_dim, oov_seed=seed)
+    cfg = LstmTrainConfig(seed=seed, **options)
+    result = train_lstm(sequences, labels, emb, cfg)
+    return LstmModel(result.params, cfg, emb.source, {"epoch_losses": result.epoch_losses}, emb)

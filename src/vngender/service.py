@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .bundle import ModelBundle, bundle_predict
-from .errors import EmptyNameError, EmptySequenceError
+from .errors import EmptyNameError, EmptySequenceError, ToolkitError
+
+# Larger request bodies are refused unread; a name is a few dozen bytes.
+MAX_BODY_BYTES = 64 * 1024
+# JSON can spell a lone surrogate, which no UTF-8 text holds.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -50,6 +57,11 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = 0
+        if length > MAX_BODY_BYTES:
+            # The unread body would be parsed as the next request, so the
+            # "Connection: close" header also ends this connection.
+            self._send(413, {"error": "body_too_large"}, {"Connection": "close"})
+            return
         body = self.rfile.read(length) if length > 0 else b""
         try:
             payload = json.loads(body.decode("utf-8"))
@@ -57,7 +69,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": "malformed_json"})
             return
         name = payload.get("name") if isinstance(payload, dict) else None
-        if not isinstance(name, str):
+        if not isinstance(name, str) or _SURROGATE.search(name):
             self._send(400, {"error": "invalid_name"})
             return
         try:
@@ -85,9 +97,12 @@ def make_server(bundle: ModelBundle, host: str = "127.0.0.1", port: int = 0) -> 
 
 
 def serve(bundle: ModelBundle, bind: str = "127.0.0.1:8000") -> None:
-    """Run the service until interrupted."""
+    """Run the service until interrupted; says on stderr once it listens."""
     host, _, port_text = bind.rpartition(":")
+    if not (port_text.isascii() and port_text.isdigit() and int(port_text) <= 65535):
+        raise ToolkitError(f"bind address {bind!r} is not HOST:PORT with a port in 0-65535")
     server = make_server(bundle, host or "127.0.0.1", int(port_text))
+    sys.stderr.write(f"serving {bundle.model_id} on {bind}\n")
     try:
         server.serve_forever()
     finally:

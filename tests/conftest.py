@@ -88,12 +88,12 @@ FAST_OPTIONS = {
 SPLIT_SEED = 3
 
 
-def run_cli(argv) -> tuple[int, str]:
-    """`vngender <argv>` in-process: (exit code, stdout)."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def run_cli(argv) -> tuple[int, str, str]:
+    """`vngender <argv>` in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="session")
@@ -117,12 +117,12 @@ def bundle_paths(names_csv, tmp_path_factory):
     """Trained bundle paths by (kind, mask): every kind under "full", and
     multinomial NB and the LSTM under "fan"."""
     out = tmp_path_factory.mktemp("bundles")
-    wanted = [(kind, "full") for kind in cli.MODEL_KINDS]
+    wanted = [(kind, "full") for kind in classical.MODEL_KINDS]
     wanted += [("multinomial_nb", "fan"), ("lstm", "fan")]
     paths = {}
     for kind, mask in wanted:
         path = out / f"{kind}-{mask}.bundle"
-        code, _ = run_cli(["train", "--data", names_csv, "--model", kind, "--mask", mask,
+        code, *_ = run_cli(["train", "--data", names_csv, "--model", kind, "--mask", mask,
                            "--seed", SPLIT_SEED, "--out", path, *FAST_OPTIONS.get(kind, [])])
         assert code == 0
         paths[kind, mask] = path

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import SPLIT_SEED, run_cli
 from vngender import bundle as bm
-from vngender import cli, data_io, evaluation, lstm
+from vngender import classical, data_io, evaluation, lstm
 from vngender.errors import (
     BundleError,
     BundleFormatError,
@@ -42,7 +42,7 @@ def npz_arrays(blob: bytes) -> dict:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("kind", cli.MODEL_KINDS)
+    @pytest.mark.parametrize("kind", classical.MODEL_KINDS)
     def test_reload_predicts_identically(self, bundle_paths, kind, tmp_path):
         loaded = bm.load_model(bundle_paths[kind, "full"])
         assert loaded.model_kind == kind
@@ -52,10 +52,11 @@ class TestRoundTrip:
         again = bm.load_model(again_path)
         assert again.model_id == loaded.model_id
         assert again.train_meta == loaded.train_meta
+        assert again.model.train_meta == loaded.model.train_meta
         for name in PROBE_NAMES:
             assert bm.bundle_predict(again, name) == bm.bundle_predict(loaded, name)
 
-    @pytest.mark.parametrize("kind", cli.MODEL_KINDS)
+    @pytest.mark.parametrize("kind", classical.MODEL_KINDS)
     def test_batch_of_one_matches_batch(self, bundle_paths, kind):
         loaded = bm.load_model(bundle_paths[kind, "full"])
         docs = [bm.select_tokens(loaded, name)[1] for name in PROBE_NAMES]
@@ -80,8 +81,12 @@ class TestRoundTrip:
         bm.bundle_predict(loaded, "Trần Văn Nam")
         assert not hasattr(loaded, "_embeddings")
 
+    def test_lstm_keeps_its_epoch_losses(self, bundle_paths):
+        losses = bm.load_model(bundle_paths["lstm", "full"]).model.train_meta["epoch_losses"]
+        assert len(losses) == 1 and losses[0] > 0
+
     def test_every_kind_stores_arrays_in_npz(self, bundle_paths):
-        for kind in cli.MODEL_KINDS:
+        for kind in classical.MODEL_KINDS:
             sections = sections_of(bundle_paths[kind, "full"])
             assert set(sections) == {"meta", "arrays"}
             assert npz_arrays(sections["arrays"])
@@ -103,7 +108,7 @@ class TestEmptyComponents:
         data_io.save_dataset(test, test_csv)
         path = bundle_paths[kind, "fan"]
         stored = bm.load_model(path).train_meta
-        code, out = run_cli(["evaluate", "--model", path, "--data", test_csv])
+        code, out, _ = run_cli(["evaluate", "--model", path, "--data", test_csv])
         assert code == 0
         macro = next(line for line in out.splitlines() if line.startswith("macro\t"))
         assert macro.split("\t")[3] == f"{100 * stored['metrics']['macro_f1']:.2f}"
@@ -116,10 +121,11 @@ class TestMalformedBundles:
     def valid(self, bundle_paths):
         return sections_of(bundle_paths["decision_tree", "full"])
 
-    def test_format_version_one_rejected(self, bundle_paths, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_format_version_rejected(self, bundle_paths, tmp_path, version):
         blob = open(bundle_paths["multinomial_nb", "full"], "rb").read()[:-32]
-        body = blob[:8] + struct.pack(">I", 1) + blob[12:]
-        path = tmp_path / "v1.bundle"
+        body = blob[:8] + struct.pack(">I", version) + blob[12:]
+        path = tmp_path / "old.bundle"
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(BundleVersionError):
             bm.load_model(path)

@@ -217,8 +217,7 @@ class TestRunExperiment:
         )
         result = ev.run_experiment(ds, nc.parse_mask("mn+fin"), spec, None, SplitSpec(seed=1))
         assert 0.0 <= result.metrics.macro_f1 <= 1.0
-        assert result.lstm_artifacts is not None
-        assert len(result.lstm_artifacts.epoch_losses) == 1
+        assert len(result.model.train_meta["epoch_losses"]) == 1
 
     def test_classical_requires_vectorizer(self):
         ds = data_io.generate_synthetic(300, 1.0, 4)

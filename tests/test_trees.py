@@ -10,6 +10,8 @@ from vngender import classical as cl
 from vngender import featurize as fz
 from vngender.errors import PredictionError, TrainingError
 
+MATRIX_KINDS = [kind for kind, spec in cl.MODEL_KINDS.items() if not spec.reads_tokens]
+
 
 def tree_instance(seed, max_rows=10, max_features=4):
     rng = np.random.default_rng(seed)
@@ -211,7 +213,7 @@ class TestPredictDispatch:
 
     def test_train_classifier_dispatch(self):
         matrix = docs_to_matrix([{0: 2}, {1: 1}, {0: 1}, {1: 2}], [1, 0, 1, 0], 2)
-        for kind in cl.CLASSICAL_KINDS:
+        for kind in MATRIX_KINDS:
             options = {"n_trees": 3} if kind == "random_forest" else {}
             model = cl.train_classifier(kind, matrix, seed=1, **options)
             assert model.kind == kind
@@ -223,7 +225,7 @@ class TestPredictDispatch:
     def test_row_scores_alone_equal_scores_in_batch(self, seed):
         docs, labels, n_features = tree_instance(seed, max_rows=12)
         matrix = docs_to_matrix(docs, labels, n_features)
-        for kind in cl.CLASSICAL_KINDS:
+        for kind in MATRIX_KINDS:
             options = {"n_trees": 4} if kind == "random_forest" else {}
             model = cl.train_classifier(kind, matrix, seed=seed, **options)
             batch_labels, batch_scores = cl.predict(model, matrix)
@@ -233,9 +235,9 @@ class TestPredictDispatch:
                 assert alone[1][0] == batch_scores[i]
 
     def test_registry_marks_seeded_kinds(self):
-        seeded = {kind for kind, spec in cl.CLASSICAL_KINDS.items() if spec.seeded}
-        assert seeded == {"linear_svm", "random_forest"}
-        for kind, spec in cl.CLASSICAL_KINDS.items():
+        seeded = {kind for kind, spec in cl.MODEL_KINDS.items() if spec.seeded}
+        assert seeded == {"linear_svm", "random_forest", "lstm"}
+        for kind, spec in cl.MODEL_KINDS.items():
             assert spec.model.kind == kind
             assert ("seed" in inspect.signature(spec.fit).parameters) == spec.seeded
 
