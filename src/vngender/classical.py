@@ -376,29 +376,21 @@ def _stack_trees(trees: list[dict]) -> dict:
     return out
 
 
-def _feature_columns(data: LabeledMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-feature (row_ids, values) arrays sorted by row id."""
-    row_ids, col_ids, values = data.row_ids, data.indices, data.data
-    order = np.lexsort((row_ids, col_ids))
-    col_sorted = col_ids[order]
-    starts = np.searchsorted(col_sorted, np.arange(data.n_features + 1))
-    cols = []
-    for f in range(data.n_features):
-        sl = order[starts[f]:starts[f + 1]]
-        cols.append((row_ids[sl], values[sl]))
-    return cols
+def _node_entries(data: LabeledMatrix, rows: np.ndarray, sampled: np.ndarray | None):
+    """The stored entries of a node's rows as (owner, feature, value) arrays.
 
-
-def _node_values(col: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """Feature values of the node's rows (0 where the feature is absent)."""
-    fr, fv = col
-    out = np.zeros(rows.size, dtype=np.float64)
-    if fr.size:
-        pos = np.searchsorted(fr, rows)
-        pos_c = np.minimum(pos, fr.size - 1)
-        hit = fr[pos_c] == rows
-        out[hit] = fv[pos_c[hit]]
-    return out
+    `owner` is the entry's position in `rows`, so a row drawn twice by the
+    bootstrap owns two copies. With `sampled`, a boolean mask over the
+    features, only the entries of the marked features are kept.
+    """
+    starts = data.indptr[rows]
+    sizes = data.indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.size), sizes)
+    pos = np.arange(owner.size) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    if sampled is not None:
+        kept = sampled[data.indices[pos]]
+        owner, pos = owner[kept], pos[kept]
+    return owner, data.indices[pos], data.data[pos]
 
 
 def _node_score(n1: int, n0: int) -> tuple[int, int]:
@@ -406,77 +398,97 @@ def _node_score(n1: int, n0: int) -> tuple[int, int]:
     return n1 * n1 + n0 * n0, n1 + n0
 
 
-def _best_split(cols, y01, rows, features, min_leaf):
-    """Minimum-weighted-Gini split over (feature, midpoint-threshold) pairs.
+def _best_split(entries, ones: np.ndarray, min_leaf: int):
+    """Minimum-weighted-Gini split over (feature, midpoint-threshold) pairs,
+    found from the node's stored entries alone.
 
-    Candidates are screened with float scores, then near-ties are re-ranked
-    with exact integer arithmetic so that the lowest-feature / lowest-
-    threshold tie rule is honored regardless of rounding.
+    `entries` comes from `_node_entries`; `ones` holds the labels of the
+    node's rows. Each present feature gets a histogram: one bucket per
+    distinct stored value, with its row and label-1 counts, plus a zero
+    bucket of the node's rows that do not store the feature, placed at value
+    0 in sorted order. A feature no node row stores has the zero bucket alone
+    and no candidate, so the cost is O(entries log entries), not O(features).
+    Every bucket boundary is a candidate, with the midpoint of the two values
+    as its threshold, unless that midpoint rounds down to the lower value
+    (values one ulp apart), where it would not separate them. All
+    candidates are scored at once with floats; those
+    within 1e-9 (relative) of the best are re-ranked with exact integer
+    arithmetic, so the tie rule (lowest feature, then lowest threshold) holds
+    regardless of rounding. Returns (feature, threshold), or None when no
+    candidate leaves `min_leaf` rows on both sides or strictly improves on
+    the parent's Gini.
     """
-    n = rows.size
-    ones = y01[rows]
-    tot1 = int(ones.sum())
-    tot0 = n - tot1
-    parent_num, parent_den = _node_score(tot1, tot0)
-
-    finalists = []  # (s_float, feature, threshold, aL, nL, aR, nR)
-    best_float = -math.inf
-    for f in features:
-        vals = _node_values(cols[f], rows)
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = ones[order]
-        change = np.nonzero(np.diff(sv))[0]
-        if change.size == 0:
-            continue
-        cum1 = np.cumsum(sy)
-        n_left = change + 1
-        n1_left = cum1[change]
-        n0_left = n_left - n1_left
-        n_right = n - n_left
-        n1_right = tot1 - n1_left
-        n0_right = n_right - n1_right
-        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not ok.any():
-            continue
-        a_left = n1_left * n1_left + n0_left * n0_left
-        a_right = n1_right * n1_right + n0_right * n0_right
-        with np.errstate(invalid="ignore"):
-            s = a_left / n_left + a_right / n_right
-        s[~ok] = -math.inf
-        s_max = float(s.max())
-        best_float = max(best_float, s_max)
-        near = s >= s_max - 1e-9 * (1.0 + abs(s_max))
-        thresholds = (sv[change] + sv[change + 1]) / 2.0
-        for k in np.nonzero(near)[0]:
-            finalists.append((
-                float(s[k]), int(f), float(thresholds[k]),
-                int(a_left[k]), int(n_left[k]), int(a_right[k]), int(n_right[k]),
-            ))
-    if not finalists:
+    owner, feature, value = entries
+    if feature.size == 0:
         return None
+    n = ones.size
+    tot1 = int(ones.sum())
+    parent_num, parent_den = _node_score(tot1, n - tot1)
 
-    eps = 1e-9 * (1.0 + abs(best_float))
-    best = None  # (num, den, feature, threshold)
-    for s_f, f, thr, a_l, n_l, a_r, n_r in finalists:
-        if s_f < best_float - eps:
-            continue
-        num = a_l * n_r + a_r * n_l  # exact: s = num / (n_l * n_r)
+    order = np.lexsort((value, feature))
+    feature, value, y = feature[order], value[order], ones[owner[order]]
+    new_group = np.ones(feature.size, dtype=bool)
+    new_group[1:] = (feature[1:] != feature[:-1]) | (value[1:] != value[:-1])
+    starts = np.flatnonzero(new_group)
+    g_feature, g_value = feature[starts], value[starts]
+    g_n = np.diff(np.append(starts, feature.size))
+    g_n1 = np.add.reduceat(y, starts)
+
+    f_starts = np.flatnonzero(np.concatenate(([True], g_feature[1:] != g_feature[:-1])))
+    present = g_feature[f_starts]
+    z_n = n - np.add.reduceat(g_n, f_starts)
+    z_n1 = tot1 - np.add.reduceat(g_n1, f_starts)
+    z = z_n > 0
+    b_feature = np.concatenate([g_feature, present[z]])
+    b_value = np.concatenate([g_value, np.zeros(int(z.sum()))])
+    order = np.lexsort((b_value, b_feature))
+    b_feature, b_value = b_feature[order], b_value[order]
+    b_n = np.concatenate([g_n, z_n[z]])[order]
+    b_n1 = np.concatenate([g_n1, z_n1[z]])[order]
+
+    # Each feature's buckets hold all n rows (tot1 of them label 1), so the
+    # k-th present feature's running sums start at k * n and k * tot1.
+    same = b_feature[1:] == b_feature[:-1]
+    cand = np.flatnonzero(same)
+    rank = np.cumsum(~same)[cand]
+    n_left = np.cumsum(b_n)[cand] - rank * n
+    n1_left = np.cumsum(b_n1)[cand] - rank * tot1
+    n0_left = n_left - n1_left
+    n_right = n - n_left
+    n1_right = tot1 - n1_left
+    n0_right = n_right - n1_right
+    threshold = (b_value[cand] + b_value[cand + 1]) / 2.0
+    ok = (n_left >= min_leaf) & (n_right >= min_leaf) & (threshold > b_value[cand])
+    if not ok.any():
+        return None
+    a_left = n1_left * n1_left + n0_left * n0_left
+    a_right = n1_right * n1_right + n0_right * n0_right
+    s = a_left / n_left + a_right / n_right
+    s[~ok] = -math.inf
+    s_max = float(s.max())
+
+    # Candidates run in (feature, threshold) order, so the first exact
+    # maximum is the tie winner.
+    best = None  # (num, den, candidate index)
+    for k in np.flatnonzero(s >= s_max - 1e-9 * (1.0 + abs(s_max))):
+        n_l, n_r = int(n_left[k]), int(n_right[k])
+        num = int(a_left[k]) * n_r + int(a_right[k]) * n_l  # exact: s = num / (n_l * n_r)
         den = n_l * n_r
-        if best is None:
-            best = (num, den, f, thr)
-            continue
-        diff = num * best[1] - best[0] * den
-        if diff > 0 or (diff == 0 and (f, thr) < (best[2], best[3])):
-            best = (num, den, f, thr)
+        if best is None or num * best[1] > best[0] * den:
+            best = (num, den, k)
     # Split only on a strict Gini improvement over the parent.
     if best[0] * parent_den <= parent_num * best[1]:
         return None
-    return best[2], best[3]
+    k = best[2]
+    return int(b_feature[cand[k]]), float(threshold[k])
 
 
-def _grow_tree(cols, y01, rows, *, max_depth, min_leaf, mtry, rng, n_features) -> dict:
-    """Grow one tree depth-first; returns its node arrays, root first."""
+def _grow_tree(data: LabeledMatrix, rows, *, max_depth, min_leaf, mtry, rng) -> dict:
+    """Grow one tree depth-first on `rows` of `data` (duplicates allowed);
+    returns its node arrays, root first."""
+    y01, n_features = data.labels, data.n_features
+    # Marks the `mtry` features drawn for the node being split, then is cleared.
+    sampled = np.zeros(n_features, dtype=bool) if mtry is not None and mtry < n_features else None
     nodes: dict[str, list] = {name: [] for name in _NODE_ARRAYS}
     stack = [(np.sort(rows), 0, -1, True)]  # rows, depth, parent index, is-left-child
     while stack:
@@ -493,23 +505,37 @@ def _grow_tree(cols, y01, rows, *, max_depth, min_leaf, mtry, rng, n_features) -
             and n >= 2 * min_leaf
         )
         if can_split:
-            if mtry is not None and mtry < n_features:
-                features = np.sort(rng.choice(n_features, size=mtry, replace=False))
+            if sampled is None:
+                entries = _node_entries(data, node_rows, None)
             else:
-                features = np.arange(n_features)
-            split = _best_split(cols, y01, node_rows, features, min_leaf)
+                features = rng.choice(n_features, size=mtry, replace=False)
+                sampled[features] = True
+                entries = _node_entries(data, node_rows, sampled)
+                sampled[features] = False
+            split = _best_split(entries, y01[node_rows], min_leaf)
         f, thr = split if split is not None else (-1, 0.0)
         for name, value in zip(_NODE_ARRAYS, (f, thr, -1, -1, n1 / n, n)):
             nodes[name].append(value)
         if split is None:
             continue
-        vals = _node_values(cols[f], node_rows)
-        stack.append((node_rows[vals >= thr], depth + 1, idx, False))
-        stack.append((node_rows[vals < thr], depth + 1, idx, True))
+        owner, feature, value = entries
+        at = feature == f
+        node_values = np.zeros(n)
+        node_values[owner[at]] = value[at]
+        right = node_values >= thr
+        stack.append((node_rows[right], depth + 1, idx, False))
+        stack.append((node_rows[~right], depth + 1, idx, True))
     return {
         name: np.array(values, dtype=np.float64 if name in ("threshold", "p1") else np.int64)
         for name, values in nodes.items()
     }
+
+
+def _check_tree_options(max_depth: int | None, min_leaf: int) -> None:
+    if max_depth is not None and max_depth < 0:
+        raise TrainingError("max_depth must be >= 0 when set")
+    if min_leaf < 1:
+        raise TrainingError("min_leaf must be >= 1")
 
 
 def fit_decision_tree(
@@ -517,15 +543,16 @@ def fit_decision_tree(
     max_depth: int | None = None,
     min_leaf: int = 1,
 ) -> DecisionTreeModel:
-    """Greedy binary Gini tree over (feature, count >= threshold) splits."""
-    if min_leaf < 1:
-        raise TrainingError("min_leaf must be >= 1")
+    """Greedy binary Gini tree over (feature, value >= threshold) splits.
+
+    A threshold is the midpoint of two consecutive distinct values of the
+    node's rows, a feature a row does not store counting as 0; count,
+    TF-IDF and negative values take the same path (see `_best_split`).
+    """
+    _check_tree_options(max_depth, min_leaf)
     _require_both_classes(data.labels)
-    tree = _grow_tree(
-        _feature_columns(data), data.labels, np.arange(len(data)),
-        max_depth=max_depth, min_leaf=min_leaf, mtry=None, rng=None,
-        n_features=data.n_features,
-    )
+    tree = _grow_tree(data, np.arange(len(data)), max_depth=max_depth, min_leaf=min_leaf,
+                      mtry=None, rng=None)
     meta = {"max_depth": max_depth, "min_leaf": min_leaf}
     return DecisionTreeModel(**_stack_trees([tree]), n_features=data.n_features, train_meta=meta)
 
@@ -539,28 +566,27 @@ def fit_random_forest(
     max_depth: int | None = None,
     min_leaf: int = 1,
 ) -> RandomForestModel:
-    """Bagged Gini trees; per-tree seeds derive from the master seed."""
+    """Bagged Gini trees; per-tree seeds derive from the master seed.
+
+    Each tree's generator draws its bootstrap rows first, then the `mtry`
+    features of every node it tries to split, in the order nodes are grown.
+    """
     if n_trees < 1:
         raise TrainingError("n_trees must be >= 1")
     if mtry is None:
         mtry = max(1, math.ceil(math.sqrt(data.n_features)))
     if not 1 <= mtry <= data.n_features:
         raise TrainingError(f"mtry must lie in [1, {data.n_features}]")
-    if min_leaf < 1:
-        raise TrainingError("min_leaf must be >= 1")
+    _check_tree_options(max_depth, min_leaf)
     _require_both_classes(data.labels)
 
-    cols = _feature_columns(data)
     n = len(data)
     trees = []
     for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(tree_seed)
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_grow_tree(
-            cols, data.labels, rows,
-            max_depth=max_depth, min_leaf=min_leaf,
-            mtry=mtry, rng=rng, n_features=data.n_features,
-        ))
+        trees.append(_grow_tree(data, rows, max_depth=max_depth, min_leaf=min_leaf,
+                                mtry=mtry, rng=rng))
     meta = {
         "n_trees": n_trees, "mtry": mtry, "bootstrap": bootstrap, "seed": seed,
         "max_depth": max_depth, "min_leaf": min_leaf,

@@ -13,6 +13,10 @@ class EmptyNameError(ToolkitError):
     """A name was empty after trimming."""
 
 
+class InvalidNameError(ToolkitError):
+    """A name holds text that no UTF-8 string can, such as a lone surrogate."""
+
+
 class EmptySequenceError(ToolkitError):
     """A token sequence was empty where at least one token is required."""
 

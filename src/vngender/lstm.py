@@ -215,6 +215,8 @@ class LstmTrainConfig:
             raise TrainingError("epochs must be >= 1")
         if self.max_seq_len < 1:
             raise TrainingError("max_seq_len must be >= 1")
+        if self.hidden < 1:
+            raise TrainingError("hidden must be >= 1")
 
 
 def truncate_tokens(tokens: Sequence[str], max_len: int) -> list[str]:
@@ -455,6 +457,8 @@ def fit_lstm(
     random draws; `seed` also seeds out-of-vocabulary vectors, parameter
     init and batch order.
     """
+    if embedding_dim < 1:
+        raise TrainingError("embedding_dim must be >= 1")
     if embedding_path is None:
         emb = random_embeddings(embedding_dim, seed)
     else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import EmptyNameError
+from .errors import EmptyNameError, InvalidNameError
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,15 @@ def parse_mask(label: str) -> ComponentMask:
 
 
 def normalize(raw: str) -> str:
-    """Canonically compose, trim, collapse inner whitespace, and lowercase."""
+    """Canonically compose, trim, collapse inner whitespace, and lowercase.
+
+    A name with a lone surrogate (an undecodable byte of a command-line
+    argument, or a JSON escape) raises `InvalidNameError`.
+    """
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidNameError("name is not valid Unicode text (lone surrogate)") from None
     text = unicodedata.normalize("NFC", raw)
     text = " ".join(text.split())
     if not text:

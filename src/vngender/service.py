@@ -3,17 +3,32 @@
 from __future__ import annotations
 
 import json
-import re
 import sys
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .bundle import ModelBundle, bundle_predict
-from .errors import EmptyNameError, EmptySequenceError, ToolkitError
+from .errors import EmptyNameError, EmptySequenceError, InvalidNameError, ToolkitError
 
 # Larger request bodies are refused unread; a name is a few dozen bytes.
 MAX_BODY_BYTES = 64 * 1024
-# JSON can spell a lone surrogate, which no UTF-8 text holds.
-_SURROGATE = re.compile("[\ud800-\udfff]")
+# Errors that say what is wrong with the name, by their `error` code.
+_NAME_ERRORS = (
+    (InvalidNameError, "invalid_name"),
+    (EmptyNameError, "empty_name"),
+    (EmptySequenceError, "empty_components"),
+)
+
+
+def _error_response(exc: Exception) -> tuple[int, dict]:
+    """Status and JSON body for an error raised while predicting: 400 for a
+    bad name, 422 for any other `ToolkitError`, 500 for anything else."""
+    for error_type, code in _NAME_ERRORS:
+        if isinstance(exc, error_type):
+            return 400, {"error": code}
+    if isinstance(exc, ToolkitError):
+        return 422, {"error": "prediction_failed"}
+    return 500, {"error": "internal"}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -69,16 +84,16 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": "malformed_json"})
             return
         name = payload.get("name") if isinstance(payload, dict) else None
-        if not isinstance(name, str) or _SURROGATE.search(name):
+        if not isinstance(name, str):
             self._send(400, {"error": "invalid_name"})
             return
         try:
             response = bundle_predict(self.server.bundle, name)
-        except EmptyNameError:
-            self._send(400, {"error": "empty_name"})
-            return
-        except EmptySequenceError:
-            self._send(400, {"error": "empty_components"})
+        except Exception as exc:
+            code, body = _error_response(exc)
+            if code == 500:
+                traceback.print_exc()
+            self._send(code, body)
             return
         self._send(200, response)
 

@@ -165,6 +165,19 @@ class TestErrors:
                                  "--bind", bind])
         assert repr(bind) in err
 
+    @pytest.mark.parametrize("kind", list(classical.MODEL_KINDS))
+    def test_name_with_lone_surrogate(self, bundle_paths, kind):
+        # How Python decodes the argument bytes b"Nguy\xffn Lan".
+        err = self.expect_error(["predict", "--model", bundle_paths[kind, "full"],
+                                 "Nguy\udcffn Lan"])
+        assert "surrogate" in err
+
+    def test_lstm_without_hidden_units(self, names_csv, tmp_path):
+        out = tmp_path / "lstm.bundle"
+        err = self.expect_error(["train", "--data", names_csv, "--model", "lstm",
+                                 "--hidden", 0, "--out", out])
+        assert "hidden" in err and not out.exists()
+
     def test_non_utf8_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"full_name,gender\nNguy\xffn Lan,0\n")

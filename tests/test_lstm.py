@@ -216,6 +216,14 @@ class TestTraining:
         with pytest.raises(TrainingError):
             lstm.LstmTrainConfig(epochs=0)
 
+    def test_zero_hidden_units_rejected(self):
+        with pytest.raises(TrainingError, match="hidden"):
+            lstm.LstmTrainConfig(hidden=0)
+
+    def test_zero_embedding_dim_rejected(self):
+        with pytest.raises(TrainingError, match="embedding_dim"):
+            lstm.fit_lstm([["a"], ["b"]], [1, 0], embedding_dim=0, hidden=2)
+
     def test_forget_gate_bias_initialized_to_one(self):
         params = lstm.init_lstm_params(4, 6, seed=0)
         assert np.all(params.b_f == 1.0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vngender import names_core as nc
-from vngender.errors import EmptyNameError
+from vngender.errors import EmptyNameError, InvalidNameError
 
 TOKENS = st.sampled_from(
     ["nguyễn", "trần", "thị", "văn", "hiền", "đức", "minh", "tú", "a", "xyz"]
@@ -24,6 +24,11 @@ class TestNormalize:
     def test_whitespace_only_raises(self):
         with pytest.raises(EmptyNameError):
             nc.normalize("   ")
+
+    @pytest.mark.parametrize("raw", ["Nguy\udcffn Lan", "\ud800", "Lan \udfff"])
+    def test_lone_surrogate_raises(self, raw):
+        with pytest.raises(InvalidNameError):
+            nc.normalize(raw)
 
     @given(st.text(max_size=40))
     def test_idempotent(self, raw):

@@ -1,3 +1,4 @@
+import dataclasses
 import http.client
 import json
 import threading
@@ -6,6 +7,7 @@ import pytest
 
 from vngender import bundle as bm
 from vngender import service
+from vngender.errors import PredictionError
 
 
 class Client:
@@ -30,11 +32,12 @@ class Client:
 
 @pytest.fixture
 def serve_bundle():
-    """Start a service for a bundle; yields a `start(path) -> Client`."""
+    """Start a service for a bundle; yields a `start(path or bundle) -> Client`."""
     servers = []
 
-    def start(path):
-        server = service.make_server(bm.load_model(path))
+    def start(source):
+        loaded = source if isinstance(source, bm.ModelBundle) else bm.load_model(source)
+        server = service.make_server(loaded)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         servers.append(server)
         return Client(server.server_address[1])
@@ -118,3 +121,36 @@ def test_body_at_the_limit_is_read(client):
     raw = json.dumps({"name": "Lê Minh"}).encode("utf-8")
     raw += b" " * (service.MAX_BODY_BYTES - len(raw))
     assert client.request("POST", "/predict", raw)[0] == 200
+
+
+def raising_bundle(path, error: Exception) -> bm.ModelBundle:
+    """The bundle at `path` with a model whose scoring raises `error`."""
+    loaded = bm.load_model(path)
+    model = loaded.model
+
+    class RaisingModel(type(model)):
+        def score(self, x):
+            raise error
+
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+    return dataclasses.replace(loaded, model=RaisingModel(**fields))
+
+
+@pytest.mark.parametrize("error, status, code", [
+    (PredictionError("feature index out of range"), 422, "prediction_failed"),
+    (RuntimeError("boom"), 500, "internal"),
+    (MemoryError(), 500, "internal"),
+])
+def test_model_errors_are_json_and_keep_the_connection(bundle_paths, serve_bundle,
+                                                       error, status, code):
+    client = serve_bundle(raising_bundle(bundle_paths["multinomial_nb", "full"], error))
+    conn = http.client.HTTPConnection("127.0.0.1", client.port, timeout=10)
+    try:
+        for _ in range(2):
+            conn.request("POST", "/predict", json.dumps({"name": "Lê Minh"}).encode("utf-8"))
+            response = conn.getresponse()
+            assert (response.status, json.loads(response.read())) == (status, {"error": code})
+        conn.request("GET", "/health")
+        assert conn.getresponse().status == 200
+    finally:
+        conn.close()

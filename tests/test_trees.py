@@ -13,21 +13,74 @@ from vngender.errors import PredictionError, TrainingError
 MATRIX_KINDS = [kind for kind, spec in cl.MODEL_KINDS.items() if not spec.reads_tokens]
 
 
-def tree_instance(seed, max_rows=10, max_features=4):
+def tree_instance(seed, max_rows=10, max_features=4, values="count"):
+    """Rows as dicts feature -> value, labels with both classes, and the width.
+
+    values: "count" (0-3), "signed" (-3-3), or "tfidf": counts times a
+    per-feature weight, scaled to unit L2 norm per row as TF-IDF rows are.
+    """
     rng = np.random.default_rng(seed)
     n_rows = int(rng.integers(2, max_rows + 1))
     n_features = int(rng.integers(1, max_features + 1))
+    low = -3 if values == "signed" else 0
     docs = []
     for _ in range(n_rows):
         doc = {}
         for f in range(n_features):
-            v = int(rng.integers(0, 4))
+            v = int(rng.integers(low, 4))
             if v:
                 doc[f] = v
         docs.append(doc)
     labels = [int(rng.integers(0, 2)) for _ in range(n_rows)]
     labels[0], labels[-1] = 1, 0
+    if values == "tfidf":
+        weight = rng.uniform(1.0, 3.0, n_features)
+        docs = [{f: v * weight[f] for f, v in doc.items()} for doc in docs]
+        docs = [{f: v / np.sqrt(sum(w * w for w in doc.values())) for f, v in doc.items()}
+                for doc in docs]
     return docs, labels, n_features
+
+
+def node_rows(model, root, rows) -> dict:
+    """Positions in `rows` (dicts) of the rows that reach each node of the
+    tree at `root`, a row listed as often as it occurs."""
+    members = {}
+    for i, row in enumerate(rows):
+        node = root
+        members.setdefault(node, []).append(i)
+        while model.feature[node] >= 0:
+            go_right = row.get(int(model.feature[node]), 0.0) >= model.threshold[node]
+            node = int(model.right[node] if go_right else model.left[node])
+            members.setdefault(node, []).append(i)
+    return members
+
+
+def node_depths(model, root) -> dict:
+    depths, stack = {}, [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        depths[node] = depth
+        if model.feature[node] >= 0:
+            stack += [(int(model.left[node]), depth + 1), (int(model.right[node]), depth + 1)]
+    return depths
+
+
+def check_splits_against_oracle(model, root, rows, labels, n_features, max_depth, min_leaf):
+    """Every internal node holds the oracle's split of the rows that reach it,
+    and every leaf that could have split gets no split from the oracle."""
+    members = node_rows(model, root, rows)
+    depths = node_depths(model, root)
+    assert set(members) == set(depths)
+    for node, positions in members.items():
+        node_docs = [rows[i] for i in positions]
+        node_labels = [labels[i] for i in positions]
+        assert model.n[node] == len(positions)
+        expected = oracles.best_split(node_docs, node_labels, n_features, min_leaf)
+        if model.feature[node] >= 0:
+            assert (model.feature[node], model.threshold[node]) == expected
+        elif (0 < sum(node_labels) < len(positions) and len(positions) >= 2 * min_leaf
+              and (max_depth is None or depths[node] < max_depth)):
+            assert expected is None
 
 
 def tree_model(cls, nodes, roots=(0,), n_features=2):
@@ -73,6 +126,36 @@ class TestDecisionTree:
             assert is_leaf(model, 0)
         else:
             assert (model.feature[0], model.threshold[0]) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 100_000), values=st.sampled_from(["count", "tfidf", "signed"]),
+           min_leaf=st.integers(1, 3), max_depth=st.none() | st.integers(0, 3))
+    def test_every_node_matches_exhaustive_oracle(self, seed, values, min_leaf, max_depth):
+        docs, labels, n_features = tree_instance(seed, max_rows=14, values=values)
+        model = cl.fit_decision_tree(docs_to_matrix(docs, labels, n_features),
+                                     max_depth=max_depth, min_leaf=min_leaf)
+        check_splits_against_oracle(model, 0, docs, labels, n_features, max_depth, min_leaf)
+
+    def test_values_whose_midpoint_rounds_down_do_not_split(self):
+        # (1 + (1 + 2^-52)) / 2 rounds to 1.0, so no threshold separates the
+        # last two rows; taking that midpoint would leave a child empty.
+        docs = [{0: 1.0}, {0: 1.0 + 2.0**-52}, {}]
+        labels = [1, 0, 0]
+        model = cl.fit_decision_tree(docs_to_matrix(docs, labels, 1))
+        check_splits_against_oracle(model, 0, docs, labels, 1, None, 1)
+        assert model.feature.size == 3
+
+    def test_million_features_few_rows(self):
+        # The search reads only the stored entries; a pass over every
+        # feature at every node takes tens of seconds here.
+        rng = np.random.default_rng(5)
+        docs = [{int(f): 1.0 for f in rng.choice(10**6, 3, replace=False)} for _ in range(8)]
+        labels = [1, 0] * 4
+        matrix = docs_to_matrix(docs, labels, 10**6)
+        tree = cl.fit_decision_tree(matrix)
+        assert cl.predict(tree, matrix)[0].tolist() == labels
+        forest = cl.fit_random_forest(matrix, n_trees=3, seed=1)
+        assert forest.roots.size == 3
 
     def test_perfect_feature_gives_depth_one_tree(self):
         docs = [{2: 1}, {2: 2}, {0: 1}, {1: 3}]
@@ -132,6 +215,11 @@ class TestDecisionTree:
         with pytest.raises(TrainingError):
             cl.fit_decision_tree(matrix, min_leaf=0)
 
+    def test_negative_max_depth_rejected(self):
+        matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
+        with pytest.raises(TrainingError, match="max_depth"):
+            cl.fit_decision_tree(matrix, max_depth=-1)
+
 
 def same_nodes(a, b) -> bool:
     names = ("feature", "threshold", "left", "right", "p1", "n", "roots")
@@ -151,6 +239,23 @@ class TestRandomForest:
             probe = {int(f): float(rng.integers(0, 4))
                      for f in rng.choice(n_features, 2, replace=False)}
             assert predict_row(tree, probe).label == predict_row(forest, probe).label
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000), values=st.sampled_from(["count", "tfidf", "signed"]),
+           min_leaf=st.integers(1, 3))
+    def test_bootstrap_trees_match_exhaustive_oracle(self, seed, values, min_leaf):
+        # With mtry = n_features the only draws are each tree's bootstrap
+        # rows, so the rows a tree grew on can be drawn again here.
+        docs, labels, n_features = tree_instance(seed, max_rows=14, values=values)
+        n_trees = 3
+        forest = cl.fit_random_forest(docs_to_matrix(docs, labels, n_features),
+                                      n_trees=n_trees, mtry=n_features, seed=seed,
+                                      min_leaf=min_leaf)
+        tree_seeds = np.random.SeedSequence(seed).spawn(n_trees)
+        for root, tree_seed in zip(forest.roots, tree_seeds, strict=True):
+            drawn = np.random.default_rng(tree_seed).integers(0, len(docs), size=len(docs))
+            check_splits_against_oracle(forest, int(root), [docs[i] for i in drawn],
+                                        [labels[i] for i in drawn], n_features, None, min_leaf)
 
     def test_same_seed_same_forest(self):
         docs, labels, n_features = tree_instance(13, max_rows=25)
@@ -202,6 +307,8 @@ class TestRandomForest:
             cl.fit_random_forest(matrix, n_trees=0)
         with pytest.raises(TrainingError):
             cl.fit_random_forest(matrix, mtry=5)
+        with pytest.raises(TrainingError, match="max_depth"):
+            cl.fit_random_forest(matrix, max_depth=-2)
 
 
 class TestPredictDispatch:
