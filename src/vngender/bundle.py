@@ -38,7 +38,9 @@ from .errors import (
     BundleError,
     BundleFormatError,
     BundleVersionError,
+    EmptyNameError,
     EmptySequenceError,
+    InvalidNameError,
     ToolkitError,
 )
 from .featurize import VectorizerConfig, Vocabulary
@@ -292,16 +294,13 @@ def predict_docs(bundle: ModelBundle, docs: list[list[str]]) -> tuple[np.ndarray
     return classical.predict_docs(bundle.model, docs, bundle.vocabulary, bundle.vectorizer_cfg)
 
 
-def bundle_predict(bundle: ModelBundle, raw_name: str) -> dict:
-    """Full pipeline for one name, as a batch of one; returns the wire-format
-    response dict."""
-    comps, tokens = select_tokens(bundle, raw_name)
-    labels, scores = predict_docs(bundle, [tokens])
-    label = int(labels[0])
+def _response(bundle: ModelBundle, comps: NameComponents, label, score) -> dict:
+    """The wire-format response for one scored name."""
+    label = int(label)
     return {
         "label": label,
         "gender": "male" if label == 1 else "female",
-        "score": float(scores[0]),
+        "score": float(score),
         "components": {
             "family": comps.family,
             "middle": list(comps.middle),
@@ -309,3 +308,31 @@ def bundle_predict(bundle: ModelBundle, raw_name: str) -> dict:
         },
         "model_id": bundle.model_id,
     }
+
+
+def bundle_predict(bundle: ModelBundle, raw_name: str) -> dict:
+    """Full pipeline for one name, as a batch of one; returns the wire-format
+    response dict."""
+    comps, tokens = select_tokens(bundle, raw_name)
+    labels, scores = predict_docs(bundle, [tokens])
+    return _response(bundle, comps, labels[0], scores[0])
+
+
+def bundle_predict_many(bundle: ModelBundle, raw_names: list[str]) -> list[dict | ToolkitError]:
+    """The `bundle_predict` response of each name, with every scorable name
+    scored in one `predict_docs` call. A name that `select_tokens` refuses
+    gets the `EmptyNameError`, `InvalidNameError` or `EmptySequenceError`
+    it raised in its place."""
+    selected: list = []
+    for raw_name in raw_names:
+        try:
+            selected.append(select_tokens(bundle, raw_name))
+        except (EmptyNameError, InvalidNameError, EmptySequenceError) as exc:
+            selected.append(exc)
+    valid = [item for item in selected if not isinstance(item, ToolkitError)]
+    if not valid:
+        return selected
+    labels, scores = predict_docs(bundle, [tokens for _, tokens in valid])
+    responses = iter(_response(bundle, comps, label, score)
+                     for (comps, _), label, score in zip(valid, labels, scores))
+    return [item if isinstance(item, ToolkitError) else next(responses) for item in selected]

@@ -1,17 +1,67 @@
-"""JSON-over-HTTP prediction service for a loaded model bundle."""
+"""JSON-over-HTTP prediction service for a loaded model bundle.
+
+Routes:
+
+- ``GET /health``: 200 ``{"status": "ok", "model_id": ...}``.
+- ``POST /predict`` with ``{"name": "..."}``: 200 with the `bundle_predict`
+  response: ``label``, ``gender``, ``score``, ``components`` and
+  ``model_id``.
+- ``POST /predict`` with ``{"names": ["...", ...]}``: 200
+  ``{"results": [...]}``, one element per name and in order. An element is
+  the single-name 200 body, or ``{"error": code}`` for a name that cannot be
+  scored (``invalid_name``, ``empty_name`` or ``empty_components``). The
+  scorable names are scored in one batch.
+
+Every other response is ``{"error": code}``:
+
+- 400 ``malformed_json``: the body is not UTF-8 JSON.
+- 400 ``invalid_name``: no string ``name``, a ``names`` that is not a list
+  of strings, or a name holding a lone surrogate.
+- 400 ``empty_name``: the name is blank.
+- 400 ``empty_components``: the bundle's component mask keeps no token of
+  the name.
+- 404 ``not_found``: any other path.
+- 405 ``method_not_allowed``: GET on ``/predict`` or POST on ``/health``,
+  with an ``Allow`` header.
+- 408 ``request_timeout``: the headers or the body of a request did not
+  arrive within ``SOCKET_TIMEOUT_S``.
+- 413 ``body_too_large``: a body over ``MAX_BODY_BYTES``, refused unread.
+- 422 ``prediction_failed``: the model refused the input.
+- 500 ``internal``: any other failure; the traceback goes to stderr.
+- ``http.server``'s own protocol errors, named after their status: 400
+  ``bad_request`` (a malformed request line), 414 ``request_uri_too_long``,
+  431 ``request_header_fields_too_large`` (a header line over 64 KiB or more
+  than 100 headers), 501 ``not_implemented`` (a method other than GET and
+  POST) and 505 ``http_version_not_supported``.
+
+408, 413 and the protocol errors carry ``Connection: close`` and end the
+connection. A connection with no request in flight for ``SOCKET_TIMEOUT_S``
+is closed without a response. A HEAD request gets the headers of its
+response without the body.
+
+Each response leaves in one write on a socket with ``TCP_NODELAY`` set. Sent
+as separate writes, the body of a response would wait for the client's
+delayed ACK of the headers (Nagle's algorithm), about 40 ms per request.
+"""
 
 from __future__ import annotations
 
+import io
 import json
+import re
 import sys
 import traceback
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .bundle import ModelBundle, bundle_predict
+from .bundle import ModelBundle, bundle_predict, bundle_predict_many
 from .errors import EmptyNameError, EmptySequenceError, InvalidNameError, ToolkitError
 
 # Larger request bodies are refused unread; a name is a few dozen bytes.
 MAX_BODY_BYTES = 64 * 1024
+# Seconds a connection may wait on the client; a stalled client then loses
+# its connection instead of holding a server thread forever.
+SOCKET_TIMEOUT_S = 30.0
 # Errors that say what is wrong with the name, by their `error` code.
 _NAME_ERRORS = (
     (InvalidNameError, "invalid_name"),
@@ -31,27 +81,82 @@ def _error_response(exc: Exception) -> tuple[int, dict]:
     return 500, {"error": "internal"}
 
 
+def _batch_response(bundle: ModelBundle, names: list[str]) -> dict:
+    """The batch 200 body: each name's response or its `{"error": code}`."""
+    return {"results": [_error_response(result)[1] if isinstance(result, ToolkitError) else result
+                        for result in bundle_predict_many(bundle, names)]}
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "vngender"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    @property
+    def timeout(self) -> float:
+        """Socket timeout, read from the module constant as each connection
+        is set up."""
+        return SOCKET_TIMEOUT_S
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
 
     def _send(self, code: int, payload: dict, extra_headers: dict | None = None):
+        """Send a JSON response in one write: the status line and headers are
+        composed in memory with the body, then written together."""
         body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in (extra_headers or {}).items():
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
+        socket_writer, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(code)
+            self.send_header("Content-Type", "application/json; charset=utf-8")
+            self.send_header("Content-Length", str(len(body)))
+            for key, value in (extra_headers or {}).items():
+                self.send_header(key, value)
+            self.end_headers()
+            if self.command != "HEAD":
+                self.wfile.write(body)
+            response = self.wfile.getvalue()
+        finally:
+            self.wfile = socket_writer
+        self.wfile.write(response)
+
+    def send_error(self, code, message=None, explain=None):
+        """`http.server`'s own errors as JSON, named after their status; the
+        connection closes, as it does in the base class."""
+        if self.command is None:
+            # The request line was refused before its version was known;
+            # answer with a status line, not with HTTP/0.9's bare body.
+            self.request_version = self.protocol_version
+        name = re.sub(r"\W+", "_", HTTPStatus(code).phrase.lower())
+        self._send(code, {"error": name}, {"Connection": "close"})
+
+    def parse_request(self) -> bool:
+        """The base parser, with a 408 for headers that stop arriving."""
+        try:
+            return super().parse_request()
+        except TimeoutError:
+            self.send_error(HTTPStatus.REQUEST_TIMEOUT)
+            return False
 
     def _route(self) -> str:
         return self.path.split("?", 1)[0]
 
+    def _answer(self, predict):
+        """Send the 200 body that `predict()` returns, or the JSON error for
+        what it raises."""
+        try:
+            response = predict()
+        except Exception as exc:
+            code, body = _error_response(exc)
+            if code == 500:
+                traceback.print_exc()
+            self._send(code, body)
+            return
+        self._send(200, response)
+
     def do_GET(self):
+        if self._read_body() is None:
+            return
         route = self._route()
         if route == "/health":
             self._send(200, {"status": "ok", "model_id": self.server.bundle.model_id})
@@ -60,14 +165,10 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send(404, {"error": "not_found"})
 
-    def do_POST(self):
-        route = self._route()
-        if route == "/health":
-            self._send(405, {"error": "method_not_allowed"}, {"Allow": "GET"})
-            return
-        if route != "/predict":
-            self._send(404, {"error": "not_found"})
-            return
+    def _read_body(self) -> bytes | None:
+        """The request body, or None once a 413 or 408 response is sent. Every
+        route reads it: left unread, it would be parsed as the next request
+        on this connection."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
@@ -76,26 +177,41 @@ class _Handler(BaseHTTPRequestHandler):
             # The unread body would be parsed as the next request, so the
             # "Connection: close" header also ends this connection.
             self._send(413, {"error": "body_too_large"}, {"Connection": "close"})
+            return None
+        try:
+            return self.rfile.read(length) if length > 0 else b""
+        except TimeoutError:
+            self.send_error(HTTPStatus.REQUEST_TIMEOUT)
+            return None
+
+    def do_POST(self):
+        body = self._read_body()
+        if body is None:
             return
-        body = self.rfile.read(length) if length > 0 else b""
+        route = self._route()
+        if route == "/health":
+            self._send(405, {"error": "method_not_allowed"}, {"Allow": "GET"})
+            return
+        if route != "/predict":
+            self._send(404, {"error": "not_found"})
+            return
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             self._send(400, {"error": "malformed_json"})
             return
-        name = payload.get("name") if isinstance(payload, dict) else None
-        if not isinstance(name, str):
-            self._send(400, {"error": "invalid_name"})
-            return
-        try:
-            response = bundle_predict(self.server.bundle, name)
-        except Exception as exc:
-            code, body = _error_response(exc)
-            if code == 500:
-                traceback.print_exc()
-            self._send(code, body)
-            return
-        self._send(200, response)
+        bundle = self.server.bundle
+        if isinstance(payload, dict) and "names" in payload:
+            names = payload["names"]
+            if isinstance(names, list) and all(isinstance(name, str) for name in names):
+                self._answer(lambda: _batch_response(bundle, names))
+                return
+        else:
+            name = payload.get("name") if isinstance(payload, dict) else None
+            if isinstance(name, str):
+                self._answer(lambda: bundle_predict(bundle, name))
+                return
+        self._send(400, {"error": "invalid_name"})
 
 
 class PredictionServer(ThreadingHTTPServer):

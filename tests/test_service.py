@@ -1,11 +1,13 @@
 import dataclasses
 import http.client
 import json
+import socket
 import threading
 
 import pytest
 
 from vngender import bundle as bm
+from vngender import classical
 from vngender import service
 from vngender.errors import PredictionError
 
@@ -35,10 +37,12 @@ def serve_bundle():
     """Start a service for a bundle; yields a `start(path or bundle) -> Client`."""
     servers = []
 
-    def start(source):
+    def start(source, handler=None):
         loaded = source if isinstance(source, bm.ModelBundle) else bm.load_model(source)
         server = service.make_server(loaded)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        if handler is not None:
+            server.RequestHandlerClass = handler
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
         servers.append(server)
         return Client(server.server_address[1])
 
@@ -143,14 +147,183 @@ def raising_bundle(path, error: Exception) -> bm.ModelBundle:
 ])
 def test_model_errors_are_json_and_keep_the_connection(bundle_paths, serve_bundle,
                                                        error, status, code):
-    client = serve_bundle(raising_bundle(bundle_paths["multinomial_nb", "full"], error))
+    handler, writes, _ = recording_handler()
+    client = serve_bundle(raising_bundle(bundle_paths["multinomial_nb", "full"], error), handler)
     conn = http.client.HTTPConnection("127.0.0.1", client.port, timeout=10)
     try:
-        for _ in range(2):
-            conn.request("POST", "/predict", json.dumps({"name": "Lê Minh"}).encode("utf-8"))
+        for payload in ({"name": "Lê Minh"}, {"names": ["Lê Minh", ""]}):
+            conn.request("POST", "/predict", json.dumps(payload).encode("utf-8"))
             response = conn.getresponse()
             assert (response.status, json.loads(response.read())) == (status, {"error": code})
+        conn.request("GET", "/health")
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 200
+    finally:
+        conn.close()
+    assert len(writes) == 3
+
+
+def exchange(port: int, raw: bytes, method: str = "GET"):
+    """(status, headers, body bytes) of the response to raw request bytes sent
+    on a new connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(raw)
+        response = http.client.HTTPResponse(sock, method=method)
+        response.begin()
+        return response.status, dict(response.getheaders()), response.read()
+
+
+def post_raw(body: bytes, path: str = "/predict", method: str = "POST") -> bytes:
+    return (f"{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n"
+            .encode("ascii") + body)
+
+
+BATCH_NAMES = ["Nguyễn Thị Lan", "  TRẦN văn nam ", " \t ", "Nguy\ud800n Lan", "Lê Minh",
+               "Phạm Hữu Đức Anh", "Vy", "Hoàng Xuân"]
+
+
+def get_raw(path: str, version: str = "HTTP/1.1") -> bytes:
+    return f"GET {path} {version}\r\nHost: x\r\n\r\n".encode("ascii")
+
+
+# (case, raw request, status, error code or None for a 200, connection closed)
+ROUTES = [
+    ("health", get_raw("/health"), 200, None, False),
+    ("predict", post_raw(json.dumps({"name": "Lê Minh"}).encode("utf-8")), 200, None, False),
+    # A response of about 55 KB, larger than a default 8 KiB write buffer.
+    ("batch", post_raw(json.dumps({"names": BATCH_NAMES * 50}).encode("utf-8")), 200, None,
+     False),
+    ("get_predict", get_raw("/predict"), 405, "method_not_allowed", False),
+    ("post_health", post_raw(b"{}", "/health"), 405, "method_not_allowed", False),
+    ("not_found", get_raw("/nowhere"), 404, "not_found", False),
+    ("malformed_json", post_raw(b'{"name": "Nguy'), 400, "malformed_json", False),
+    ("names_not_strings", post_raw(b'{"names": ["Lan", 5]}'), 400, "invalid_name", False),
+    ("empty_name", post_raw(b'{"name": " "}'), 400, "empty_name", False),
+    ("too_large", b"POST /predict HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n{}", 413,
+     "body_too_large", True),
+    ("short_body", b"POST /predict HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", 408,
+     "request_timeout", True),
+    ("stalled_headers", b"GET /health HTTP/1.1\r\nHost: x\r\n", 408, "request_timeout", True),
+    ("put", post_raw(b"{}", method="PUT"), 501, "not_implemented", True),
+    ("garbage_line", b"GARBAGE\r\n\r\n", 400, "bad_request", True),
+    ("bad_version", b"GET /health HTCPCP/1.0\r\n\r\n", 400, "bad_request", True),
+    ("http2", get_raw("/health", "HTTP/2.0"), 505, "http_version_not_supported", True),
+    ("many_headers",
+     b"GET /health HTTP/1.1\r\n" + b"".join(b"X-%d: 1\r\n" % i for i in range(120)) + b"\r\n",
+     431, "request_header_fields_too_large", True),
+    ("long_uri", get_raw("/" + "a" * 70_000), 414, "request_uri_too_long", True),
+]
+
+
+class CountingSocket:
+    """A socket that records the size of every `sendall` in `log`."""
+
+    def __init__(self, sock, log: list):
+        self._sock = sock
+        self._log = log
+
+    def sendall(self, data, *args):
+        self._log.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def recording_handler():
+    """A handler class, and the lists it fills: the sizes of its socket
+    writes and the TCP_NODELAY value of each accepted socket."""
+    writes, nodelay = [], []
+
+    class RecordingHandler(service._Handler):
+        def setup(self):
+            self.request = CountingSocket(self.request, writes)
+            super().setup()
+            nodelay.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    return RecordingHandler, writes, nodelay
+
+
+@pytest.mark.parametrize("case, raw, status, error, closes", ROUTES, ids=[r[0] for r in ROUTES])
+def test_every_response_is_json_in_one_write_on_a_nodelay_socket(
+        bundle_paths, serve_bundle, monkeypatch, case, raw, status, error, closes):
+    monkeypatch.setattr(service, "SOCKET_TIMEOUT_S", 0.3)
+    handler, writes, nodelay = recording_handler()
+    client = serve_bundle(bundle_paths["multinomial_nb", "full"], handler)
+    got_status, headers, body = exchange(client.port, raw)
+    assert got_status == status
+    assert headers["Content-Type"] == "application/json; charset=utf-8"
+    payload = json.loads(body)
+    if error is not None:
+        assert payload == {"error": error}
+    assert (headers.get("Connection") == "close") == closes
+    assert len(writes) == 1 and writes[0] > len(body)
+    assert nodelay == [1]
+
+
+def test_bodies_are_read_on_every_route(client):
+    """A body sent to a route that ignores it is not taken for the next
+    request on the connection."""
+    conn = http.client.HTTPConnection("127.0.0.1", client.port, timeout=10)
+    try:
+        for method, path, status in [("POST", "/health", 405), ("POST", "/nowhere", 404),
+                                     ("GET", "/health", 200), ("GET", "/predict", 405)]:
+            conn.request(method, path, b'{"name": "L\xc3\xaa Minh"}')
+            response = conn.getresponse()
+            response.read()
+            assert (response.status, response.getheader("Connection")) == (status, None)
         conn.request("GET", "/health")
         assert conn.getresponse().status == 200
     finally:
         conn.close()
+
+
+def test_head_gets_headers_without_a_body(client):
+    status, headers, body = exchange(client.port, b"HEAD /health HTTP/1.1\r\n\r\n", "HEAD")
+    assert (status, body) == (501, b"")
+    assert headers["Connection"] == "close"
+    assert int(headers["Content-Length"]) == len(json.dumps({"error": "not_implemented"}))
+
+
+@pytest.mark.parametrize("kind", list(classical.MODEL_KINDS))
+def test_batch_matches_single_name_responses(bundle_paths, serve_bundle, kind):
+    client = serve_bundle(bundle_paths[kind, "full"])
+    status, body = client.post({"names": BATCH_NAMES})
+    assert status == 200
+    singles = [client.post({"name": name}) for name in BATCH_NAMES]
+    assert [s for s, _ in singles] == [200, 200, 400, 400, 200, 200, 200, 200]
+    # Equal floats after a JSON round trip: the scores are bit-identical.
+    assert body == {"results": [single for _, single in singles]}
+
+
+def test_batch_element_errors(bundle_paths, serve_bundle):
+    client = serve_bundle(bundle_paths["multinomial_nb", "fan"])
+    status, body = client.post({"names": ["Lan", "Nguyễn Văn Nam", ""]})
+    assert status == 200
+    assert body["results"][0] == {"error": "empty_components"}
+    assert body["results"][1] == client.post({"name": "Nguyễn Văn Nam"})[1]
+    assert body["results"][2] == {"error": "empty_name"}
+    assert client.post({"names": []}) == (200, {"results": []})
+
+
+@pytest.mark.parametrize("names", ["Lan", None, [["Lan"]], {"0": "Lan"}])
+def test_batch_names_must_be_a_list_of_strings(client, names):
+    assert client.post({"names": names}) == (400, {"error": "invalid_name"})
+
+
+def test_stalled_clients_lose_their_connection(client, monkeypatch):
+    monkeypatch.setattr(service, "SOCKET_TIMEOUT_S", 0.2)
+    status, headers, body = exchange(
+        client.port, b"POST /predict HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"name\"")
+    assert (status, json.loads(body)) == (408, {"error": "request_timeout"})
+    assert headers["Connection"] == "close"
+    # An idle keep-alive connection is closed without a response.
+    with socket.create_connection(("127.0.0.1", client.port), timeout=10) as idle:
+        idle.sendall(get_raw("/health"))
+        response = http.client.HTTPResponse(idle)
+        response.begin()
+        assert response.status == 200
+        response.read()
+        assert idle.recv(1) == b""
+    assert client.request("GET", "/health")[0] == 200
