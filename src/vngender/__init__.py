@@ -50,10 +50,8 @@ from .lstm import (
     LstmModel,
     LstmParams,
     LstmTrainConfig,
-    Prediction,
     fit_lstm,
     load_embeddings,
-    lstm_forward,
     predict_lstm,
     train_lstm,
 )

@@ -1,7 +1,7 @@
 """Model bundles: a single binary file holding vectorizer, parameters, the
 component mask used at train time, and run metadata.
 
-Layout (format version 3): magic, big-endian format version, section count,
+Layout (format version 4): magic, big-endian format version, section count,
 then length-prefixed named sections, then a SHA-256 checksum of everything
 before it. Two sections:
 
@@ -11,7 +11,7 @@ before it. Two sections:
   not arrays, its ``train_meta`` included.
 - ``arrays``: an npz archive of the model's array fields, by field name;
   arrays of a nested dataclass are named ``<field>.<name>`` (the LSTM's
-  ``params.w_i``, ...). It is read with ``allow_pickle=False``.
+  ``params.w``, ``params.u``, ...). It is read with ``allow_pickle=False``.
 
 Every kind, the LSTM included, goes through the same field-by-field encoding,
 and the model class of a kind comes from `classical.MODEL_KINDS`. The LSTM's
@@ -47,7 +47,7 @@ from .featurize import VectorizerConfig, Vocabulary
 from .names_core import ComponentMask, NameComponents
 
 MAGIC = b"VNGBUNDL"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass

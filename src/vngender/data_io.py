@@ -187,19 +187,6 @@ def format_stats(stats: DatasetStats) -> str:
     return "\n".join(lines) + "\n"
 
 
-def planted_gender(full_name: str) -> int | None:
-    """Gender the planted rule assigns to a generated name, by middle token."""
-    comps = names_core.segment(names_core.normalize(full_name))
-    if not comps.middle:
-        return None
-    tok = comps.middle[0]
-    if tok in MALE_MIDDLE_POOL:
-        return MALE
-    if tok in FEMALE_MIDDLE_POOL:
-        return FEMALE
-    return None
-
-
 def generate_synthetic(n: int, fidelity: float, seed: int) -> Dataset:
     """Seeded synthetic corpus whose gender signal lives in the middle token.
 

@@ -4,6 +4,28 @@ Token embeddings come from a pretrained ``.vec`` text file or a seeded random
 table; they stay frozen during training. The final hidden state feeds a
 sigmoid readout for the binary gender probability.
 
+Layout: `LstmParams` stacks the four gates in i, f, o, c order, so one
+(4H, D) input matrix, one (4H, H) recurrent matrix and one (4H,) bias give
+every gate's pre-activation in one product per step.
+
+One kernel serves training and scoring. Each sequence becomes a row of
+integer token ids, left-padded so that every sequence of a batch ends at the
+last step, and the batch runs longest first: at each step the rows that hold
+a token are a prefix of the batch, and the rows after it are still in the
+zero initial state. The distinct tokens of a batch are projected through the
+input matrix once, a step multiplies the recurrent matrix only against rows
+that carry a state, and the backward pass returns the input gradient of the
+distinct tokens through one one-hot product. `train_lstm` maps its tokens to
+ids once and gathers one embedding matrix for the whole fit; `predict_lstm`
+scores a batch of names in chunks of at most `SCORE_CHUNK` names, so its
+working memory does not grow with the batch, and a single name is a batch of
+one.
+
+Out-of-vocabulary tokens get seeded random vectors, a pure function of the
+table's seed and the token. They are drawn when a matrix is gathered, once
+per distinct token, and never cached, so a table holds only what it was
+built with, however many unseen tokens it is asked about.
+
 `LstmModel` is the `lstm` kind of the model registry in `classical`: it has a
 `kind`, a `train_meta` (the per-epoch losses) and stored fields like every
 classical model, and `score(docs)` gives P(label 1) for a batch of token
@@ -14,9 +36,10 @@ lists, where the classical kinds score the rows of a feature matrix.
 from __future__ import annotations
 
 import hashlib
+import io
 import warnings
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import ClassVar, Collection, Sequence
 
 import numpy as np
 
@@ -29,6 +52,8 @@ from .errors import (
 
 OOV_HALF_RANGE = 0.05
 INIT_HALF_RANGE = 0.1
+# Names per forward pass of `predict_lstm`; bounds the memory one call uses.
+SCORE_CHUNK = 256
 
 
 def _oov_vector(token: str, seed: int, dim: int) -> np.ndarray:
@@ -39,31 +64,25 @@ def _oov_vector(token: str, seed: int, dim: int) -> np.ndarray:
     return rng.uniform(-OOV_HALF_RANGE, OOV_HALF_RANGE, dim)
 
 
-@dataclass(frozen=True)
-class Prediction:
-    label: int
-    score: float
-
-
 @dataclass
 class EmbeddingTable:
-    """Token -> vector lookup; unknown tokens get cached seeded-random draws."""
+    """Token -> vector lookup; unknown tokens get seeded-random draws."""
 
     dim: int
     vectors: dict[str, np.ndarray]
     oov_seed: int = 0
     source: dict = field(default_factory=dict)
-    _oov_cache: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def lookup(self, token: str) -> np.ndarray:
         vec = self.vectors.get(token)
-        if vec is not None:
-            return vec
-        vec = self._oov_cache.get(token)
-        if vec is None:
-            vec = _oov_vector(token, self.oov_seed, self.dim)
-            self._oov_cache[token] = vec
-        return vec
+        return vec if vec is not None else _oov_vector(token, self.oov_seed, self.dim)
+
+    def matrix(self, tokens: Collection[str]) -> np.ndarray:
+        """The vectors of distinct `tokens` as the rows of one (n, dim) matrix."""
+        out = np.empty((len(tokens), self.dim), dtype=np.float64)
+        for row, tok in zip(out, tokens):
+            row[:] = self.lookup(tok)
+        return out
 
 
 def random_embeddings(dim: int, seed: int = 0) -> EmbeddingTable:
@@ -73,48 +92,58 @@ def random_embeddings(dim: int, seed: int = 0) -> EmbeddingTable:
     )
 
 
-def load_embeddings(path, expected_dim: int, oov_seed: int = 0) -> EmbeddingTable:
-    """Parse a text vector file: header "<count> <dim>", then token + floats."""
+def _read_vec_file(path, missing: str) -> bytes:
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, "rb") as fh:
+            return fh.read()
     except FileNotFoundError as exc:
-        raise EmbeddingError(f"embedding file not found: {path}") from exc
-    with fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise EmbeddingError(f"{path}: malformed header line")
-        try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise EmbeddingError(f"{path}: malformed header line") from exc
-        if dim != expected_dim:
+        raise EmbeddingError(f"{missing}: {path}") from exc
+
+
+def _parse_vec_file(path, raw: bytes, expected_dim: int, oov_seed: int) -> EmbeddingTable:
+    """Parse a text vector file: header "<count> <dim>", then token + floats."""
+    fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    header = fh.readline().split()
+    if len(header) != 2:
+        raise EmbeddingError(f"{path}: malformed header line")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise EmbeddingError(f"{path}: malformed header line") from exc
+    if dim != expected_dim:
+        raise EmbeddingError(
+            f"{path}: header dimension {dim} does not match expected {expected_dim}"
+        )
+    vectors: dict[str, np.ndarray] = {}
+    for lineno, line in enumerate(fh, start=2):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) == 1 and parts[0] == "":
+            continue
+        token, comps = parts[0], parts[1:]
+        if len(comps) != dim:
             raise EmbeddingError(
-                f"{path}: header dimension {dim} does not match expected {expected_dim}"
+                f"{path}:{lineno}: expected {dim} components, got {len(comps)}"
             )
-        vectors: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) == 1 and parts[0] == "":
-                continue
-            token, comps = parts[0], parts[1:]
-            if len(comps) != dim:
-                raise EmbeddingError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(comps)}"
-                )
-            try:
-                vec = np.array([float(c) for c in comps], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingError(f"{path}:{lineno}: non-numeric component") from exc
-            if token in vectors:
-                warnings.warn(f"{path}:{lineno}: duplicate token {token!r}, keeping first")
-                continue
-            vectors[token] = vec
+        try:
+            vec = np.array([float(c) for c in comps], dtype=np.float64)
+        except ValueError as exc:
+            raise EmbeddingError(f"{path}:{lineno}: non-numeric component") from exc
+        if token in vectors:
+            warnings.warn(f"{path}:{lineno}: duplicate token {token!r}, keeping first")
+            continue
+        vectors[token] = vec
     if count != len(vectors):
         warnings.warn(f"{path}: header count {count} != {len(vectors)} vectors read")
-    sha = hashlib.sha256(open(path, "rb").read()).hexdigest()
-    source = {"kind": "vec_file", "path": str(path), "sha256": sha,
+    source = {"kind": "vec_file", "path": str(path), "sha256": hashlib.sha256(raw).hexdigest(),
               "dim": dim, "oov_seed": oov_seed}
     return EmbeddingTable(dim, vectors, oov_seed=oov_seed, source=source)
+
+
+def load_embeddings(path, expected_dim: int, oov_seed: int = 0) -> EmbeddingTable:
+    """The table of a text vector file: header "<count> <dim>", then one
+    token and its `dim` floats per line."""
+    return _parse_vec_file(path, _read_vec_file(path, "embedding file not found"),
+                           expected_dim, oov_seed)
 
 
 def resolve_embeddings(source: dict) -> EmbeddingTable:
@@ -124,13 +153,10 @@ def resolve_embeddings(source: dict) -> EmbeddingTable:
         return random_embeddings(source["dim"], source["seed"])
     if source.get("kind") == "vec_file":
         path = source["path"]
-        try:
-            actual = hashlib.sha256(open(path, "rb").read()).hexdigest()
-        except FileNotFoundError as exc:
-            raise EmbeddingError(f"referenced embedding file missing: {path}") from exc
-        if actual != source["sha256"]:
+        raw = _read_vec_file(path, "referenced embedding file missing")
+        if hashlib.sha256(raw).hexdigest() != source["sha256"]:
             raise EmbeddingError(f"embedding file content changed: {path}")
-        return load_embeddings(path, source["dim"], oov_seed=source.get("oov_seed", 0))
+        return _parse_vec_file(path, raw, source["dim"], source.get("oov_seed", 0))
     raise EmbeddingError(f"unknown embedding source {source.get('kind')!r}")
 
 
@@ -140,33 +166,27 @@ def resolve_embeddings(source: dict) -> EmbeddingTable:
 
 @dataclass
 class LstmParams:
-    w_i: np.ndarray; w_f: np.ndarray; w_o: np.ndarray; w_c: np.ndarray  # (H, D)
-    u_i: np.ndarray; u_f: np.ndarray; u_o: np.ndarray; u_c: np.ndarray  # (H, H)
-    b_i: np.ndarray; b_f: np.ndarray; b_o: np.ndarray; b_c: np.ndarray  # (H,)
+    """Rows k*H:(k+1)*H of `w`, `u` and `b` belong to gate k of i, f, o, c."""
+
+    w: np.ndarray       # (4H, D) input weights
+    u: np.ndarray       # (4H, H) recurrent weights
+    b: np.ndarray       # (4H,)
     out_w: np.ndarray   # (H,)
     out_b: np.ndarray   # shape ()
 
     @property
     def hidden(self) -> int:
-        return self.w_i.shape[0]
+        return self.u.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.w_i.shape[1]
+        return self.w.shape[1]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _TENSOR_NAMES}
+        return {"w": self.w, "u": self.u, "b": self.b, "out_w": self.out_w, "out_b": self.out_b}
 
     def copy(self) -> "LstmParams":
         return LstmParams(**{name: arr.copy() for name, arr in self.tensors().items()})
-
-
-_TENSOR_NAMES = (
-    "w_i", "w_f", "w_o", "w_c",
-    "u_i", "u_f", "u_o", "u_c",
-    "b_i", "b_f", "b_o", "b_c",
-    "out_w", "out_b",
-)
 
 
 def init_lstm_params(dim: int, hidden: int, seed: int = 0) -> LstmParams:
@@ -177,26 +197,11 @@ def init_lstm_params(dim: int, hidden: int, seed: int = 0) -> LstmParams:
         return rng.uniform(-INIT_HALF_RANGE, INIT_HALF_RANGE, shape)
 
     params = LstmParams(
-        w_i=draw(hidden, dim), w_f=draw(hidden, dim),
-        w_o=draw(hidden, dim), w_c=draw(hidden, dim),
-        u_i=draw(hidden, hidden), u_f=draw(hidden, hidden),
-        u_o=draw(hidden, hidden), u_c=draw(hidden, hidden),
-        b_i=draw(hidden), b_f=draw(hidden), b_o=draw(hidden), b_c=draw(hidden),
+        w=draw(4 * hidden, dim), u=draw(4 * hidden, hidden), b=draw(4 * hidden),
         out_w=draw(hidden), out_b=np.array(float(draw()), dtype=np.float64),
     )
-    params.b_f[:] = 1.0
+    params.b[hidden:2 * hidden] = 1.0
     return params
-
-
-def zero_lstm_params(dim: int, hidden: int) -> LstmParams:
-    z = lambda *shape: np.zeros(shape, dtype=np.float64)
-    return LstmParams(
-        w_i=z(hidden, dim), w_f=z(hidden, dim), w_o=z(hidden, dim), w_c=z(hidden, dim),
-        u_i=z(hidden, hidden), u_f=z(hidden, hidden),
-        u_o=z(hidden, hidden), u_c=z(hidden, hidden),
-        b_i=z(hidden), b_f=z(hidden), b_o=z(hidden), b_c=z(hidden),
-        out_w=z(hidden), out_b=np.zeros((), dtype=np.float64),
-    )
 
 
 @dataclass
@@ -230,122 +235,118 @@ def truncate_tokens(tokens: Sequence[str], max_len: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, without overflow for large |z|."""
+    """Logistic function, without overflow for large |z|: 1 / (1 + e^-z)
+    for z >= 0 and e^z / (1 + e^z) below."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
-def _forward_group(x_steps: list[np.ndarray], p: LstmParams):
-    """Run a group of same-length sequences; x_steps[t] has shape (D, B)."""
-    hdim, batch = p.hidden, x_steps[0].shape[1]
-    h = np.zeros((hdim, batch))
-    c = np.zeros((hdim, batch))
-    caches = []
-    for x in x_steps:
-        gi = sigmoid(p.w_i @ x + p.u_i @ h + p.b_i[:, None])
-        gf = sigmoid(p.w_f @ x + p.u_f @ h + p.b_f[:, None])
-        go = sigmoid(p.w_o @ x + p.u_o @ h + p.b_o[:, None])
-        gc = np.tanh(p.w_c @ x + p.u_c @ h + p.b_c[:, None])
-        c_new = gf * c + gi * gc
+def _encode(sequences: Sequence[Sequence[str]], index: dict[str, int]):
+    """(ids, lengths): an (n, T) matrix of token ids, each row left-padded
+    to the longest sequence, and each sequence's length. A token not yet in
+    `index` gets the next id there."""
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    width = int(lengths.max())
+    ids = np.zeros((len(sequences), width), dtype=np.int64)
+    for row, seq in zip(ids, sequences):
+        row[width - len(seq):] = [index.setdefault(tok, len(index)) for tok in seq]
+    return ids, lengths
+
+
+def _schedule(ids: np.ndarray, lengths: np.ndarray):
+    """(order, uniq, steps) for one left-padded group run longest first:
+    `order` lists the group's rows in run order, `uniq` its distinct token
+    ids, and steps[t] gives, for each of the first len(steps[t]) rows, the
+    position in `uniq` of its token at step t."""
+    width = ids.shape[1]
+    order = np.argsort(-lengths, kind="stable")
+    active = (lengths[:, None] >= width - np.arange(width)).sum(axis=0)
+    run = ids[order]
+    tokens = np.concatenate([run[:n, t] for t, n in enumerate(active)])
+    uniq, inverse = np.unique(tokens, return_inverse=True)
+    return order, uniq, np.split(inverse, np.cumsum(active)[:-1])
+
+
+def _forward(params: LstmParams, x_proj: np.ndarray, steps, caches: list | None = None):
+    """Final hidden state of every row; x_proj holds the input projections
+    (no bias) of the distinct tokens. With `caches`, each step appends what
+    the backward pass needs."""
+    hid = params.hidden
+    h = c = np.zeros((0, hid))
+    for pos in steps:
+        m = len(h)                      # rows with a state; the rest start at zero
+        z = x_proj[pos]
+        if m:
+            z[:m] += h @ params.u.T
+        z += params.b
+        z[:, :3 * hid] = sigmoid(z[:, :3 * hid])
+        np.tanh(z[:, 3 * hid:], out=z[:, 3 * hid:])
+        gi, gf, go, gc = (z[:, k * hid:(k + 1) * hid] for k in range(4))
+        c_new = gi * gc
+        if m:
+            c_new[:m] += gf[:m] * c
         tc = np.tanh(c_new)
-        h_new = go * tc
-        caches.append((x, h, c, gi, gf, go, gc, tc))
-        h, c = h_new, c_new
-    logits = p.out_w @ h + p.out_b
-    return logits, h, caches
+        if caches is not None:
+            caches.append((h, c, z, tc))
+        h, c = go * tc, c_new
+    return h
 
 
-def _backward_group(p: LstmParams, caches, h_last: np.ndarray, dlogits: np.ndarray, grads):
-    grads["out_w"] += h_last @ dlogits
-    grads["out_b"] += dlogits.sum()
-    dh = np.outer(p.out_w, dlogits)
+def _loss_and_grads(ids: np.ndarray, lengths: np.ndarray, y: np.ndarray,
+                    table: np.ndarray, params: LstmParams):
+    """Mean BCE over a group of token-id rows and its gradient for every
+    tensor of `params`; `table` holds the embedding row of each id."""
+    order, uniq, steps = _schedule(ids, lengths)
+    x = table[uniq]
+    caches: list = []
+    h_last = _forward(params, x @ params.w.T, steps, caches)
+    logits = h_last @ params.out_w + params.out_b
+    y = y[order]
+    total = len(y)
+    # BCE from logits: softplus(s) - y*s
+    loss = float((np.logaddexp(0.0, logits) - y * logits).sum()) / total
+    dlogits = (sigmoid(logits) - y) / total
+
+    hid = params.hidden
+    dz_all = np.empty((sum(map(len, steps)), 4 * hid))
+    grad_u = np.zeros_like(params.u)
+    dh = np.outer(dlogits, params.out_w)
     dc = np.zeros_like(dh)
-    for x, h_prev, c_prev, gi, gf, go, gc, tc in reversed(caches):
-        do = dh * tc
+    end = len(dz_all)
+    for h_prev, c_prev, gates, tc in reversed(caches):
+        n, m = len(gates), len(h_prev)
+        dz = dz_all[end - n:end]
+        end -= n
+        gi, gf, go, gc = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
         dc = dc + dh * go * (1.0 - tc * tc)
-        di = dc * gc
-        dg = dc * gi
-        df = dc * c_prev
-        dc_prev = dc * gf
-        dz_i = di * gi * (1.0 - gi)
-        dz_f = df * gf * (1.0 - gf)
-        dz_o = do * go * (1.0 - go)
-        dz_c = dg * (1.0 - gc * gc)
-        grads["w_i"] += dz_i @ x.T
-        grads["w_f"] += dz_f @ x.T
-        grads["w_o"] += dz_o @ x.T
-        grads["w_c"] += dz_c @ x.T
-        grads["u_i"] += dz_i @ h_prev.T
-        grads["u_f"] += dz_f @ h_prev.T
-        grads["u_o"] += dz_o @ h_prev.T
-        grads["u_c"] += dz_c @ h_prev.T
-        grads["b_i"] += dz_i.sum(axis=1)
-        grads["b_f"] += dz_f.sum(axis=1)
-        grads["b_o"] += dz_o.sum(axis=1)
-        grads["b_c"] += dz_c.sum(axis=1)
-        dh = p.u_i.T @ dz_i + p.u_f.T @ dz_f + p.u_o.T @ dz_o + p.u_c.T @ dz_c
-        dc = dc_prev
+        dz[:, :hid] = dc * gc * gi * (1.0 - gi)
+        dz[m:, hid:2 * hid] = 0.0
+        dz[:m, hid:2 * hid] = dc[:m] * c_prev * gf[:m] * (1.0 - gf[:m])
+        dz[:, 2 * hid:3 * hid] = dh * tc * go * (1.0 - go)
+        dz[:, 3 * hid:] = dc * gi * (1.0 - gc * gc)
+        if m:
+            grad_u += dz[:m].T @ h_prev
+            dh = dz[:m] @ params.u
+            dc = dc[:m] * gf[:m]
+    positions = np.concatenate(steps)
+    one_hot = (positions == np.arange(len(uniq))[:, None]).astype(np.float64)
+    grads = {"w": (one_hot @ dz_all).T @ x, "u": grad_u, "b": dz_all.sum(axis=0),
+             "out_w": h_last.T @ dlogits, "out_b": dlogits.sum()}
+    return loss, grads
 
 
-def _group_by_length(sequences: Sequence[Sequence[str]]):
-    groups: dict[int, list[int]] = {}
-    for i, seq in enumerate(sequences):
-        groups.setdefault(len(seq), []).append(i)
-    return groups
-
-
-def _embed_group(sequences, members, emb: EmbeddingTable) -> list[np.ndarray]:
-    length = len(sequences[members[0]])
-    return [
-        np.stack([emb.lookup(sequences[i][t]) for i in members], axis=1)
-        for t in range(length)
-    ]
-
-
-def lstm_forward(tokens: Sequence[str], emb: EmbeddingTable, params: LstmParams) -> float:
-    """Probability of label 1 from the final hidden state."""
-    if not tokens:
-        raise EmptySequenceError("cannot run the LSTM on an empty token sequence")
-    x_steps = [emb.lookup(tok).reshape(-1, 1) for tok in tokens]
-    logits, _, _ = _forward_group(x_steps, params)
-    return float(sigmoid(logits)[0])
-
-
-def batch_loss(sequences, labels, emb: EmbeddingTable, params: LstmParams) -> float:
-    """Mean binary cross-entropy over the batch (no truncation applied)."""
-    loss, _ = batch_gradients(sequences, labels, emb, params, compute_grads=False)
-    return loss
-
-
-def batch_gradients(sequences, labels, emb, params, compute_grads: bool = True):
-    """Mean BCE loss and its gradients w.r.t. every parameter tensor."""
+def batch_gradients(sequences, labels, emb: EmbeddingTable, params: LstmParams):
+    """Mean BCE loss of token sequences (not truncated) and its gradient
+    for every tensor of `params`, by name."""
     if not sequences:
         raise TrainingError("empty batch")
     for i, seq in enumerate(sequences):
         if not seq:
             raise EmptySequenceError(f"sequence {i} is empty")
-    total = len(sequences)
-    y = np.asarray(labels, dtype=np.float64)
-    grads = (
-        {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
-        if compute_grads else None
-    )
-    loss_sum = 0.0
-    for members in _group_by_length(sequences).values():
-        x_steps = _embed_group(sequences, members, emb)
-        logits, h_last, caches = _forward_group(x_steps, params)
-        y_grp = y[members]
-        # BCE from logits: softplus(s) - y*s
-        loss_sum += float((np.logaddexp(0.0, logits) - y_grp * logits).sum())
-        if compute_grads:
-            dlogits = (sigmoid(logits) - y_grp) / total
-            _backward_group(params, caches, h_last, dlogits, grads)
-    return loss_sum / total, grads
+    index: dict[str, int] = {}
+    ids, lengths = _encode(sequences, index)
+    return _loss_and_grads(ids, lengths, np.asarray(labels, dtype=np.float64),
+                           emb.matrix(index), params)
 
 
 @dataclass
@@ -383,6 +384,10 @@ def train_lstm(
     params = init.copy() if init is not None else init_lstm_params(
         emb.dim, cfg.hidden, init_seed
     )
+    index: dict[str, int] = {}
+    ids, lengths = _encode(seqs, index)
+    table = emb.matrix(index)
+    y = np.asarray(labels, dtype=np.float64)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n = len(seqs)
     epoch_losses: list[float] = []
@@ -390,31 +395,42 @@ def train_lstm(
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size), start=1):
-            ids = order[start:start + cfg.batch_size]
-            batch_seqs = [seqs[i] for i in ids]
-            batch_labels = [labels[i] for i in ids]
-            loss, grads = batch_gradients(batch_seqs, batch_labels, emb, params)
+            rows = order[start:start + cfg.batch_size]
+            lens = lengths[rows]
+            group = ids[rows, ids.shape[1] - int(lens.max()):]
+            loss, grads = _loss_and_grads(group, lens, y[rows], table, params)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"LSTM training diverged at epoch {epoch}, batch {batch_no}"
                 )
             for name, arr in params.tensors().items():
                 arr -= cfg.learning_rate * grads[name]
-            loss_sum += loss * len(ids)
+            loss_sum += loss * len(rows)
         epoch_losses.append(loss_sum / n)
     return LstmTrainResult(params, epoch_losses)
 
 
 def predict_lstm(
-    tokens: Sequence[str],
+    docs: Sequence[Sequence[str]],
     emb: EmbeddingTable,
     params: LstmParams,
     max_seq_len: int | None = None,
-) -> Prediction:
-    """Wraps lstm_forward; probability >= 0.5 maps to label 1."""
-    toks = truncate_tokens(tokens, max_seq_len) if max_seq_len else list(tokens)
-    prob = lstm_forward(toks, emb, params)
-    return Prediction(1 if prob >= 0.5 else 0, prob)
+) -> np.ndarray:
+    """P(label 1) for every token list, each cut to its last `max_seq_len`
+    tokens, in forward passes of at most `SCORE_CHUNK` names."""
+    seqs = [truncate_tokens(doc, max_seq_len) if max_seq_len else list(doc) for doc in docs]
+    for i, seq in enumerate(seqs):
+        if not seq:
+            raise EmptySequenceError(f"cannot run the LSTM on an empty token sequence (name {i})")
+    scores = np.empty(len(seqs), dtype=np.float64)
+    for start in range(0, len(seqs), SCORE_CHUNK):
+        index: dict[str, int] = {}
+        ids, lengths = _encode(seqs[start:start + SCORE_CHUNK], index)
+        order, uniq, steps = _schedule(ids, lengths)
+        x_proj = emb.matrix(index)[uniq] @ params.w.T
+        logits = _forward(params, x_proj, steps) @ params.out_w + params.out_b
+        scores[start + order] = sigmoid(logits)
+    return scores
 
 
 @dataclass
@@ -437,10 +453,7 @@ class LstmModel:
 
     def score(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
         """P(label 1) for every token list, each truncated to `cfg.max_seq_len`."""
-        return np.array([
-            predict_lstm(doc, self.embeddings, self.params, self.cfg.max_seq_len).score
-            for doc in docs
-        ], dtype=np.float64)
+        return predict_lstm(docs, self.embeddings, self.params, self.cfg.max_seq_len)
 
 
 def fit_lstm(

@@ -36,8 +36,8 @@ Every other response is ``{"error": code}``:
 
 408, 413 and the protocol errors carry ``Connection: close`` and end the
 connection. A connection with no request in flight for ``SOCKET_TIMEOUT_S``
-is closed without a response. A HEAD request gets the headers of its
-response without the body.
+is closed without a response, and so is one the client resets. A HEAD
+request gets the headers of its response without the body.
 
 Each response leaves in one write on a socket with ``TCP_NODELAY`` set. Sent
 as separate writes, the body of a response would wait for the client's
@@ -129,6 +129,15 @@ class _Handler(BaseHTTPRequestHandler):
             self.request_version = self.protocol_version
         name = re.sub(r"\W+", "_", HTTPStatus(code).phrase.lower())
         self._send(code, {"error": name}, {"Connection": "close"})
+
+    def handle_one_request(self):
+        """The base class's, except that a client which resets the connection,
+        while its request is read or its response written, loses the
+        connection quietly instead of leaving a traceback on stderr."""
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            self.close_connection = True
 
     def parse_request(self) -> bool:
         """The base parser, with a 408 for headers that stop arriving."""

@@ -1,12 +1,12 @@
 import contextlib
 import io
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from vngender import classical, cli, data_io, names_core
 from vngender.featurize import LabeledMatrix
-from vngender.lstm import Prediction
 
 
 def csr(docs, labels=None, n_features=None) -> LabeledMatrix:
@@ -24,6 +24,11 @@ def csr(docs, labels=None, n_features=None) -> LabeledMatrix:
 def docs_to_matrix(docs, labels, n_features) -> LabeledMatrix:
     """docs as dicts feature -> count."""
     return csr(docs, list(labels), n_features)
+
+
+class Prediction(NamedTuple):
+    label: int
+    score: float
 
 
 def predict_row(model, doc) -> Prediction:

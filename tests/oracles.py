@@ -1,7 +1,8 @@
 """Independent brute-force oracles the test suite checks the implementations
 against. These stay deliberately naive: probability-space products for naive
 Bayes, exhaustive enumeration with exact rational scoring for tree splits,
-central finite differences for gradients."""
+central finite differences for gradients, and a gate-by-gate LSTM forward and
+backward pass, frozen from the LSTM's original per-gate layout."""
 
 import math
 from fractions import Fraction
@@ -130,3 +131,75 @@ def tree_leaf(feature, threshold, left, right, root, row):
         go_right = row.get(int(feature[node]), 0.0) >= threshold[node]
         node = right[node] if go_right else left[node]
     return int(node)
+
+
+def masked_sigmoid(z):
+    """The logistic function, computed separately on the two signs of z."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def lstm_loss_and_grads(sequences, labels, w, u, b, out_w, out_b):
+    """Mean BCE of an LSTM classifier over sequences of input vectors, and
+    its gradients, computed gate by gate: each group of equal-length
+    sequences runs on its own, with four input and four recurrent products
+    per step forward and eight backward. Parameters and gradients are in
+    the stacked layout (gate rows in i, f, o, c order); gradients are
+    returned by tensor name."""
+    hdim = out_w.shape[0]
+    gate = lambda arr, k: arr[k * hdim:(k + 1) * hdim]
+    w_i, w_f, w_o, w_c = (gate(w, k) for k in range(4))
+    u_i, u_f, u_o, u_c = (gate(u, k) for k in range(4))
+    b_i, b_f, b_o, b_c = (gate(b, k) for k in range(4))
+    gw = [np.zeros_like(w_i) for _ in range(4)]
+    gu = [np.zeros_like(u_i) for _ in range(4)]
+    gb = [np.zeros_like(b_i) for _ in range(4)]
+    g_out_w, g_out_b = np.zeros_like(out_w), 0.0
+    total = len(sequences)
+    y = np.asarray(labels, dtype=np.float64)
+    groups = {}
+    for i, seq in enumerate(sequences):
+        groups.setdefault(len(seq), []).append(i)
+    loss_sum = 0.0
+    for members in groups.values():
+        x_steps = [np.stack([sequences[i][t] for i in members], axis=1)
+                   for t in range(len(sequences[members[0]]))]
+        h = np.zeros((hdim, len(members)))
+        c = np.zeros((hdim, len(members)))
+        caches = []
+        for x in x_steps:
+            gi = masked_sigmoid(w_i @ x + u_i @ h + b_i[:, None])
+            gf = masked_sigmoid(w_f @ x + u_f @ h + b_f[:, None])
+            go = masked_sigmoid(w_o @ x + u_o @ h + b_o[:, None])
+            gc = np.tanh(w_c @ x + u_c @ h + b_c[:, None])
+            c_new = gf * c + gi * gc
+            tc = np.tanh(c_new)
+            caches.append((x, h, c, gi, gf, go, gc, tc))
+            h, c = go * tc, c_new
+        logits = out_w @ h + out_b
+        y_grp = y[members]
+        loss_sum += float((np.logaddexp(0.0, logits) - y_grp * logits).sum())
+        dlogits = (masked_sigmoid(logits) - y_grp) / total
+        g_out_w += h @ dlogits
+        g_out_b += dlogits.sum()
+        dh = np.outer(out_w, dlogits)
+        dc = np.zeros_like(dh)
+        for x, h_prev, c_prev, gi, gf, go, gc, tc in reversed(caches):
+            do = dh * tc
+            dc = dc + dh * go * (1.0 - tc * tc)
+            dz = (dc * gc * gi * (1.0 - gi), dc * c_prev * gf * (1.0 - gf),
+                  do * go * (1.0 - go), dc * gi * (1.0 - gc * gc))
+            for k in range(4):
+                gw[k] += dz[k] @ x.T
+                gu[k] += dz[k] @ h_prev.T
+                gb[k] += dz[k].sum(axis=1)
+            dh = u_i.T @ dz[0] + u_f.T @ dz[1] + u_o.T @ dz[2] + u_c.T @ dz[3]
+            dc = dc * gf
+    grads = {"w": np.concatenate(gw), "u": np.concatenate(gu), "b": np.concatenate(gb),
+             "out_w": g_out_w, "out_b": np.asarray(g_out_b)}
+    return loss_sum / total, grads

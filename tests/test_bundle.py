@@ -121,7 +121,7 @@ class TestMalformedBundles:
     def valid(self, bundle_paths):
         return sections_of(bundle_paths["decision_tree", "full"])
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_format_version_rejected(self, bundle_paths, tmp_path, version):
         blob = open(bundle_paths["multinomial_nb", "full"], "rb").read()[:-32]
         body = blob[:8] + struct.pack(">I", version) + blob[12:]

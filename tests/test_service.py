@@ -2,6 +2,7 @@ import dataclasses
 import http.client
 import json
 import socket
+import struct
 import threading
 
 import pytest
@@ -326,4 +327,28 @@ def test_stalled_clients_lose_their_connection(client, monkeypatch):
         assert response.status == 200
         response.read()
         assert idle.recv(1) == b""
+    assert client.request("GET", "/health")[0] == 200
+
+
+@pytest.mark.parametrize("raw", [
+    b"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 50\r\n\r\n{\"na",
+    b"POST /predict HTTP/1.1\r\nHost: x\r\nConte",
+    b"POST /pre",
+], ids=["body", "headers", "request_line"])
+def test_a_client_reset_closes_the_connection_quietly(client, monkeypatch, capsys, raw):
+    closed = threading.Event()
+    shutdown_request = service.PredictionServer.shutdown_request
+
+    def signal_shutdown(server, request):
+        shutdown_request(server, request)
+        closed.set()
+
+    monkeypatch.setattr(service.PredictionServer, "shutdown_request", signal_shutdown)
+    sock = socket.create_connection(("127.0.0.1", client.port), timeout=10)
+    # A zero linger time makes close() send an RST instead of a FIN.
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.sendall(raw)
+    sock.close()
+    assert closed.wait(10)
+    assert capsys.readouterr().err == ""
     assert client.request("GET", "/health")[0] == 200
