@@ -1,9 +1,9 @@
 """The model kind registry, and six classical classifiers behind one fit /
 batch-score contract.
 
-Multinomial and Bernoulli naive Bayes, logistic regression (full-batch
-gradient descent), a linear SVM (stochastic subgradient with 1/t steps),
-a Gini decision tree, and a bagging random forest. Training code is all
+Multinomial and Bernoulli naive Bayes, logistic regression and a
+squared-hinge linear SVM (two losses on one trust-region Newton solver), a
+Gini decision tree, and a bagging random forest. Training code is all
 local; numpy is used for array arithmetic only.
 
 `score(x)` gives one score per row of a `LabeledMatrix`: P(label 1), the
@@ -138,88 +138,11 @@ def fit_bernoulli_nb(data: LabeledMatrix, alpha: float = 1.0) -> BernoulliNbMode
 
 
 # ---------------------------------------------------------------------------
-# Logistic regression
+# Linear models: two losses on one trust-region Newton solver
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LogisticRegressionModel:
-    kind: ClassVar[str] = "logistic_regression"
-    weights: np.ndarray
-    bias: float
-    n_features: int
-    train_meta: dict
-
-    def score(self, x: LabeledMatrix) -> np.ndarray:
-        return sigmoid(x.dot_weights(self.weights, self.bias))
-
-
-def logistic_loss(data: LabeledMatrix, weights: np.ndarray, bias: float, l2: float) -> float:
-    """Mean log-loss plus (l2/2) * ||w||^2 (bias unregularized)."""
-    y = data.labels.astype(np.float64)
-    z = data.dot_weights(weights, bias)
-    losses = np.logaddexp(0.0, z) - y * z
-    return float(losses.mean() + 0.5 * l2 * (weights @ weights))
-
-
-def logistic_gradient(
-    data: LabeledMatrix, weights: np.ndarray, bias: float, l2: float
-) -> tuple[np.ndarray, float]:
-    y = data.labels.astype(np.float64)
-    z = data.dot_weights(weights, bias)
-    residual = (sigmoid(z) - y) / len(data)
-    gw = np.bincount(data.indices, weights=data.data * residual[data.row_ids],
-                     minlength=data.n_features)
-    gw += l2 * weights
-    return gw, float(residual.sum())
-
-
-def fit_logistic_regression(
-    data: LabeledMatrix,
-    l2: float = 1e-4,
-    lr: float = 0.1,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
-) -> LogisticRegressionModel:
-    """Full-batch gradient descent; stops when the gradient inf-norm < tol."""
-    if max_iter < 1:
-        raise TrainingError("max_iter must be >= 1")
-    if l2 < 0:
-        raise TrainingError("l2 must be >= 0")
-    _require_both_classes(data.labels)
-    w = np.zeros(data.n_features, dtype=np.float64)
-    b = 0.0
-    converged = False
-    n_iter = 0
-    loss = math.nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            n_iter = it
-            loss = logistic_loss(data, w, b, l2)
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"logistic regression diverged at iteration {it} (non-finite loss)"
-                )
-            gw, gb = logistic_gradient(data, w, b, l2)
-            gnorm = max(float(np.abs(gw).max()) if gw.size else 0.0, abs(gb))
-            if gnorm < tol:
-                converged = True
-                break
-            w -= lr * gw
-            b -= lr * gb
-    meta = {
-        "l2": l2, "lr": lr, "max_iter": max_iter, "tol": tol,
-        "converged": converged, "n_iter": n_iter, "final_loss": loss,
-    }
-    return LogisticRegressionModel(w, b, data.n_features, meta)
-
-
-# ---------------------------------------------------------------------------
-# Linear SVM
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LinearSvmModel:
-    kind: ClassVar[str] = "linear_svm"
+class _LinearModel:
     weights: np.ndarray
     bias: float
     n_features: int
@@ -229,63 +152,142 @@ class LinearSvmModel:
         return x.dot_weights(self.weights, self.bias)
 
 
-def svm_objective(data: LabeledMatrix, weights: np.ndarray, bias: float, c: float) -> float:
-    """(1/2)(||w||^2 + b^2) + c * sum of hinge losses."""
-    y_pm = 2.0 * data.labels.astype(np.float64) - 1.0
-    margins = y_pm * data.dot_weights(weights, bias)
-    hinge = np.maximum(0.0, 1.0 - margins).sum()
-    return float(0.5 * (weights @ weights + bias * bias) + c * hinge)
+@dataclass
+class LogisticRegressionModel(_LinearModel):
+    kind: ClassVar[str] = "logistic_regression"
+
+    def score(self, x: LabeledMatrix) -> np.ndarray:
+        return sigmoid(super().score(x))
 
 
-def fit_linear_svm(
-    data: LabeledMatrix,
-    c: float = 1.0,
-    lr: float = 1.0,
-    epochs: int = 5,
-    seed: int = 0,
-) -> LinearSvmModel:
-    """Seeded stochastic subgradient descent with lr/t step decay.
+@dataclass
+class LinearSvmModel(_LinearModel):
+    kind: ClassVar[str] = "linear_svm"
 
-    The bias rides along as a regularized constant feature, so each step
-    shrinks (w, b) by (1 - lr/t) and adds the hinge subgradient of the
-    sampled row scaled by c*n when its margin is below 1.
-    """
-    if epochs < 1:
-        raise TrainingError("epochs must be >= 1")
+
+@dataclass
+class LinearObjective:
+    """f(theta) = sum_i loss(z_i) + (1/2) sum_j reg_j theta_j^2 over
+    theta = (w, b), with margins z = X w + b. `row_terms(z)` gives
+    sum_i loss(z_i) and each row's first and second derivatives in z_i."""
+
+    data: LabeledMatrix
+    reg: np.ndarray  # (n_features + 1,)
+    row_terms: Callable
+
+    def at(self, theta: np.ndarray) -> tuple[float, np.ndarray, Callable]:
+        """f(theta), its gradient, and v -> H(theta) v; a non-finite f raises."""
+        total, d1, d2 = self.row_terms(self._margins(theta))
+        f = total + 0.5 * float(theta @ (self.reg * theta))
+        if not math.isfinite(f):
+            raise DivergenceError("the linear fit's objective is not finite")
+        gradient = self.reg * theta + self._transpose_dot(d1)
+        return f, gradient, lambda v: self.reg * v + self._transpose_dot(d2 * self._margins(v))
+
+    def _margins(self, theta: np.ndarray) -> np.ndarray:
+        return self.data.dot_weights(theta[:-1], theta[-1])
+
+    def _transpose_dot(self, u: np.ndarray) -> np.ndarray:
+        x = self.data
+        gw = np.bincount(x.indices, weights=x.data * u[x.row_ids], minlength=x.n_features)
+        return np.append(gw, u.sum())
+
+
+def logistic_objective(data: LabeledMatrix, l2: float) -> LinearObjective:
+    """Mean log-loss plus (l2/2) * ||w||^2 (bias unregularized)."""
+    y, n = data.labels.astype(np.float64), len(data)
+    def row_terms(z):
+        p = sigmoid(z)
+        return float((np.logaddexp(0.0, z) - y * z).sum()) / n, (p - y) / n, p * (1.0 - p) / n
+    return LinearObjective(data, np.append(np.full(data.n_features, l2), 0.0), row_terms)
+
+
+def squared_hinge_objective(data: LabeledMatrix, c: float) -> LinearObjective:
+    """(1/2)(||w||^2 + b^2) + c * sum_i max(0, 1 - y_i z_i)^2, y in {-1, +1}."""
+    y = 2.0 * data.labels.astype(np.float64) - 1.0
+    def row_terms(z):
+        slack = np.maximum(0.0, 1.0 - y * z)
+        return c * float(slack @ slack), -2.0 * c * y * slack, 2.0 * c * (slack > 0)
+    return LinearObjective(data, np.ones(data.n_features + 1), row_terms)
+
+
+def _truncated_cg(hessian_dot: Callable, g: np.ndarray, delta: float):
+    """Conjugate gradient on H s = -g until ||H s + g|| <= 0.1 ||g||, or up to
+    the boundary ||s|| = delta. Returns s and its residual -g - H s."""
+    s, r, d = np.zeros_like(g), -g, -g
+    rr = rr0 = float(g @ g)
+    while rr > 0.01 * rr0:  # also ends at the boundary: Steihaug's ||s|| only grows
+        hd = hessian_dot(d)
+        dhd = float(d @ hd)
+        step = rr / dhd if dhd > 0 else math.inf
+        if step == math.inf or np.linalg.norm(s + step * d) > delta:
+            sd, ss, dd = float(s @ d), float(s @ s), float(d @ d)
+            rad = math.sqrt(sd * sd + dd * (delta * delta - ss))
+            step = (delta * delta - ss) / (sd + rad) if sd >= 0 else (rad - sd) / dd
+            return s + step * d, r - step * hd
+        s, r, rr_old = s + step * d, r - step * hd, rr
+        rr = float(r @ r)
+        d = r + (rr / rr_old) * d
+    return s, r
+
+
+TRON_MAX_ITER = 1000
+TRON_TOL = 1e-4
+
+
+def tron(objective: LinearObjective, max_iter: int, tol: float) -> tuple[np.ndarray, float, dict]:
+    """Trust-region Newton-CG from theta = 0 with the rules of LIBLINEAR's
+    primal solver (Lin, Weng & Keerthi, JMLR 2008). Converged once ||g|| <=
+    tol * ||g_0||; unconverged after `max_iter` iterations (rejected steps
+    included) or when a step changes f by no more than rounding. Returns
+    (weights, bias, the convergence record the fits store in `train_meta`)."""
+    theta = np.zeros(objective.reg.size)
+    f, g, hessian_dot = objective.at(theta)
+    delta = g0_norm = float(np.linalg.norm(g))
+    converged, n_iter = g0_norm == 0.0, 0
+    while not converged and n_iter < max_iter:
+        n_iter += 1
+        s, r = _truncated_cg(hessian_dot, g, delta)
+        f_new, g_new, hessian_dot_new = objective.at(theta + s)
+        gs, s_norm = float(g @ s), float(np.linalg.norm(s))
+        predicted, actual = -0.5 * (gs - float(s @ r)), f - f_new
+        if n_iter == 1:
+            delta = min(delta, s_norm)
+        bend = f_new - f - gs
+        alpha = 4.0 if bend <= 0 else max(0.25, -0.5 * gs / bend)
+        if actual < 1e-4 * predicted:
+            delta = min(max(alpha, 0.25) * s_norm, 0.5 * delta)
+        else:
+            cap = 0.5 if actual < 0.25 * predicted else 4.0
+            floor = 1.0 if actual >= 0.75 * predicted else 0.25
+            delta = max(floor * delta, min(alpha * s_norm, cap * delta))
+        if actual > 1e-4 * predicted:
+            theta, f, g, hessian_dot = theta + s, f_new, g_new, hessian_dot_new
+            converged = float(np.linalg.norm(g)) <= tol * g0_norm
+        if (predicted <= 0 and actual <= 0) or max(abs(actual), abs(predicted)) <= 1e-12 * abs(f):
+            break
+    record = {"max_iter": max_iter, "tol": tol, "converged": converged, "n_iter": n_iter,
+              "objective": f}
+    return theta[:-1], float(theta[-1]), record
+
+
+def fit_logistic_regression(data: LabeledMatrix, l2: float = 1e-4, max_iter: int = TRON_MAX_ITER,
+                            tol: float = TRON_TOL) -> LogisticRegressionModel:
+    if l2 < 0:
+        raise TrainingError("l2 must be >= 0")
+    if max_iter < 1:
+        raise TrainingError("max_iter must be >= 1")
+    _require_both_classes(data.labels)
+    w, b, record = tron(logistic_objective(data, l2), max_iter, tol)
+    return LogisticRegressionModel(w, b, data.n_features, {"l2": l2, **record})
+
+
+def fit_linear_svm(data: LabeledMatrix, c: float = 1.0) -> LinearSvmModel:
     if c < 0:
         raise TrainingError("c must be >= 0")
     _require_both_classes(data.labels)
-    rng = np.random.default_rng(seed)
-    n = len(data)
-    y_pm = 2.0 * data.labels.astype(np.float64) - 1.0
-    row_cols = np.split(data.indices, data.indptr[1:-1])
-    row_vals = np.split(data.data, data.indptr[1:-1])
-    w = np.zeros(data.n_features, dtype=np.float64)
-    b = 0.0
-    t = 0
-    objectives = []
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        for i in order:
-            t += 1
-            eta = lr / t
-            cols, vals = row_cols[i], row_vals[i]
-            margin = y_pm[i] * ((float(w[cols] @ vals) if cols.size else 0.0) + b)
-            w *= 1.0 - eta
-            b *= 1.0 - eta
-            if margin < 1.0:
-                scale = eta * c * n * y_pm[i]
-                if cols.size:
-                    w[cols] += scale * vals
-                b += scale
-        if not (np.isfinite(w).all() and math.isfinite(b)):
-            raise DivergenceError(f"linear SVM diverged during epoch {epoch}")
-        objectives.append(svm_objective(data, w, b, c))
-    meta = {
-        "c": c, "lr": lr, "epochs": epochs, "seed": seed,
-        "objective_per_epoch": objectives,
-    }
-    return LinearSvmModel(w, b, data.n_features, meta)
+    w, b, record = tron(squared_hinge_objective(data, c), TRON_MAX_ITER, TRON_TOL)
+    return LinearSvmModel(w, b, data.n_features, {"c": c, **record})
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +628,8 @@ MODEL_KINDS: dict[str, KindSpec] = {spec.model.kind: spec for spec in (
     KindSpec(MultinomialNbModel, fit_multinomial_nb, False, 0.5, {"alpha": "alpha"}),
     KindSpec(BernoulliNbModel, fit_bernoulli_nb, False, 0.5, {"alpha": "alpha"}),
     KindSpec(LogisticRegressionModel, fit_logistic_regression, False, 0.5,
-             {"l2": "l2", "lr": "lr", "max_iter": "max_iter", "tol": "tol"}),
-    KindSpec(LinearSvmModel, fit_linear_svm, True, 0.0,
-             {"c": "c", "lr": "svm_lr", "epochs": "epochs"}),
+             {"l2": "l2", "max_iter": "max_iter", "tol": "tol"}),
+    KindSpec(LinearSvmModel, fit_linear_svm, False, 0.0, {"c": "c"}),
     KindSpec(DecisionTreeModel, fit_decision_tree, False, 0.5,
              {"max_depth": "max_depth", "min_leaf": "min_leaf"}),
     KindSpec(RandomForestModel, fit_random_forest, True, 0.5,

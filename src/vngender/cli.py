@@ -174,12 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True)
     train.add_argument("--alpha", type=float)
     train.add_argument("--l2", type=float)
-    train.add_argument("--lr", type=float)
+    train.add_argument("--lr", type=float, help="LSTM learning rate")
     train.add_argument("--max-iter", type=int)
     train.add_argument("--tol", type=float)
     train.add_argument("--c", type=float)
-    train.add_argument("--svm-lr", type=float)
-    train.add_argument("--epochs", type=int)
+    train.add_argument("--epochs", type=int, help="LSTM training epochs")
     train.add_argument("--trees", type=int)
     train.add_argument("--mtry", type=int)
     train.add_argument("--no-bootstrap", dest="bootstrap", action="store_false")

@@ -208,7 +208,7 @@ def init_lstm_params(dim: int, hidden: int, seed: int = 0) -> LstmParams:
 class LstmTrainConfig:
     batch_size: int = 32
     epochs: int = 2
-    learning_rate: float = 0.05
+    learning_rate: float = 1.0
     max_seq_len: int = 8
     hidden: int = 128
     seed: int = 0

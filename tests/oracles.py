@@ -1,8 +1,9 @@
 """Independent brute-force oracles the test suite checks the implementations
 against. These stay deliberately naive: probability-space products for naive
 Bayes, exhaustive enumeration with exact rational scoring for tree splits,
-central finite differences for gradients, and a gate-by-gate LSTM forward and
-backward pass, frozen from the LSTM's original per-gate layout."""
+central finite differences for gradients, a dense damped Newton method for the
+linear models, and a gate-by-gate LSTM forward and backward pass, frozen from
+the LSTM's original per-gate layout."""
 
 import math
 from fractions import Fraction
@@ -203,3 +204,64 @@ def lstm_loss_and_grads(sequences, labels, w, u, b, out_w, out_b):
     grads = {"w": np.concatenate(gw), "u": np.concatenate(gu), "b": np.concatenate(gb),
              "out_w": g_out_w, "out_b": np.asarray(g_out_b)}
     return loss_sum / total, grads
+
+
+def dense_linear_objective(rows, labels, n_features, loss, strength):
+    """f, gradient and Hessian of a linear model's objective over
+    theta = (w, b), from a dense design matrix with a column of ones.
+
+    rows are dicts feature -> value. "logistic": mean log-loss plus
+    (strength/2) * ||w||^2, bias unregularized. "squared_hinge":
+    (1/2) * ||theta||^2 + strength * sum of max(0, 1 - y z)^2, y in {-1, +1}.
+    """
+    x = np.zeros((len(rows), n_features + 1))
+    for i, row in enumerate(rows):
+        for f, v in row.items():
+            x[i, f] = v
+    x[:, n_features] = 1.0
+    y = np.asarray(labels, dtype=np.float64)
+    if loss == "logistic":
+        reg = np.append(np.full(n_features, strength), 0.0)
+
+        def value(theta):
+            z = x @ theta
+            return float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * theta @ (reg * theta)
+
+        def gradient(theta):
+            return x.T @ (masked_sigmoid(x @ theta) - y) / len(y) + reg * theta
+
+        def hessian(theta):
+            p = masked_sigmoid(x @ theta)
+            return (x.T * (p * (1.0 - p) / len(y))) @ x + np.diag(reg)
+    else:
+        y_pm = 2.0 * y - 1.0
+
+        def value(theta):
+            slack = np.maximum(0.0, 1.0 - y_pm * (x @ theta))
+            return 0.5 * theta @ theta + strength * float(slack @ slack)
+
+        def gradient(theta):
+            slack = np.maximum(0.0, 1.0 - y_pm * (x @ theta))
+            return theta - 2.0 * strength * x.T @ (y_pm * slack)
+
+        def hessian(theta):
+            active = x[y_pm * (x @ theta) < 1.0]
+            return np.eye(n_features + 1) + 2.0 * strength * active.T @ active
+    return value, gradient, hessian
+
+
+def newton_minimize(value, gradient, hessian, size, max_iter=200):
+    """Damped Newton from theta = 0: full Newton directions, halved until the
+    Armijo condition holds; stops when no step lowers f any more."""
+    theta = np.zeros(size)
+    for _ in range(max_iter):
+        g = gradient(theta)
+        step = -np.linalg.solve(hessian(theta), g)
+        f = value(theta)
+        t = 1.0
+        while t > 1e-20 and value(theta + t * step) > f + 1e-4 * t * float(g @ step):
+            t /= 2.0
+        if t <= 1e-20 or not np.any(theta + t * step != theta):
+            break
+        theta = theta + t * step
+    return theta

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ PROBE_NAMES = ["Nguyễn Thị Lan", "Trần Văn Nam", "Lê Minh", "Phạm Hữ
 
 
 def sections_of(path) -> dict[str, bytes]:
-    return bm._unpack_sections(open(path, "rb").read())
+    return bm._unpack_sections(Path(path).read_bytes())
 
 
 def write_sections(tmp_path, sections: dict[str, bytes]):
@@ -123,7 +124,7 @@ class TestMalformedBundles:
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_format_version_rejected(self, bundle_paths, tmp_path, version):
-        blob = open(bundle_paths["multinomial_nb", "full"], "rb").read()[:-32]
+        blob = Path(bundle_paths["multinomial_nb", "full"]).read_bytes()[:-32]
         body = blob[:8] + struct.pack(">I", version) + blob[12:]
         path = tmp_path / "old.bundle"
         path.write_bytes(body + hashlib.sha256(body).digest())
@@ -197,7 +198,7 @@ class TestMalformedBundles:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_truncated_or_flipped_bytes_raise_bundle_errors(self, bundle_paths, tmp_path, data):
-        blob = bytearray(open(bundle_paths["logistic_regression", "full"], "rb").read())
+        blob = bytearray(Path(bundle_paths["logistic_regression", "full"]).read_bytes())
         if data.draw(st.booleans(), label="truncate"):
             blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
         else:
@@ -215,7 +216,7 @@ class TestMalformedBundles:
         self, bundle_paths, tmp_path, data
     ):
         kind = data.draw(st.sampled_from(["decision_tree", "lstm"]), label="kind")
-        body = bytearray(open(bundle_paths[kind, "full"], "rb").read()[:-32])
+        body = bytearray(Path(bundle_paths[kind, "full"]).read_bytes()[:-32])
         for _ in range(data.draw(st.integers(1, 3), label="flips")):
             pos = data.draw(st.integers(16, len(body) - 1), label="position")
             body[pos] ^= data.draw(st.integers(1, 255), label="mask")

@@ -18,17 +18,17 @@ FAST_FIT_OPTIONS = {
     "lstm": {"hidden": 4, "embedding_dim": 8, "epochs": 1},
 }
 
-# What each `vngender train` fit flag gave when it was left unset, by kind
-# and fit option, before the defaults moved into the fit functions.
+# What each `vngender train` fit flag gives when it is left unset, by kind
+# and fit option.
 UNSET_FLAG_VALUES = {
     "multinomial_nb": {"alpha": 1.0},
     "bernoulli_nb": {"alpha": 1.0},
-    "logistic_regression": {"l2": 1e-4, "lr": 0.1, "max_iter": 1000, "tol": 1e-6},
-    "linear_svm": {"c": 1.0, "lr": 1.0, "epochs": 5},
+    "logistic_regression": {"l2": 1e-4, "max_iter": 1000, "tol": 1e-4},
+    "linear_svm": {"c": 1.0},
     "decision_tree": {"max_depth": None, "min_leaf": 1},
     "random_forest": {"n_trees": 100, "mtry": None, "bootstrap": True,
                       "max_depth": None, "min_leaf": 1},
-    "lstm": {"hidden": 128, "epochs": 2, "batch_size": 32, "learning_rate": 0.05,
+    "lstm": {"hidden": 128, "epochs": 2, "batch_size": 32, "learning_rate": 1.0,
              "max_seq_len": 8, "embedding_dim": 300, "embedding_path": None},
 }
 
@@ -77,6 +77,14 @@ class TestTrain:
         assert len(err.splitlines()) == 1 and err.startswith("warning")
         confusion = next(line for line in out.splitlines() if line.startswith("confusion"))
         assert len(confusion.split("\t")) == 5
+
+    def test_linear_svm_records_convergence_without_warning(self, names_csv, tmp_path):
+        code, _, err = run_cli(["train", "--data", names_csv, "--model", "linear_svm",
+                                "--out", tmp_path / "svm.bundle"])
+        assert code == 0 and err == ""
+        meta = bm.load_model(tmp_path / "svm.bundle").model.train_meta
+        assert meta["converged"] is True and meta["n_iter"] >= 1
+        assert meta["objective"] > 0
 
     def test_fit_without_convergence_record_does_not_warn(self, names_csv, tmp_path):
         code, _, err = run_cli(["train", "--data", names_csv, "--model", "multinomial_nb",

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import docs_to_matrix, predict_row, random_instance, row_dict
+from conftest import csr, docs_to_matrix, predict_row, random_instance, row_dict
 from vngender import classical as cl
 from vngender.errors import DivergenceError, TrainingError
+
+OBJECTIVES = {"logistic": cl.logistic_objective, "squared_hinge": cl.squared_hinge_objective}
+
+
+def random_point(seed, n_features):
+    rng = np.random.default_rng(seed + 1000)
+    return rng.normal(0, 0.5, n_features + 1), rng.normal(0, 1.0, n_features + 1)
 
 
 class TestLogisticRegressionGradient:
@@ -12,19 +20,75 @@ class TestLogisticRegressionGradient:
     def test_analytic_matches_central_differences(self, seed):
         docs, labels, n_features = random_instance(seed, max_features=5)
         matrix = docs_to_matrix(docs, labels, n_features)
-        rng = np.random.default_rng(seed + 1000)
-        w = rng.normal(0, 0.5, n_features)
-        b = float(rng.normal())
-        l2 = float(rng.choice([0.0, 1e-4, 0.1]))
-        gw, gb = cl.logistic_gradient(matrix, w, b, l2)
+        theta, _ = random_point(seed, n_features)
+        l2 = float(np.random.default_rng(seed).choice([0.0, 1e-4, 0.1]))
+        objective = cl.logistic_objective(matrix, l2)
+        analytic = objective.at(theta)[1]
+        fd = oracles.fd_gradient(lambda: objective.at(theta)[0], theta, 1e-5)
+        assert oracles.tensor_rel_error(analytic, fd) <= 1e-6
 
-        fd_w = oracles.fd_gradient(lambda: cl.logistic_loss(matrix, w, b, l2), w, 1e-5)
-        b_arr = np.array([b])
-        fd_b = oracles.fd_gradient(
-            lambda: cl.logistic_loss(matrix, w, float(b_arr[0]), l2), b_arr, 1e-5
-        )[0]
-        assert oracles.tensor_rel_error(gw, fd_w) <= 1e-6
-        assert oracles.tensor_rel_error(np.array([gb]), np.array([fd_b])) <= 1e-6
+
+class TestObjectiveDerivatives:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_squared_hinge_gradient_matches_central_differences(self, seed):
+        docs, labels, n_features = random_instance(seed, max_features=5)
+        objective = cl.squared_hinge_objective(docs_to_matrix(docs, labels, n_features), 0.7)
+        theta, _ = random_point(seed, n_features)
+        analytic = objective.at(theta)[1]
+        fd = oracles.fd_gradient(lambda: objective.at(theta)[0], theta, 1e-5)
+        assert oracles.tensor_rel_error(analytic, fd) <= 1e-6
+
+    @pytest.mark.parametrize("loss", list(OBJECTIVES))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_hessian_dot_matches_central_differences(self, loss, seed):
+        docs, labels, n_features = random_instance(seed, max_features=5)
+        objective = OBJECTIVES[loss](docs_to_matrix(docs, labels, n_features), 0.7)
+        theta, v = random_point(seed, n_features)
+        h = 1e-6
+        fd = (objective.at(theta + h * v)[1] - objective.at(theta - h * v)[1]) / (2.0 * h)
+        analytic = objective.at(theta)[2](v)
+        assert oracles.tensor_rel_error(analytic, fd) <= 1e-6
+
+    def test_squared_hinge_matches_definition(self):
+        matrix = svm_instance(seed=2, n=6, n_features=3)
+        theta = np.array([0.5, -1.0, 0.25, 0.125])
+        y_pm = [2 * y - 1 for y in matrix.labels]
+        manual = 0.5 * float(theta @ theta)
+        for i, y in enumerate(y_pm):
+            dot = sum(theta[f] * v for f, v in row_dict(matrix, i).items())
+            manual += 2.0 * max(0.0, 1.0 - y * (dot + theta[-1])) ** 2
+        value = cl.squared_hinge_objective(matrix, 2.0).at(theta)[0]
+        assert value == pytest.approx(manual, rel=1e-12)
+
+
+class TestSolverMatchesNewtonOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 100_000), l2=st.floats(1e-2, 1.0))
+    def test_logistic_regression(self, seed, l2):
+        docs, labels, n_features = random_instance(seed, max_docs=10)
+        model = cl.fit_logistic_regression(docs_to_matrix(docs, labels, n_features),
+                                           l2=l2, tol=1e-10)
+        theta = np.append(model.weights, model.bias)
+        self.check(theta, model.train_meta, docs, labels, n_features, "logistic", l2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 100_000), c=st.floats(0.01, 100.0))
+    def test_squared_hinge(self, seed, c):
+        # The objective `fit_linear_svm` minimizes, at a tight tolerance.
+        docs, labels, n_features = random_instance(seed, max_docs=10)
+        objective = cl.squared_hinge_objective(docs_to_matrix(docs, labels, n_features), c)
+        w, b, record = cl.tron(objective, cl.TRON_MAX_ITER, 1e-10)
+        self.check(np.append(w, b), record, docs, labels, n_features, "squared_hinge", c)
+
+    @staticmethod
+    def check(theta, record, docs, labels, n_features, loss, strength):
+        value, gradient, hessian = oracles.dense_linear_objective(
+            docs, labels, n_features, loss, strength)
+        best = oracles.newton_minimize(value, gradient, hessian, n_features + 1)
+        # At this tolerance the solve may end at the no-progress exit, unconverged.
+        assert record["objective"] == pytest.approx(value(theta), rel=1e-12)
+        assert abs(value(theta) - value(best)) <= 1e-10 * abs(value(best))
+        assert oracles.tensor_rel_error(theta, best) <= 1e-5
 
 
 class TestLogisticRegressionFit:
@@ -36,19 +100,21 @@ class TestLogisticRegressionFit:
 
     def test_separable_one_feature_reaches_perfect_accuracy(self):
         matrix = docs_to_matrix([{0: 1}, {0: 3}], [0, 1], 1)
-        model = cl.fit_logistic_regression(matrix, l2=0.0, lr=0.5, max_iter=2000)
+        model = cl.fit_logistic_regression(matrix, l2=0.0)
         assert cl.predict(model, matrix)[0].tolist() == [0, 1]
-
-    def test_divergence_names_iteration(self):
-        matrix = docs_to_matrix([{0: 1}, {0: 3}], [0, 1], 1)
-        with pytest.raises(DivergenceError, match=r"iteration \d+"):
-            cl.fit_logistic_regression(matrix, l2=0.0, lr=1e300, max_iter=50)
 
     def test_convergence_flag_recorded(self):
         matrix = docs_to_matrix([{0: 1}, {1: 1}], [0, 1], 2)
-        model = cl.fit_logistic_regression(matrix, l2=0.1, lr=0.5, max_iter=5000, tol=1e-8)
+        model = cl.fit_logistic_regression(matrix, l2=0.1)
         assert model.train_meta["converged"] is True
-        assert model.train_meta["n_iter"] <= 5000
+        assert 1 <= model.train_meta["n_iter"] <= cl.TRON_MAX_ITER
+
+    def test_iteration_cap_stops_unconverged(self):
+        docs, labels, n_features = random_instance(3)
+        model = cl.fit_logistic_regression(docs_to_matrix(docs, labels, n_features),
+                                           max_iter=1, tol=1e-12)
+        assert model.train_meta["converged"] is False
+        assert model.train_meta["n_iter"] == 1
 
     def test_fit_is_deterministic(self):
         docs, labels, n_features = random_instance(3)
@@ -57,10 +123,20 @@ class TestLogisticRegressionFit:
         b = cl.fit_logistic_regression(matrix)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_feature_value_raises_divergence(self):
+        matrix = csr([{0: 1.0}, {0: np.inf}], [0, 1], 1)
+        with pytest.raises(DivergenceError, match="not finite"):
+            cl.fit_logistic_regression(matrix)
+        with pytest.raises(DivergenceError, match="not finite"):
+            cl.fit_linear_svm(matrix)
+
     def test_validation(self):
         matrix = docs_to_matrix([{0: 1}, {1: 1}], [0, 1], 2)
         with pytest.raises(TrainingError):
             cl.fit_logistic_regression(matrix, max_iter=0)
+        with pytest.raises(TrainingError):
+            cl.fit_logistic_regression(matrix, l2=-1.0)
         with pytest.raises(TrainingError):
             cl.fit_logistic_regression(docs_to_matrix([{0: 1}], [1], 1))
 
@@ -83,41 +159,32 @@ def svm_instance(seed=5, n=20, n_features=6):
 class TestLinearSvm:
     def test_separable_points_get_opposite_margins(self):
         matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
-        model = cl.fit_linear_svm(matrix, c=1.0, epochs=30, seed=0)
+        model = cl.fit_linear_svm(matrix, c=1.0)
         pos = predict_row(model, row_dict(matrix, 0))
         neg = predict_row(model, row_dict(matrix, 1))
         assert pos.label == 1 and neg.label == 0
         assert pos.score > 0 > neg.score
 
     def test_c_zero_keeps_weights_at_zero(self):
-        matrix = svm_instance()
-        model = cl.fit_linear_svm(matrix, c=0.0, epochs=5, seed=1)
+        model = cl.fit_linear_svm(svm_instance(), c=0.0)
         assert np.all(model.weights == 0.0) and model.bias == 0.0
-        assert all(obj == 0.0 for obj in model.train_meta["objective_per_epoch"])
+        assert model.train_meta["converged"] is True
+        assert model.train_meta["n_iter"] == 0
+        assert model.train_meta["objective"] == 0.0
 
-    def test_objective_prefix_means_non_increasing(self):
-        # Averaged per-epoch objective trend on a fixed 20-point instance.
-        matrix = svm_instance(seed=5)
-        model = cl.fit_linear_svm(matrix, c=0.05, epochs=40, seed=9)
-        objectives = model.train_meta["objective_per_epoch"]
-        prefix = np.cumsum(objectives) / np.arange(1, len(objectives) + 1)
-        assert np.all(np.diff(prefix) <= 1e-3)
+    def test_default_fit_converges_and_records_it(self):
+        model = cl.fit_linear_svm(svm_instance(seed=7))
+        meta = model.train_meta
+        assert meta["converged"] is True
+        assert set(meta) == {"c", "max_iter", "tol", "converged", "n_iter", "objective"}
+        objective = cl.squared_hinge_objective(svm_instance(seed=7), 1.0)
+        theta = np.append(model.weights, model.bias)
+        assert meta["objective"] == objective.at(theta)[0]
 
-    def test_objective_function_matches_definition(self):
-        matrix = svm_instance(seed=2, n=6, n_features=3)
-        w = np.array([0.5, -1.0, 0.25])
-        b = 0.125
-        y_pm = [2 * y - 1 for y in matrix.labels]
-        manual = 0.5 * (float(w @ w) + b * b)
-        for i, y in enumerate(y_pm):
-            dot = sum(w[f] * v for f, v in row_dict(matrix, i).items())
-            manual += 2.0 * max(0.0, 1.0 - y * (dot + b))
-        assert cl.svm_objective(matrix, w, b, 2.0) == pytest.approx(manual, rel=1e-12)
-
-    def test_same_seed_reproduces_weights(self):
+    def test_fit_is_deterministic(self):
         matrix = svm_instance(seed=7)
-        a = cl.fit_linear_svm(matrix, seed=11)
-        b = cl.fit_linear_svm(matrix, seed=11)
+        a = cl.fit_linear_svm(matrix)
+        b = cl.fit_linear_svm(matrix)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     def test_zero_vector_scores_bias(self):
@@ -133,6 +200,6 @@ class TestLinearSvm:
     def test_validation(self):
         matrix = svm_instance()
         with pytest.raises(TrainingError):
-            cl.fit_linear_svm(matrix, epochs=0)
-        with pytest.raises(TrainingError):
             cl.fit_linear_svm(matrix, c=-1.0)
+        with pytest.raises(TrainingError):
+            cl.fit_linear_svm(docs_to_matrix([{0: 1}], [1], 1))

@@ -343,7 +343,7 @@ class TestPredictDispatch:
 
     def test_registry_marks_seeded_kinds(self):
         seeded = {kind for kind, spec in cl.MODEL_KINDS.items() if spec.seeded}
-        assert seeded == {"linear_svm", "random_forest", "lstm"}
+        assert seeded == {"random_forest", "lstm"}
         for kind, spec in cl.MODEL_KINDS.items():
             assert spec.model.kind == kind
             assert ("seed" in inspect.signature(spec.fit).parameters) == spec.seeded
