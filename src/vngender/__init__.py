@@ -40,8 +40,10 @@ from .evaluation import (
 )
 from .featurize import (
     LabeledMatrix,
+    TokenIds,
     VectorizerConfig,
     Vocabulary,
+    encode,
     fit_vocabulary,
     transform,
 )

@@ -672,11 +672,11 @@ def predict_docs(
     model, docs: list[list[str]], vocabulary: Vocabulary | None,
     vectorizer_cfg: VectorizerConfig | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, scores) for token lists: featurized with the vocabulary, or
-    as they are for a kind that reads tokens."""
+    """(labels, scores) for token lists: encoded and featurized with the
+    vocabulary, or as they are for a kind that reads tokens."""
     if MODEL_KINDS[model.kind].reads_tokens:
         return predict(model, docs)
-    return predict(model, featurize.transform(docs, vocabulary, vectorizer_cfg))
+    return predict(model, featurize.transform(featurize.encode(docs), vocabulary, vectorizer_cfg))
 
 
 def train_classifier(kind: str, data: LabeledMatrix, seed: int = 0, **options):

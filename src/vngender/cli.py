@@ -84,8 +84,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_model_list(text: str) -> tuple[list[ModelSpec], list[VectorizerConfig]]:
-    specs, cfgs = [], []
+def _parse_model_list(text: str) -> tuple[list[ModelSpec], list[VectorizerConfig | None]]:
+    """`kind[:vectorizer]` items; a kind that reads tokens takes no vectorizer,
+    and no report label may repeat."""
+    specs, cfgs, labels = [], [], set()
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -93,8 +95,21 @@ def _parse_model_list(text: str) -> tuple[list[ModelSpec], list[VectorizerConfig
         kind, _, mode = item.partition(":")
         if kind not in classical.MODEL_KINDS:
             raise ToolkitError(f"unknown model kind {kind!r} in --models")
-        specs.append(ModelSpec(kind))
-        cfgs.append(_vectorizer_config(mode or "count"))
+        if classical.MODEL_KINDS[kind].reads_tokens:
+            if mode:
+                raise ToolkitError(
+                    f"{kind} reads tokens and takes no vectorizer: {item!r} in --models"
+                )
+            cfg = None
+        else:
+            cfg = _vectorizer_config(mode or "count")
+        spec = ModelSpec(kind)
+        label = evaluation.model_label(spec, cfg)
+        if label in labels:
+            raise ToolkitError(f"--models names {label} twice")
+        labels.add(label)
+        specs.append(spec)
+        cfgs.append(cfg)
     if not specs:
         raise ToolkitError("--models selected no models")
     return specs, cfgs

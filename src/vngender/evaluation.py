@@ -1,9 +1,18 @@
 """Stratified splitting, macro-averaged metrics, experiments, and the 7-way
-component ablation."""
+component ablation.
+
+An experiment splits the dataset once, normalizes and segments each record
+once, and encodes every subset as integer token ids tagged with their name
+component (`_encode_split`). A (mask, model) cell then keeps the entries of
+the mask's components, fits the vectorizer and the model on train and scores
+test (`_run_cell`). `run_experiment` is one cell; `run_ablation` runs the
+seven masks x the given models on one encoded split.
+"""
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -12,7 +21,7 @@ import numpy as np
 from . import classical, featurize, names_core
 from .data_io import Dataset
 from .errors import EvaluationError
-from .featurize import VectorizerConfig, Vocabulary
+from .featurize import TokenIds, VectorizerConfig, Vocabulary
 from .names_core import ALL_MASKS, ComponentMask
 
 
@@ -180,20 +189,119 @@ class ExperimentResult:
     model: object
 
 
-def _select_subset(subset: Dataset, mask: ComponentMask):
-    """(token lists, labels, skipped count) for records non-empty under mask."""
-    docs: list[list[str]] = []
-    labels: list[int] = []
-    skipped = 0
-    for rec in subset.records:
-        comps = names_core.segment(names_core.normalize(rec.full_name))
-        tokens = names_core.select_components(comps, mask)
-        if not tokens:
-            skipped += 1
-            continue
-        docs.append(tokens)
-        labels.append(rec.gender)
-    return docs, labels, skipped
+# Component code of each encoded token occurrence; a mask keeps the codes of
+# its components.
+FAMILY, MIDDLE, GIVEN = 0, 1, 2
+
+
+@dataclass(frozen=True, eq=False)
+class _EncodedSubset:
+    """Every token of every record of one split subset, with its component."""
+
+    names: TokenIds     # one document per record, all components
+    parts: np.ndarray   # int8 component code of each entry of `names`
+    labels: np.ndarray  # int64, one per record
+
+    def select(self, mask: ComponentMask) -> tuple[TokenIds, np.ndarray, int]:
+        """(documents, labels, skipped count) of the records left non-empty
+        by the mask, renumbered in record order."""
+        keep = np.array([mask.use_family, mask.use_middle, mask.use_given])[self.parts]
+        rows = self.names.rows[keep]
+        present = np.bincount(rows, minlength=len(self.names)) > 0
+        n_docs = int(present.sum())
+        new_row = np.cumsum(present) - 1
+        docs = TokenIds(new_row[rows], self.names.ids[keep], self.names.tokens, n_docs)
+        return docs, self.labels[present], len(self.names) - n_docs
+
+
+def _encode_split(dataset: Dataset, split_spec: SplitSpec) -> dict[str, _EncodedSubset]:
+    """Split once, normalize and segment each record once, and encode the
+    train, dev and test subsets over one sorted token universe."""
+    subsets = dict(zip(("train", "dev", "test"), stratified_split(dataset, split_spec)))
+    first_id: dict[str, int] = {}   # token -> id in order of first sight
+    encoded = {}
+    for name, subset in subsets.items():
+        rows, ids, parts = array("q"), array("q"), array("b")
+        for row, rec in enumerate(subset.records):
+            comps = names_core.segment(names_core.normalize(rec.full_name))
+            for part, tokens in ((FAMILY, (comps.family,) if comps.family else ()),
+                                 (MIDDLE, comps.middle), (GIVEN, (comps.given,))):
+                for tok in tokens:
+                    rows.append(row)
+                    ids.append(first_id.setdefault(tok, len(first_id)))
+                    parts.append(part)
+        labels = np.array([rec.gender for rec in subset.records], dtype=np.int64)
+        encoded[name] = (np.array(rows, dtype=np.int64), np.array(ids, dtype=np.int64),
+                         np.array(parts, dtype=np.int8), labels)
+    universe = tuple(sorted(first_id))
+    rank = np.empty(len(universe), dtype=np.int64)
+    rank[[first_id[tok] for tok in universe]] = np.arange(len(universe))
+    return {
+        name: _EncodedSubset(TokenIds(rows, rank[ids], universe, labels.size), parts, labels)
+        for name, (rows, ids, parts, labels) in encoded.items()
+    }
+
+
+def model_label(model_spec: ModelSpec, vectorizer_cfg: VectorizerConfig | None) -> str:
+    """The report label of a model: its kind, plus the vectorizer mode for a
+    kind that reads a feature matrix."""
+    if classical.kind_spec(model_spec.kind).reads_tokens:
+        return model_spec.kind
+    if vectorizer_cfg is None:
+        raise EvaluationError(f"{model_spec.kind} needs a vectorizer config")
+    return f"{model_spec.kind}+{vectorizer_cfg.mode}"
+
+
+def _run_cell(
+    split: dict[str, _EncodedSubset],
+    mask: ComponentMask,
+    model_spec: ModelSpec,
+    vectorizer_cfg: VectorizerConfig | None,
+) -> ExperimentResult:
+    """One (mask, model) cell on an encoded split: select the mask's tokens,
+    fit the vectorizer and the model on train, score test."""
+    train, train_labels, skip_train = split["train"].select(mask)
+    _, _, skip_dev = split["dev"].select(mask)
+    test, test_labels, skip_test = split["test"].select(mask)
+    if not train.n_docs:
+        raise EvaluationError(f"no usable training records under mask {mask.label!r}")
+    if not test.n_docs:
+        raise EvaluationError(f"no usable test records under mask {mask.label!r}")
+
+    label = model_label(model_spec, vectorizer_cfg)
+    spec = classical.kind_spec(model_spec.kind)
+    if spec.reads_tokens:
+        vectorizer_cfg = vocabulary = None
+        model = spec.train(train.docs(), train_labels.tolist(), seed=model_spec.seed,
+                           **model_spec.options)
+        x_test = test.docs()
+    else:
+        vocabulary = featurize.fit_vocabulary(train, vectorizer_cfg)
+        matrix = featurize.transform(train, vocabulary, vectorizer_cfg, train_labels)
+        model = classical.train_classifier(
+            model_spec.kind, matrix, seed=model_spec.seed, **model_spec.options
+        )
+        x_test = featurize.transform(test, vocabulary, vectorizer_cfg)
+    preds = classical.predict(model, x_test)[0]
+
+    cm = confusion(test_labels.tolist(), preds.tolist())
+    wrong = np.flatnonzero(preds != test_labels).tolist()
+    misclassified = [
+        (" ".join(doc), int(test_labels[r]), int(preds[r]))
+        for r, doc in zip(wrong, test.docs(wrong))
+    ]
+    return ExperimentResult(
+        mask_label=mask.label,
+        model_label=label,
+        metrics=macro_metrics(cm),
+        confusion=cm,
+        misclassified=misclassified,
+        skipped={"train": skip_train, "dev": skip_dev, "test": skip_test},
+        subset_sizes={name: len(subset.names) for name, subset in split.items()},
+        vectorizer_cfg=vectorizer_cfg,
+        vocabulary=vocabulary,
+        model=model,
+    )
 
 
 def run_experiment(
@@ -209,50 +317,7 @@ def run_experiment(
     none. The dev subset is produced and left untouched. Records whose selected
     components are empty under the mask are skipped and counted.
     """
-    train, dev, test = stratified_split(dataset, split_spec)
-    train_docs, train_labels, skip_train = _select_subset(train, mask)
-    dev_docs, _, skip_dev = _select_subset(dev, mask)
-    test_docs, test_labels, skip_test = _select_subset(test, mask)
-    if not train_docs:
-        raise EvaluationError(f"no usable training records under mask {mask.label!r}")
-    if not test_docs:
-        raise EvaluationError(f"no usable test records under mask {mask.label!r}")
-
-    spec = classical.kind_spec(model_spec.kind)
-    if spec.reads_tokens:
-        vectorizer_cfg = vocabulary = None
-        model = spec.train(train_docs, train_labels, seed=model_spec.seed,
-                           **model_spec.options)
-        model_label = model_spec.kind
-    else:
-        if vectorizer_cfg is None:
-            raise EvaluationError(f"{model_spec.kind} needs a vectorizer config")
-        vocabulary = featurize.fit_vocabulary(train_docs, vectorizer_cfg)
-        matrix = featurize.transform(train_docs, vocabulary, vectorizer_cfg, train_labels)
-        model = classical.train_classifier(
-            model_spec.kind, matrix, seed=model_spec.seed, **model_spec.options
-        )
-        model_label = f"{model_spec.kind}+{vectorizer_cfg.mode}"
-    preds = classical.predict_docs(model, test_docs, vocabulary, vectorizer_cfg)[0].tolist()
-
-    cm = confusion(test_labels, preds)
-    misclassified = [
-        (" ".join(doc), truth, pred)
-        for doc, truth, pred in zip(test_docs, test_labels, preds)
-        if truth != pred
-    ]
-    return ExperimentResult(
-        mask_label=mask.label,
-        model_label=model_label,
-        metrics=macro_metrics(cm),
-        confusion=cm,
-        misclassified=misclassified,
-        skipped={"train": skip_train, "dev": skip_dev, "test": skip_test},
-        subset_sizes={"train": len(train), "dev": len(dev), "test": len(test)},
-        vectorizer_cfg=vectorizer_cfg,
-        vocabulary=vocabulary,
-        model=model,
-    )
+    return _run_cell(_encode_split(dataset, split_spec), mask, model_spec, vectorizer_cfg)
 
 
 @dataclass
@@ -269,15 +334,17 @@ def run_ablation(
     vectorizer_cfgs: Sequence[VectorizerConfig | None],
     split_spec: SplitSpec,
 ) -> AblationReport:
-    """run_experiment over all seven masks x given models, on one shared split."""
+    """All seven masks x the given models on one split that is segmented and
+    encoded once; each cell is the `run_experiment` of its mask and model."""
     if len(model_specs) != len(vectorizer_cfgs):
         raise EvaluationError("model_specs and vectorizer_cfgs must align")
+    split = _encode_split(dataset, split_spec)
     cells: dict[tuple[str, str], MacroMetrics] = {}
     skipped: dict[str, int] = {}
     model_labels: list[str] = []
     for mask in ALL_MASKS:
         for spec, vcfg in zip(model_specs, vectorizer_cfgs):
-            result = run_experiment(dataset, mask, spec, vcfg, split_spec)
+            result = _run_cell(split, mask, spec, vcfg)
             cells[(mask.label, result.model_label)] = result.metrics
             skipped[mask.label] = sum(result.skipped.values())
             if result.model_label not in model_labels:

@@ -1,8 +1,13 @@
-"""Token vocabularies and the CSR feature matrix of count / TF-IDF vectors."""
+"""Token vocabularies and the CSR feature matrix of count / TF-IDF vectors.
+
+Both work on integer token ids: `encode` turns token lists into `TokenIds`,
+one flat entry per token occurrence, and `fit_vocabulary` and `transform`
+read those ids. The ablation builds its `TokenIds` once per split and
+filters them per component mask instead of re-tokenizing.
+"""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -90,50 +95,86 @@ class VectorizerConfig:
             raise FeaturizeError("max_features must be >= 1 when set")
 
 
-def fit_vocabulary(corpus: Sequence[Sequence[str]], cfg: VectorizerConfig) -> Vocabulary:
-    """Build the vocabulary over a tokenized corpus.
+@dataclass(frozen=True, eq=False)
+class TokenIds:
+    """Tokenized documents as flat integer arrays, one entry per token
+    occurrence: entry k is token `tokens[ids[k]]` of document `rows[k]`.
 
-    With max_features set, the tokens with the highest total term count are
-    kept (ties to the lexicographically smaller token). Feature indices follow
-    ascending lexicographic order of the kept tokens.
+    `tokens` is the sorted token universe (Python string order, so code-point
+    order), so comparing ids compares tokens. `rows` does not decrease, and a
+    document's entries keep its token order. A document may have no entries.
     """
-    if not corpus:
-        raise FeaturizeError("cannot fit a vocabulary on an empty corpus")
-    totals: Counter = Counter()
-    df: Counter = Counter()
-    for doc in corpus:
-        if doc:
-            totals.update(doc)
-            df.update(set(doc))
-    if not totals:
-        raise FeaturizeError("all documents are empty")
 
-    if cfg.max_features is not None and len(totals) > cfg.max_features:
-        kept = sorted(totals, key=lambda t: (-totals[t], t))[: cfg.max_features]
-    else:
-        kept = list(totals)
-    tokens = tuple(sorted(kept))
+    rows: np.ndarray           # int64
+    ids: np.ndarray            # int64
+    tokens: tuple[str, ...]
+    n_docs: int
+
+    def __len__(self) -> int:
+        return self.n_docs
+
+    def docs(self, which: Sequence[int] | None = None) -> list[list[str]]:
+        """The token lists of documents `which` (all by default), rebuilt from the ids."""
+        bounds = np.searchsorted(self.rows, np.arange(self.n_docs + 1)).tolist()
+        ids = self.ids.tolist()
+        tokens = self.tokens
+        which = range(self.n_docs) if which is None else which
+        return [[tokens[i] for i in ids[bounds[r]:bounds[r + 1]]] for r in which]
+
+
+def encode(docs: Sequence[Sequence[str]]) -> TokenIds:
+    """Token lists as `TokenIds` over the sorted set of their tokens."""
+    tokens = tuple(sorted({tok for doc in docs for tok in doc}))
+    id_of = {tok: i for i, tok in enumerate(tokens)}
+    ids = np.array([id_of[tok] for doc in docs for tok in doc], dtype=np.int64)
+    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
+    rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+    return TokenIds(rows, ids, tokens, len(docs))
+
+
+def fit_vocabulary(docs: TokenIds, cfg: VectorizerConfig) -> Vocabulary:
+    """Build the vocabulary over encoded documents.
+
+    It holds every token that occurs or, with max_features set, the
+    max_features tokens of highest total count (ties to the smaller token).
+    Feature indices follow ascending token order. A token's document frequency
+    counts the documents it occurs in, and `n_docs` counts every document,
+    empty ones too.
+    """
+    if not docs.n_docs:
+        raise FeaturizeError("cannot fit a vocabulary on an empty corpus")
+    if not docs.ids.size:
+        raise FeaturizeError("all documents are empty")
+    u = len(docs.tokens)
+    totals = np.bincount(docs.ids, minlength=u)
+    # Distinct (row, id) pairs by sorting: np.unique without counts takes a
+    # hash path that is many times slower on these keys.
+    pairs = np.sort(docs.rows * u + docs.ids)
+    doc_freq = np.bincount(pairs[np.diff(pairs, prepend=-1) != 0] % u, minlength=u)
+    kept = np.flatnonzero(totals)
+    if cfg.max_features is not None and kept.size > cfg.max_features:
+        kept = np.sort(kept[np.lexsort((kept, -totals[kept]))[: cfg.max_features]])
+    tokens = tuple(docs.tokens[i] for i in kept.tolist())
     index_of = {tok: i for i, tok in enumerate(tokens)}
-    doc_freq = np.array([df[tok] for tok in tokens], dtype=np.int64)
-    return Vocabulary(tokens, index_of, doc_freq, len(corpus))
+    return Vocabulary(tokens, index_of, doc_freq[kept], docs.n_docs)
 
 
 def transform(
-    docs: Sequence[Sequence[str]],
+    docs: TokenIds,
     vocab: Vocabulary,
     cfg: VectorizerConfig,
     labels: Sequence[int] | None = None,
 ) -> LabeledMatrix:
-    """One CSR row per document; out-of-vocabulary tokens are dropped.
+    """One CSR row per document; tokens outside the vocabulary are dropped.
 
     "count" rows hold raw term counts. "tfidf" rows hold smoothed TF-IDF,
     tf * (ln((1+N)/(1+df)) + 1), L2-normalized per row.
     """
     index_of = vocab.index_of
     v = len(vocab)
-    ids = np.array([index_of.get(tok, -1) for doc in docs for tok in doc], dtype=np.int64)
-    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
-    rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+    columns = np.array([index_of.get(tok, -1) for tok in docs.tokens], dtype=np.int64)
+    ids = columns[docs.ids]
+    rows = docs.rows
     keep = ids >= 0
     keys, counts = np.unique(rows[keep] * v + ids[keep], return_counts=True)
     row_ids, indices = np.divmod(keys, v)

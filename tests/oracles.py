@@ -2,13 +2,18 @@
 against. These stay deliberately naive: probability-space products for naive
 Bayes, exhaustive enumeration with exact rational scoring for tree splits,
 central finite differences for gradients, a dense damped Newton method for the
-linear models, and a gate-by-gate LSTM forward and backward pass, frozen from
-the LSTM's original per-gate layout."""
+linear models, a gate-by-gate LSTM forward and backward pass, frozen from
+the LSTM's original per-gate layout, and the component ablation frozen from
+its token-list path (each cell splits and segments again, and fits a
+`Counter` vocabulary)."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+
+from vngender import classical, evaluation, featurize, names_core
 
 
 def multinomial_posterior(docs, labels, alpha, probe, n_features):
@@ -265,3 +270,109 @@ def newton_minimize(value, gradient, hessian, size, max_iter=200):
             break
         theta = theta + t * step
     return theta
+
+
+def token_vocabulary(corpus, cfg):
+    """Vocabulary of token lists from per-document `Counter` updates: with
+    max_features set, the tokens of highest total count (ties to the smaller
+    token) are kept; feature indices follow token order."""
+    totals, df = Counter(), Counter()
+    for doc in corpus:
+        totals.update(doc)
+        df.update(set(doc))
+    if cfg.max_features is not None and len(totals) > cfg.max_features:
+        kept = sorted(totals, key=lambda t: (-totals[t], t))[: cfg.max_features]
+    else:
+        kept = list(totals)
+    tokens = tuple(sorted(kept))
+    return featurize.Vocabulary(tokens, {tok: i for i, tok in enumerate(tokens)},
+                                np.array([df[tok] for tok in tokens], dtype=np.int64),
+                                len(corpus))
+
+
+def token_transform(docs, vocab, cfg, labels=None):
+    """CSR rows of token lists, looked up token by token in the vocabulary."""
+    index_of = vocab.index_of
+    v = len(vocab)
+    ids = np.array([index_of.get(tok, -1) for doc in docs for tok in doc], dtype=np.int64)
+    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
+    rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+    keep = ids >= 0
+    keys, counts = np.unique(rows[keep] * v + ids[keep], return_counts=True)
+    row_ids, indices = np.divmod(keys, v)
+    data = counts.astype(np.float64)
+    if cfg.mode == "tfidf" and data.size:
+        idf = np.log((1.0 + vocab.n_docs) / (1.0 + vocab.doc_freq[indices])) + 1.0
+        data *= idf
+        norms = np.sqrt(np.bincount(row_ids, weights=data * data, minlength=len(docs)))
+        data /= norms[row_ids]
+    indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_ids, minlength=len(docs)), out=indptr[1:])
+    return featurize.LabeledMatrix(indptr, indices, data, v, labels)
+
+
+def select_subset(subset, mask):
+    """(token lists, labels, skipped count) of the records non-empty under
+    mask, each normalized, segmented and selected on its own."""
+    docs, labels, skipped = [], [], 0
+    for rec in subset.records:
+        comps = names_core.segment(names_core.normalize(rec.full_name))
+        tokens = names_core.select_components(comps, mask)
+        if not tokens:
+            skipped += 1
+            continue
+        docs.append(tokens)
+        labels.append(rec.gender)
+    return docs, labels, skipped
+
+
+def experiment(dataset, mask, model_spec, vectorizer_cfg, split_spec) -> dict:
+    """One (mask, model) cell the token-list way, with its own split and
+    segmentation. Returns the fields of `ExperimentResult` but the model and
+    the vectorizer config."""
+    train, dev, test = evaluation.stratified_split(dataset, split_spec)
+    train_docs, train_labels, skip_train = select_subset(train, mask)
+    _, _, skip_dev = select_subset(dev, mask)
+    test_docs, test_labels, skip_test = select_subset(test, mask)
+    spec = classical.kind_spec(model_spec.kind)
+    if spec.reads_tokens:
+        vocabulary = None
+        model = spec.train(train_docs, train_labels, seed=model_spec.seed,
+                           **model_spec.options)
+        x_test = test_docs
+        label = model_spec.kind
+    else:
+        vocabulary = token_vocabulary(train_docs, vectorizer_cfg)
+        matrix = token_transform(train_docs, vocabulary, vectorizer_cfg, train_labels)
+        model = classical.train_classifier(model_spec.kind, matrix, seed=model_spec.seed,
+                                           **model_spec.options)
+        x_test = token_transform(test_docs, vocabulary, vectorizer_cfg)
+        label = f"{model_spec.kind}+{vectorizer_cfg.mode}"
+    preds = classical.predict(model, x_test)[0].tolist()
+    cm = evaluation.confusion(test_labels, preds)
+    return {
+        "mask_label": mask.label,
+        "model_label": label,
+        "metrics": evaluation.macro_metrics(cm),
+        "confusion": cm,
+        "misclassified": [(" ".join(doc), truth, pred)
+                          for doc, truth, pred in zip(test_docs, test_labels, preds)
+                          if truth != pred],
+        "skipped": {"train": skip_train, "dev": skip_dev, "test": skip_test},
+        "subset_sizes": {"train": len(train), "dev": len(dev), "test": len(test)},
+        "vocabulary": vocabulary,
+    }
+
+
+def ablation_report(dataset, model_specs, vectorizer_cfgs, split_spec):
+    """The seven-mask ablation as one `experiment` per cell."""
+    cells, skipped, model_labels = {}, {}, []
+    for mask in names_core.ALL_MASKS:
+        for spec, vcfg in zip(model_specs, vectorizer_cfgs):
+            cell = experiment(dataset, mask, spec, vcfg, split_spec)
+            cells[(mask.label, cell["model_label"])] = cell["metrics"]
+            skipped[mask.label] = sum(cell["skipped"].values())
+            if cell["model_label"] not in model_labels:
+                model_labels.append(cell["model_label"])
+    return evaluation.AblationReport([m.label for m in names_core.ALL_MASKS], model_labels,
+                                     cells, skipped)

@@ -162,6 +162,17 @@ class TestErrors:
         err = self.expect_error(["ablate", "--data", names_csv, "--models", "gbdt"])
         assert "gbdt" in err
 
+    @pytest.mark.parametrize("models", ["multinomial_nb:count,multinomial_nb:count",
+                                        "linear_svm,linear_svm:count", "lstm,lstm"])
+    def test_repeated_model_label(self, names_csv, models):
+        err = self.expect_error(["ablate", "--data", names_csv, "--models", models])
+        assert "twice" in err
+
+    @pytest.mark.parametrize("models", ["lstm:tfidf", "multinomial_nb,lstm:count"])
+    def test_vectorizer_for_a_kind_that_reads_tokens(self, names_csv, models):
+        err = self.expect_error(["ablate", "--data", names_csv, "--models", models])
+        assert "lstm" in err and "vectorizer" in err
+
     def test_missing_bundle_path(self, monkeypatch):
         monkeypatch.delenv(cli.ENV_BUNDLE, raising=False)
         err = self.expect_error(["predict", "Lê Minh"])

@@ -1,9 +1,14 @@
+import json
 import math
+import unicodedata
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from vngender import data_io, evaluation as ev, names_core as nc
 from vngender.data_io import Dataset, DatasetRecord
 from vngender.errors import EvaluationError
@@ -254,10 +259,11 @@ class TestRunAblation:
 
     def test_single_cell_reproduces_run_experiment(self, report_and_dataset):
         report, ds, specs, cfgs = report_and_dataset
-        result = ev.run_experiment(
-            ds, nc.parse_mask("mn+fin"), specs[0], cfgs[0], SplitSpec(seed=6)
-        )
-        assert report.cells[("mn+fin", result.model_label)] == result.metrics
+        for mask in nc.ALL_MASKS:
+            for spec, cfg in zip(specs, cfgs):
+                result = ev.run_experiment(ds, mask, spec, cfg, SplitSpec(seed=6))
+                assert report.cells[(mask.label, result.model_label)] == result.metrics
+        assert len(report.cells) == 14
 
     def test_report_formats(self, report_and_dataset):
         report, *_ = report_and_dataset
@@ -266,3 +272,91 @@ class TestRunAblation:
         payload = ev.ablation_to_dict(report)
         assert len(payload["cells"]) == 14
         assert set(payload["skipped"]) == set(nc.MASKS)
+
+    def test_splits_and_segments_each_record_once(self, report_and_dataset, monkeypatch):
+        _, ds, specs, cfgs = report_and_dataset
+        calls = Counter()
+
+        def count_calls(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count_calls(nc, "normalize")
+        count_calls(nc, "segment")
+        count_calls(ev, "stratified_split")
+        ev.run_ablation(ds, specs, cfgs, SplitSpec(seed=6))
+        assert calls == {"normalize": len(ds), "segment": len(ds), "stratified_split": 1}
+
+
+# Names the encoded split must handle like per-record segmentation does.
+EDGE_NAMES = (
+    "Lan", "Minh",                                      # one token: given only
+    "Trần Nam", "Lê Hà",                                # two tokens: no middle
+    "Nguyễn Thị Diệu Linh", "Tôn Nữ Thị Mỹ Hà",         # several middle tokens
+    "Phạm Văn Đức Minh Quân",
+    "Lê Văn Văn Nam", "Hồ Thị Hồ Hồ",                   # a token repeated in a name
+    "Đỗ Đức Anh", "Do Duc Anh", "Đô Dúc Ánh", "Dỗ Dức Anh",  # tone marks, đ/d
+    unicodedata.normalize("NFD", "Nguyễn Thị Hiền"),    # decomposed spelling
+)
+TIED_CAP = 5   # max_features below every mask's vocabulary size
+SPLIT = SplitSpec(seed=4)
+ORACLE_CONFIGS = {
+    "cli-default": ([ModelSpec("linear_svm", seed=4), ModelSpec("bernoulli_nb", seed=4)],
+                    [VectorizerConfig("count"), VectorizerConfig("tfidf", 4000)]),
+    "capped": ([ModelSpec("multinomial_nb"), ModelSpec("logistic_regression")],
+               [VectorizerConfig("count", 3), VectorizerConfig("tfidf", TIED_CAP)]),
+    "tokens": ([ModelSpec("lstm", seed=2, options={"hidden": 4, "embedding_dim": 8,
+                                                     "epochs": 1}),
+                ModelSpec("decision_tree", options={"max_depth": 4})],
+               [None, VectorizerConfig("count", 50)]),
+}
+
+
+def edge_case_dataset(seed: int) -> Dataset:
+    """Synthetic three-token names plus each of `EDGE_NAMES` four times, all
+    edge names with seeded random labels."""
+    rng = np.random.default_rng(seed)
+    records = data_io.generate_synthetic(300, 0.85, seed).records
+    records += [DatasetRecord(name, int(rng.integers(0, 2))) for name in EDGE_NAMES * 4]
+    rng.shuffle(records)
+    return Dataset(records)
+
+
+class TestAblationOracle:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("config", list(ORACLE_CONFIGS))
+    def test_report_matches_token_list_oracle(self, config, seed):
+        ds = edge_case_dataset(seed)
+        specs, cfgs = ORACLE_CONFIGS[config]
+        ours = ev.ablation_to_dict(ev.run_ablation(ds, specs, cfgs, SPLIT))
+        expected = ev.ablation_to_dict(oracles.ablation_report(ds, specs, cfgs, SPLIT))
+        assert json.dumps(ours) == json.dumps(expected)
+
+    @pytest.mark.parametrize("max_features", [None, 3, TIED_CAP, 50])
+    def test_every_cell_matches_token_list_oracle(self, max_features):
+        ds = edge_case_dataset(0)
+        spec, cfg = ModelSpec("multinomial_nb"), VectorizerConfig("tfidf", max_features)
+        for mask in nc.ALL_MASKS:
+            result = ev.run_experiment(ds, mask, spec, cfg, SPLIT)
+            expected = oracles.experiment(ds, mask, spec, cfg, SPLIT)
+            vocab, oracle_vocab = result.vocabulary, expected.pop("vocabulary")
+            assert vocab.tokens == oracle_vocab.tokens
+            assert vocab.doc_freq.tolist() == oracle_vocab.doc_freq.tolist()
+            assert vocab.n_docs == oracle_vocab.n_docs
+            assert {name: getattr(result, name) for name in expected} == expected
+
+    def test_edge_cases_tie_at_the_feature_cap(self):
+        # At least one mask's train totals tie across the TIED_CAP cut, so the
+        # tie rule decides which tokens the capped vocabulary keeps.
+        train = ev.stratified_split(edge_case_dataset(0), SPLIT)[0]
+        ties = 0
+        for mask in nc.ALL_MASKS:
+            docs, _, _ = oracles.select_subset(train, mask)
+            totals = sorted(Counter(tok for doc in docs for tok in doc).values(), reverse=True)
+            ties += len(totals) > TIED_CAP and totals[TIED_CAP - 1] == totals[TIED_CAP]
+        assert ties

@@ -13,12 +13,16 @@ DOCS = st.lists(st.lists(TOKENS, max_size=6), min_size=1, max_size=10)
 
 
 def fit(corpus, mode="count", max_features=None):
-    return fz.fit_vocabulary(corpus, fz.VectorizerConfig(mode, max_features))
+    return fz.fit_vocabulary(fz.encode(corpus), fz.VectorizerConfig(mode, max_features))
+
+
+def transform(docs, vocab, mode="count", labels=None):
+    return fz.transform(fz.encode(docs), vocab, fz.VectorizerConfig(mode), labels)
 
 
 def vec(doc, vocab, mode="count") -> dict:
     """The one row of transform([doc]) as a dict feature -> value."""
-    m = fz.transform([doc], vocab, fz.VectorizerConfig(mode))
+    m = transform([doc], vocab, mode)
     return dict(zip(m.indices.tolist(), m.data.tolist()))
 
 
@@ -151,7 +155,7 @@ class TestBatchTransform:
             vocab = fit(corpus)
         except FeaturizeError:
             return
-        m = fz.transform(docs, vocab, fz.VectorizerConfig(mode))
+        m = transform(docs, vocab, mode)
         for i, doc in enumerate(docs):
             expected = oracles.vectorize(doc, vocab.tokens, vocab.doc_freq, vocab.n_docs, mode)
             sl = slice(m.indptr[i], m.indptr[i + 1])
@@ -166,7 +170,7 @@ class TestBatchTransform:
             vocab = fit(corpus)
         except FeaturizeError:
             return
-        m = fz.transform(docs, vocab, fz.VectorizerConfig(mode))
+        m = transform(docs, vocab, mode)
         assert len(m) == len(docs)
         for i, doc in enumerate(docs):
             sl = slice(m.indptr[i], m.indptr[i + 1])
@@ -178,15 +182,60 @@ class TestBatchTransform:
             vocab = fit(corpus)
         except FeaturizeError:
             return
-        m = fz.transform(docs, vocab, fz.VectorizerConfig("count"))
+        m = transform(docs, vocab)
         for i in range(len(m)):
             assert np.all(np.diff(m.indices[m.indptr[i]:m.indptr[i + 1]]) > 0)
         assert np.all(m.data > 0)
 
     def test_labels_ride_along(self):
         vocab = fit([["a"], ["b"]])
-        m = fz.transform([["a"], ["b"]], vocab, fz.VectorizerConfig(), [1, 0])
+        m = transform([["a"], ["b"]], vocab, labels=[1, 0])
         assert m.labels.tolist() == [1, 0]
+
+
+class TestEncode:
+    @given(st.lists(st.lists(TOKENS, max_size=6), max_size=10))
+    def test_docs_round_trip(self, docs):
+        encoded = fz.encode(docs)
+        assert encoded.tokens == tuple(sorted(set(encoded.tokens)))
+        assert len(encoded) == len(docs)
+        assert encoded.docs() == [list(doc) for doc in docs]
+        which = list(range(len(docs)))[::-2]
+        assert encoded.docs(which) == [list(docs[r]) for r in which]
+
+
+def split_encoded(corpus, docs):
+    """`corpus` and `docs` encoded over one token universe, as the ablation
+    encodes its train and test subsets."""
+    both = fz.encode(list(corpus) + list(docs))
+    first = both.rows < len(corpus)
+    return (fz.TokenIds(both.rows[first], both.ids[first], both.tokens, len(corpus)),
+            fz.TokenIds(both.rows[~first] - len(corpus), both.ids[~first], both.tokens,
+                        len(docs)))
+
+
+class TestTokenListOracle:
+    @given(DOCS, st.lists(st.lists(TOKENS, max_size=6), max_size=8),
+           st.sampled_from(fz.VECTORIZER_MODES), st.none() | st.integers(1, 7))
+    def test_shared_universe_matches_counter_path(self, corpus, docs, mode, max_features):
+        cfg = fz.VectorizerConfig(mode, max_features)
+        fit_part, docs_part = split_encoded(corpus, docs)
+        try:
+            vocab = fz.fit_vocabulary(fit_part, cfg)
+        except FeaturizeError:
+            assert not any(corpus)
+            return
+        expected = oracles.token_vocabulary(corpus, cfg)
+        assert vocab.tokens == expected.tokens
+        assert vocab.index_of == expected.index_of
+        assert vocab.doc_freq.tolist() == expected.doc_freq.tolist()
+        assert vocab.n_docs == expected.n_docs
+        for ours, theirs in ((fz.transform(docs_part, vocab, cfg),
+                              oracles.token_transform(docs, vocab, cfg)),
+                             (fz.transform(fit_part, vocab, cfg),
+                              oracles.token_transform(corpus, vocab, cfg))):
+            for name in ("indptr", "indices", "data"):
+                assert getattr(ours, name).tolist() == getattr(theirs, name).tolist()
 
 
 class TestLabeledMatrix:

@@ -273,8 +273,9 @@ class TestRandomForest:
 
     def test_planted_rule_reaches_perfect_training_accuracy(self):
         docs, labels = planted_docs(800, 1.0, 31)
-        vocab = fz.fit_vocabulary(docs, fz.VectorizerConfig("count"))
-        matrix = fz.transform(docs, vocab, fz.VectorizerConfig("count"), labels)
+        encoded = fz.encode(docs)
+        vocab = fz.fit_vocabulary(encoded, fz.VectorizerConfig("count"))
+        matrix = fz.transform(encoded, vocab, fz.VectorizerConfig("count"), labels)
         forest = cl.fit_random_forest(matrix, n_trees=10, seed=8)
         assert cl.predict(forest, matrix)[0].tolist() == labels
 
