@@ -17,6 +17,10 @@ Every kind, the LSTM included, goes through the same field-by-field encoding,
 and the model class of a kind comes from `classical.MODEL_KINDS`. The LSTM's
 embedding table is referenced (path + content hash, or a seed for random
 tables) rather than embedded, and resolved once when the model is built.
+
+Scoring has one path: `bundle_predict_many` normalizes and segments each raw
+name, keeps the bundle's components, and scores every scorable name in one
+`classical.predict_docs` call. `bundle_predict` is a batch of one.
 """
 
 from __future__ import annotations
@@ -273,12 +277,13 @@ def load_model(path) -> ModelBundle:
         raise BundleFormatError(f"cannot decode bundle: {type(exc).__name__}: {exc}") from exc
 
 
-def select_tokens(bundle: ModelBundle, raw_name: str) -> tuple[NameComponents, list[str]]:
+def _select_tokens(bundle: ModelBundle, raw_name: str) -> tuple[NameComponents, list[str]]:
     """Segment a raw name and keep the bundle's components.
 
-    Raises `EmptyNameError` for a blank name and `EmptySequenceError` when the
-    mask selects no tokens; training skips such records, so every kind
-    refuses to score them.
+    Raises `EmptyNameError` for a blank name, `InvalidNameError` for one
+    that is not valid text, and `EmptySequenceError` when the mask selects
+    no tokens; training skips such records, so every kind refuses to score
+    them.
     """
     comps = names_core.segment(names_core.normalize(raw_name))
     tokens = names_core.select_components(comps, bundle.component_mask)
@@ -287,11 +292,6 @@ def select_tokens(bundle: ModelBundle, raw_name: str) -> tuple[NameComponents, l
             f"mask {bundle.component_mask.label!r} selects no tokens of {raw_name!r}"
         )
     return comps, tokens
-
-
-def predict_docs(bundle: ModelBundle, docs: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, scores) for token lists that `select_tokens` returned."""
-    return classical.predict_docs(bundle.model, docs, bundle.vocabulary, bundle.vectorizer_cfg)
 
 
 def _response(bundle: ModelBundle, comps: NameComponents, label, score) -> dict:
@@ -310,29 +310,31 @@ def _response(bundle: ModelBundle, comps: NameComponents, label, score) -> dict:
     }
 
 
-def bundle_predict(bundle: ModelBundle, raw_name: str) -> dict:
-    """Full pipeline for one name, as a batch of one; returns the wire-format
-    response dict."""
-    comps, tokens = select_tokens(bundle, raw_name)
-    labels, scores = predict_docs(bundle, [tokens])
-    return _response(bundle, comps, labels[0], scores[0])
-
-
 def bundle_predict_many(bundle: ModelBundle, raw_names: list[str]) -> list[dict | ToolkitError]:
-    """The `bundle_predict` response of each name, with every scorable name
-    scored in one `predict_docs` call. A name that `select_tokens` refuses
-    gets the `EmptyNameError`, `InvalidNameError` or `EmptySequenceError`
-    it raised in its place."""
+    """The wire-format response of each name, with every scorable name
+    scored in one `classical.predict_docs` call. A name that cannot be
+    scored gets the `EmptyNameError`, `InvalidNameError` or
+    `EmptySequenceError` it raised in its place."""
     selected: list = []
     for raw_name in raw_names:
         try:
-            selected.append(select_tokens(bundle, raw_name))
+            selected.append(_select_tokens(bundle, raw_name))
         except (EmptyNameError, InvalidNameError, EmptySequenceError) as exc:
             selected.append(exc)
     valid = [item for item in selected if not isinstance(item, ToolkitError)]
     if not valid:
         return selected
-    labels, scores = predict_docs(bundle, [tokens for _, tokens in valid])
+    labels, scores = classical.predict_docs(bundle.model, [tokens for _, tokens in valid],
+                                            bundle.vocabulary, bundle.vectorizer_cfg)
     responses = iter(_response(bundle, comps, label, score)
                      for (comps, _), label, score in zip(valid, labels, scores))
     return [item if isinstance(item, ToolkitError) else next(responses) for item in selected]
+
+
+def bundle_predict(bundle: ModelBundle, raw_name: str) -> dict:
+    """The response for one name: `bundle_predict_many` on a batch of one,
+    raising the error a name that cannot be scored gets."""
+    (result,) = bundle_predict_many(bundle, [raw_name])
+    if isinstance(result, ToolkitError):
+        raise result
+    return result

@@ -12,7 +12,12 @@ SVM margin, or the forest's share of label-1 votes. Row sums use
 batch. `predict` labels a score 1 from the kind's threshold up (ties to 1).
 `MODEL_KINDS` registers all seven kinds, these six and the LSTM of `lstm`:
 each kind's model class, fit function, seed use, threshold, `vngender train`
-flags, and whether it reads token lists instead of a feature matrix.
+flags, and `reads_tokens`, set for a kind that skips the vectorizer. Every
+kind fits through `train_classifier(kind, *data, ...)`, on a labelled
+`LabeledMatrix` or, when it reads tokens, on (`TokenIds`, labels); every kind
+scores through `predict`, and token lists through `predict_docs`, which
+encodes them once and featurizes them only for a kind that does not read
+tokens.
 """
 
 from __future__ import annotations
@@ -271,14 +276,11 @@ def tron(objective: LinearObjective, max_iter: int, tol: float) -> tuple[np.ndar
     return theta[:-1], float(theta[-1]), record
 
 
-def fit_logistic_regression(data: LabeledMatrix, l2: float = 1e-4, max_iter: int = TRON_MAX_ITER,
-                            tol: float = TRON_TOL) -> LogisticRegressionModel:
+def fit_logistic_regression(data: LabeledMatrix, l2: float = 1e-4) -> LogisticRegressionModel:
     if l2 < 0:
         raise TrainingError("l2 must be >= 0")
-    if max_iter < 1:
-        raise TrainingError("max_iter must be >= 1")
     _require_both_classes(data.labels)
-    w, b, record = tron(logistic_objective(data, l2), max_iter, tol)
+    w, b, record = tron(logistic_objective(data, l2), TRON_MAX_ITER, TRON_TOL)
     return LogisticRegressionModel(w, b, data.n_features, {"l2": l2, **record})
 
 
@@ -606,8 +608,9 @@ class KindSpec:
 
     `threshold`: scores at or above it get label 1. `train_flags`: the
     `vngender train` flag (by its argparse destination) behind each fit
-    option. `reads_tokens`: the kind fits on (token lists, labels) and
-    scores token lists; the others fit on and score a `LabeledMatrix`.
+    option. `reads_tokens`: the kind skips the vectorizer; it fits on
+    (`TokenIds`, labels) and scores a `TokenIds`, where the others fit on
+    and score a `LabeledMatrix`.
     """
 
     model: type
@@ -617,18 +620,11 @@ class KindSpec:
     train_flags: dict
     reads_tokens: bool = False
 
-    def train(self, *data, seed: int = 0, **options):
-        """Fit on `data` with keyword options; only a seeded kind gets `seed`."""
-        if self.seeded:
-            options = {"seed": seed, **options}
-        return self.fit(*data, **options)
-
 
 MODEL_KINDS: dict[str, KindSpec] = {spec.model.kind: spec for spec in (
     KindSpec(MultinomialNbModel, fit_multinomial_nb, False, 0.5, {"alpha": "alpha"}),
     KindSpec(BernoulliNbModel, fit_bernoulli_nb, False, 0.5, {"alpha": "alpha"}),
-    KindSpec(LogisticRegressionModel, fit_logistic_regression, False, 0.5,
-             {"l2": "l2", "max_iter": "max_iter", "tol": "tol"}),
+    KindSpec(LogisticRegressionModel, fit_logistic_regression, False, 0.5, {"l2": "l2"}),
     KindSpec(LinearSvmModel, fit_linear_svm, False, 0.0, {"c": "c"}),
     KindSpec(DecisionTreeModel, fit_decision_tree, False, 0.5,
              {"max_depth": "max_depth", "min_leaf": "min_leaf"}),
@@ -655,7 +651,7 @@ def kind_spec(kind: str) -> KindSpec:
 
 def predict(model, x) -> tuple[np.ndarray, np.ndarray]:
     """(labels, scores) for every row of `x`, a `LabeledMatrix` or, for a kind
-    that reads tokens, a list of token lists; ties at the threshold get label 1."""
+    that reads tokens, a `TokenIds`; ties at the threshold get label 1."""
     if isinstance(x, LabeledMatrix) and x.indices.size and (
         int(x.indices.max()) >= model.n_features
     ):
@@ -672,13 +668,19 @@ def predict_docs(
     model, docs: list[list[str]], vocabulary: Vocabulary | None,
     vectorizer_cfg: VectorizerConfig | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, scores) for token lists: encoded and featurized with the
-    vocabulary, or as they are for a kind that reads tokens."""
-    if MODEL_KINDS[model.kind].reads_tokens:
-        return predict(model, docs)
-    return predict(model, featurize.transform(featurize.encode(docs), vocabulary, vectorizer_cfg))
+    """(labels, scores) for token lists, encoded once and featurized with
+    the vocabulary unless the kind reads tokens."""
+    x = featurize.encode(docs)
+    if not MODEL_KINDS[model.kind].reads_tokens:
+        x = featurize.transform(x, vocabulary, vectorizer_cfg)
+    return predict(model, x)
 
 
-def train_classifier(kind: str, data: LabeledMatrix, seed: int = 0, **options):
-    """Fit a kind that reads a feature matrix on `data`."""
-    return kind_spec(kind).train(data, seed=seed, **options)
+def train_classifier(kind: str, *data, seed: int = 0, **options):
+    """Fit `kind` on `data` with keyword options: a labelled `LabeledMatrix`,
+    or (`TokenIds`, labels) for a kind that reads tokens. Only a seeded kind
+    gets `seed`."""
+    spec = kind_spec(kind)
+    if spec.seeded:
+        options = {"seed": seed, **options}
+    return spec.fit(*data, **options)

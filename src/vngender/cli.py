@@ -64,21 +64,15 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     loaded = bundle_mod.load_model(_bundle_path(args))
-    dataset = data_io.load_dataset(args.data)
-    docs, y_true = [], []
-    for rec in dataset.records:
-        try:
-            _, tokens = bundle_mod.select_tokens(loaded, rec.full_name)
-        except ToolkitError:
-            continue
-        docs.append(tokens)
-        y_true.append(rec.gender)
-    if not docs:
+    records = data_io.load_dataset(args.data).records
+    results = bundle_mod.bundle_predict_many(loaded, [rec.full_name for rec in records])
+    y_true = [rec.gender for rec, r in zip(records, results) if isinstance(r, dict)]
+    y_pred = [r["label"] for r in results if isinstance(r, dict)]
+    if not y_true:
         raise ToolkitError("no records could be scored with this bundle")
-    y_pred, _ = bundle_mod.predict_docs(loaded, docs)
-    cm = evaluation.confusion(y_true, y_pred.tolist())
+    cm = evaluation.confusion(y_true, y_pred)
     sys.stdout.write(evaluation.format_metrics(evaluation.macro_metrics(cm), cm))
-    skipped = len(dataset.records) - len(docs)
+    skipped = len(records) - len(y_true)
     if skipped:
         sys.stdout.write(f"skipped\t{skipped}\n")
     return 0
@@ -131,8 +125,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_predict(args) -> int:
     loaded = bundle_mod.load_model(_bundle_path(args))
-    for name in args.names:
-        response = bundle_mod.bundle_predict(loaded, name)
+    for name, response in zip(args.names, bundle_mod.bundle_predict_many(loaded, args.names)):
+        if isinstance(response, ToolkitError):
+            raise response
         sys.stdout.write(
             f"{name}\t{response['gender']}\t{response['label']}\t{response['score']:.6f}\n"
         )
@@ -190,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--alpha", type=float)
     train.add_argument("--l2", type=float)
     train.add_argument("--lr", type=float, help="LSTM learning rate")
-    train.add_argument("--max-iter", type=int)
-    train.add_argument("--tol", type=float)
     train.add_argument("--c", type=float)
     train.add_argument("--epochs", type=int, help="LSTM training epochs")
     train.add_argument("--trees", type=int)

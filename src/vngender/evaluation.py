@@ -269,19 +269,16 @@ def _run_cell(
         raise EvaluationError(f"no usable test records under mask {mask.label!r}")
 
     label = model_label(model_spec, vectorizer_cfg)
-    spec = classical.kind_spec(model_spec.kind)
-    if spec.reads_tokens:
+    if classical.kind_spec(model_spec.kind).reads_tokens:
         vectorizer_cfg = vocabulary = None
-        model = spec.train(train.docs(), train_labels.tolist(), seed=model_spec.seed,
-                           **model_spec.options)
-        x_test = test.docs()
+        data, x_test = (train, train_labels), test
     else:
         vocabulary = featurize.fit_vocabulary(train, vectorizer_cfg)
-        matrix = featurize.transform(train, vocabulary, vectorizer_cfg, train_labels)
-        model = classical.train_classifier(
-            model_spec.kind, matrix, seed=model_spec.seed, **model_spec.options
-        )
+        data = (featurize.transform(train, vocabulary, vectorizer_cfg, train_labels),)
         x_test = featurize.transform(test, vocabulary, vectorizer_cfg)
+    model = classical.train_classifier(
+        model_spec.kind, *data, seed=model_spec.seed, **model_spec.options
+    )
     preds = classical.predict(model, x_test)[0]
 
     cm = confusion(test_labels.tolist(), preds.tolist())

@@ -8,18 +8,23 @@ Layout: `LstmParams` stacks the four gates in i, f, o, c order, so one
 (4H, D) input matrix, one (4H, H) recurrent matrix and one (4H,) bias give
 every gate's pre-activation in one product per step.
 
-One kernel serves training and scoring. Each sequence becomes a row of
-integer token ids, left-padded so that every sequence of a batch ends at the
-last step, and the batch runs longest first: at each step the rows that hold
-a token are a prefix of the batch, and the rows after it are still in the
-zero initial state. The distinct tokens of a batch are projected through the
-input matrix once, a step multiplies the recurrent matrix only against rows
-that carry a state, and the backward pass returns the input gradient of the
-distinct tokens through one one-hot product. `train_lstm` maps its tokens to
-ids once and gathers one embedding matrix for the whole fit; `predict_lstm`
-scores a batch of names in chunks of at most `SCORE_CHUNK` names, so its
-working memory does not grow with the batch, and a single name is a batch of
-one.
+Every entry point reads documents as `featurize.TokenIds`. `_sequences`
+keeps each document's last `max_seq_len` tokens and left-pads them into the
+rows of one integer id matrix, so that every sequence of a batch ends at the
+last step. Ids number a call's kept tokens in order of first sight, whatever
+the order of the `TokenIds` universe, and the embedding rows of those tokens
+are gathered once per call: once for a whole fit in `train_lstm`, once for a
+whole batch in `predict_lstm`.
+
+One kernel serves training and scoring. A batch runs longest first: at each
+step the rows that hold a token are a prefix of the batch, and the rows after
+it are still in the zero initial state. The distinct tokens of a batch are
+projected through the input matrix once, a step multiplies the recurrent
+matrix only against rows that carry a state, and the backward pass returns
+the input gradient of the distinct tokens through one one-hot product.
+`predict_lstm` runs its forward passes on at most `SCORE_CHUNK` names each,
+so its working memory grows with the batch only by the id matrix and the
+embedding rows, and a single name is a batch of one.
 
 Out-of-vocabulary tokens get seeded random vectors, a pure function of the
 table's seed and the token. They are drawn when a matrix is gathered, once
@@ -28,9 +33,9 @@ built with, however many unseen tokens it is asked about.
 
 `LstmModel` is the `lstm` kind of the model registry in `classical`: it has a
 `kind`, a `train_meta` (the per-epoch losses) and stored fields like every
-classical model, and `score(docs)` gives P(label 1) for a batch of token
-lists, where the classical kinds score the rows of a feature matrix.
-`fit_lstm` is its fit function.
+classical model, and `score(docs)` gives P(label 1) for every document of a
+`TokenIds`, where the classical kinds score the rows of a feature matrix.
+`fit_lstm(docs, labels, ...)` is its fit function.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .errors import (
     EmptySequenceError,
     TrainingError,
 )
+from .featurize import TokenIds
 
 OOV_HALF_RANGE = 0.05
 INIT_HALF_RANGE = 0.1
@@ -224,12 +230,6 @@ class LstmTrainConfig:
             raise TrainingError("hidden must be >= 1")
 
 
-def truncate_tokens(tokens: Sequence[str], max_len: int) -> list[str]:
-    """Keep the trailing tokens so the given name always survives truncation."""
-    toks = list(tokens)
-    return toks[-max_len:] if len(toks) > max_len else toks
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
@@ -241,16 +241,27 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
-def _encode(sequences: Sequence[Sequence[str]], index: dict[str, int]):
-    """(ids, lengths): an (n, T) matrix of token ids, each row left-padded
-    to the longest sequence, and each sequence's length. A token not yet in
-    `index` gets the next id there."""
-    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
-    width = int(lengths.max())
-    ids = np.zeros((len(sequences), width), dtype=np.int64)
-    for row, seq in zip(ids, sequences):
-        row[width - len(seq):] = [index.setdefault(tok, len(index)) for tok in seq]
-    return ids, lengths
+def _sequences(docs: TokenIds, max_len: int | None, empty_error: type, message: str):
+    """(ids, lengths, tokens) for the LSTM: each document's last `max_len`
+    entries (all of them without a limit) left-padded into the rows of an
+    (n, T) id matrix, each row's length, and the kept tokens in id order.
+    Ids number the kept tokens in order of first sight, so a fit does not
+    depend on how the universe of `docs` is ordered. A document with no
+    entries raises `empty_error(message.format(index))`."""
+    lengths = np.bincount(docs.rows, minlength=docs.n_docs)
+    if not lengths.all():
+        raise empty_error(message.format(int(lengths.argmin())))
+    width = int(lengths.max(initial=0))
+    if max_len:
+        width = min(width, max_len)
+    to_end = np.repeat(np.cumsum(lengths), lengths) - np.arange(docs.ids.size)  # 1 = last
+    kept = to_end <= width
+    uniq, first, inverse = np.unique(docs.ids[kept], return_index=True, return_inverse=True)
+    by_sight = np.argsort(first)
+    ids = np.zeros((docs.n_docs, width), dtype=np.int64)
+    ids[docs.rows[kept], width - to_end[kept]] = np.argsort(by_sight)[inverse]
+    tokens = [docs.tokens[i] for i in uniq[by_sight].tolist()]
+    return ids, np.minimum(lengths, width), tokens
 
 
 def _schedule(ids: np.ndarray, lengths: np.ndarray):
@@ -303,8 +314,10 @@ def _loss_and_grads(ids: np.ndarray, lengths: np.ndarray, y: np.ndarray,
     logits = h_last @ params.out_w + params.out_b
     y = y[order]
     total = len(y)
-    # BCE from logits: softplus(s) - y*s
-    loss = float((np.logaddexp(0.0, logits) - y * logits).sum()) / total
+    # BCE from logits: softplus(s) - y*s. A diverged fit overflows here;
+    # the caller's finite-loss check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float((np.logaddexp(0.0, logits) - y * logits).sum()) / total
     dlogits = (sigmoid(logits) - y) / total
 
     hid = params.hidden
@@ -335,18 +348,14 @@ def _loss_and_grads(ids: np.ndarray, lengths: np.ndarray, y: np.ndarray,
     return loss, grads
 
 
-def batch_gradients(sequences, labels, emb: EmbeddingTable, params: LstmParams):
-    """Mean BCE loss of token sequences (not truncated) and its gradient
-    for every tensor of `params`, by name."""
-    if not sequences:
+def batch_gradients(docs: TokenIds, labels, emb: EmbeddingTable, params: LstmParams):
+    """Mean BCE loss of the documents (not truncated) and its gradient for
+    every tensor of `params`, by name."""
+    if not len(docs):
         raise TrainingError("empty batch")
-    for i, seq in enumerate(sequences):
-        if not seq:
-            raise EmptySequenceError(f"sequence {i} is empty")
-    index: dict[str, int] = {}
-    ids, lengths = _encode(sequences, index)
+    ids, lengths, tokens = _sequences(docs, None, EmptySequenceError, "sequence {} is empty")
     return _loss_and_grads(ids, lengths, np.asarray(labels, dtype=np.float64),
-                           emb.matrix(index), params)
+                           emb.matrix(tokens), params)
 
 
 @dataclass
@@ -356,7 +365,7 @@ class LstmTrainResult:
 
 
 def train_lstm(
-    sequences: Sequence[Sequence[str]],
+    docs: TokenIds,
     labels: Sequence[int],
     emb: EmbeddingTable,
     cfg: LstmTrainConfig,
@@ -368,28 +377,23 @@ def train_lstm(
     seed derived from the same value, so training is a pure function of
     (data order, config, initial params).
     """
-    if len(sequences) != len(labels):
+    y = np.asarray(labels, dtype=np.float64)
+    if len(docs) != y.size:
         raise TrainingError("sequences and labels must have the same length")
-    if not sequences:
+    if not len(docs):
         raise TrainingError("empty training set")
-    ones = sum(labels)
-    if ones == 0 or ones == len(labels):
+    ones = y.sum()
+    if ones == 0 or ones == y.size:
         raise TrainingError("training set contains a single class")
-    seqs = [truncate_tokens(s, cfg.max_seq_len) for s in sequences]
-    for i, seq in enumerate(seqs):
-        if not seq:
-            raise TrainingError(f"sequence {i} is empty")
+    ids, lengths, tokens = _sequences(docs, cfg.max_seq_len, TrainingError, "sequence {} is empty")
 
     init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     params = init.copy() if init is not None else init_lstm_params(
         emb.dim, cfg.hidden, init_seed
     )
-    index: dict[str, int] = {}
-    ids, lengths = _encode(seqs, index)
-    table = emb.matrix(index)
-    y = np.asarray(labels, dtype=np.float64)
+    table = emb.matrix(tokens)
     shuffle_rng = np.random.default_rng(shuffle_seed)
-    n = len(seqs)
+    n = len(docs)
     epoch_losses: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -411,24 +415,24 @@ def train_lstm(
 
 
 def predict_lstm(
-    docs: Sequence[Sequence[str]],
+    docs: TokenIds,
     emb: EmbeddingTable,
     params: LstmParams,
     max_seq_len: int | None = None,
 ) -> np.ndarray:
-    """P(label 1) for every token list, each cut to its last `max_seq_len`
-    tokens, in forward passes of at most `SCORE_CHUNK` names."""
-    seqs = [truncate_tokens(doc, max_seq_len) if max_seq_len else list(doc) for doc in docs]
-    for i, seq in enumerate(seqs):
-        if not seq:
-            raise EmptySequenceError(f"cannot run the LSTM on an empty token sequence (name {i})")
-    scores = np.empty(len(seqs), dtype=np.float64)
-    for start in range(0, len(seqs), SCORE_CHUNK):
-        index: dict[str, int] = {}
-        ids, lengths = _encode(seqs[start:start + SCORE_CHUNK], index)
-        order, uniq, steps = _schedule(ids, lengths)
-        x_proj = emb.matrix(index)[uniq] @ params.w.T
-        logits = _forward(params, x_proj, steps) @ params.out_w + params.out_b
+    """P(label 1) for every document, each cut to its last `max_seq_len`
+    tokens. The embedding rows of the call's distinct tokens are gathered
+    once; the forward passes take at most `SCORE_CHUNK` names each."""
+    ids, lengths, tokens = _sequences(
+        docs, max_seq_len, EmptySequenceError,
+        "cannot run the LSTM on an empty token sequence (name {})")
+    table = emb.matrix(tokens)
+    scores = np.empty(len(lengths), dtype=np.float64)
+    for start in range(0, len(lengths), SCORE_CHUNK):
+        lens = lengths[start:start + SCORE_CHUNK]
+        group = ids[start:start + SCORE_CHUNK, ids.shape[1] - int(lens.max()):]
+        order, uniq, steps = _schedule(group, lens)
+        logits = _forward(params, table[uniq] @ params.w.T, steps) @ params.out_w + params.out_b
         scores[start + order] = sigmoid(logits)
     return scores
 
@@ -451,20 +455,20 @@ class LstmModel:
         if self.embeddings is None:
             self.embeddings = resolve_embeddings(self.embedding_source)
 
-    def score(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        """P(label 1) for every token list, each truncated to `cfg.max_seq_len`."""
+    def score(self, docs: TokenIds) -> np.ndarray:
+        """P(label 1) for every document, each truncated to `cfg.max_seq_len`."""
         return predict_lstm(docs, self.embeddings, self.params, self.cfg.max_seq_len)
 
 
 def fit_lstm(
-    sequences: Sequence[Sequence[str]],
+    docs: TokenIds,
     labels: Sequence[int],
     seed: int = 0,
     embedding_dim: int = 300,
     embedding_path=None,
     **options,
 ) -> LstmModel:
-    """Train on token lists; `options` are `LstmTrainConfig` fields.
+    """Train on encoded documents; `options` are `LstmTrainConfig` fields.
 
     Embeddings come from the vector file at `embedding_path`, or are seeded
     random draws; `seed` also seeds out-of-vocabulary vectors, parameter
@@ -477,5 +481,5 @@ def fit_lstm(
     else:
         emb = load_embeddings(embedding_path, embedding_dim, oov_seed=seed)
     cfg = LstmTrainConfig(seed=seed, **options)
-    result = train_lstm(sequences, labels, emb, cfg)
+    result = train_lstm(docs, labels, emb, cfg)
     return LstmModel(result.params, cfg, emb.source, {"epoch_losses": result.epoch_losses}, emb)

@@ -337,9 +337,10 @@ def experiment(dataset, mask, model_spec, vectorizer_cfg, split_spec) -> dict:
     spec = classical.kind_spec(model_spec.kind)
     if spec.reads_tokens:
         vocabulary = None
-        model = spec.train(train_docs, train_labels, seed=model_spec.seed,
-                           **model_spec.options)
-        x_test = test_docs
+        model = classical.train_classifier(model_spec.kind, featurize.encode(train_docs),
+                                           train_labels, seed=model_spec.seed,
+                                           **model_spec.options)
+        x_test = featurize.encode(test_docs)
         label = model_spec.kind
     else:
         vocabulary = token_vocabulary(train_docs, vectorizer_cfg)

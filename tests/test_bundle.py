@@ -60,12 +60,9 @@ class TestRoundTrip:
     @pytest.mark.parametrize("kind", classical.MODEL_KINDS)
     def test_batch_of_one_matches_batch(self, bundle_paths, kind):
         loaded = bm.load_model(bundle_paths[kind, "full"])
-        docs = [bm.select_tokens(loaded, name)[1] for name in PROBE_NAMES]
-        labels, scores = bm.predict_docs(loaded, docs)
-        for name, label, score in zip(PROBE_NAMES, labels, scores):
-            response = bm.bundle_predict(loaded, name)
-            assert response["label"] == label
-            assert response["score"] == score
+        batch = bm.bundle_predict_many(loaded, PROBE_NAMES)
+        for name, response in zip(PROBE_NAMES, batch, strict=True):
+            assert bm.bundle_predict(loaded, name) == response
 
     def test_model_id_depends_only_on_content(self, bundle_paths):
         loaded = bm.load_model(bundle_paths["random_forest", "full"])

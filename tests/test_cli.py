@@ -23,7 +23,7 @@ FAST_FIT_OPTIONS = {
 UNSET_FLAG_VALUES = {
     "multinomial_nb": {"alpha": 1.0},
     "bernoulli_nb": {"alpha": 1.0},
-    "logistic_regression": {"l2": 1e-4, "max_iter": 1000, "tol": 1e-4},
+    "logistic_regression": {"l2": 1e-4},
     "linear_svm": {"c": 1.0},
     "decision_tree": {"max_depth": None, "min_leaf": 1},
     "random_forest": {"n_trees": 100, "mtry": None, "bootstrap": True,
@@ -68,10 +68,10 @@ class TestTrain:
                                  result.vectorizer_cfg, result.vocabulary)
         assert rebuilt.model_id == loaded.model_id
 
-    def test_unconverged_fit_warns(self, names_csv, tmp_path):
+    def test_unconverged_fit_warns(self, names_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(classical, "TRON_MAX_ITER", 3)
         code, out, err = run_cli(["train", "--data", names_csv, "--model",
-                                  "logistic_regression", "--max-iter", "3",
-                                  "--out", tmp_path / "lr.bundle"])
+                                  "logistic_regression", "--out", tmp_path / "lr.bundle"])
         assert code == 0
         assert bm.load_model(tmp_path / "lr.bundle").model.train_meta["converged"] is False
         assert len(err.splitlines()) == 1 and err.startswith("warning")
@@ -112,6 +112,45 @@ class TestCommands:
             response = bm.bundle_predict(loaded, name)
             assert line.split("\t") == [name, response["gender"], str(response["label"]),
                                         f"{response['score']:.6f}"]
+
+    @pytest.mark.parametrize("kind", list(classical.MODEL_KINDS))
+    def test_predict_scores_all_names_in_one_batch(self, bundle_paths, monkeypatch, kind):
+        path = bundle_paths[kind, "full"]
+        names = ["Nguyễn Thị Lan", "Trần Văn Nam", "Lê Minh"]
+        loaded = bm.load_model(path)
+        want = [f"{name}\t{r['gender']}\t{r['label']}\t{r['score']:.6f}"
+                for name, r in ((name, bm.bundle_predict(loaded, name)) for name in names)]
+        calls, predict = [], classical.predict
+        monkeypatch.setattr(classical, "predict",
+                            lambda *args: calls.append(args) or predict(*args))
+        code, out, err = run_cli(["predict", "--model", path, *names])
+        assert (code, err, len(calls)) == (0, "", 1)
+        assert out.splitlines() == want
+
+    def test_predict_stops_at_a_name_it_cannot_score(self, bundle_paths):
+        path = bundle_paths["linear_svm", "full"]
+        code, out, err = run_cli(["predict", "--model", path, "Lê Minh", "  ", "Trần Văn Nam"])
+        response = bm.bundle_predict(bm.load_model(path), "Lê Minh")
+        assert code == 1
+        assert out == (f"Lê Minh\t{response['gender']}\t{response['label']}"
+                       f"\t{response['score']:.6f}\n")
+        assert err == "error: name is empty after trimming\n"
+
+    @pytest.mark.parametrize("kind", ["multinomial_nb", "lstm"])
+    def test_evaluate_skips_names_it_cannot_score(self, bundle_paths, monkeypatch, kind):
+        # Blank, a lone surrogate, and a one-token name with no family
+        # component under the "fan" mask.
+        records = [("Lê Minh", 1), ("  ", 0), ("Nguy\udcffn Lan", 0), ("Lan", 0),
+                   ("Trần Thị Mai", 0)]
+        monkeypatch.setattr(data_io, "load_dataset", lambda path: data_io.Dataset(
+            [data_io.DatasetRecord(name, gender) for name, gender in records]))
+        code, out, _ = run_cli(["evaluate", "--model", bundle_paths[kind, "fan"],
+                                "--data", "names.csv"])
+        assert code == 0
+        lines = dict(line.split("\t", 1) for line in out.splitlines())
+        assert lines["skipped"] == "3"
+        counts = dict(field.split("=") for field in lines["confusion"].split("\t"))
+        assert sum(map(int, counts.values())) == 2
 
     def test_predict_reads_the_bundle_path_from_the_environment(self, bundle_paths, monkeypatch):
         monkeypatch.setenv(cli.ENV_BUNDLE, str(bundle_paths["bernoulli_nb", "full"]))

@@ -65,11 +65,11 @@ class TestSolverMatchesNewtonOracle:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 100_000), l2=st.floats(1e-2, 1.0))
     def test_logistic_regression(self, seed, l2):
+        # The objective `fit_logistic_regression` minimizes, at a tight tolerance.
         docs, labels, n_features = random_instance(seed, max_docs=10)
-        model = cl.fit_logistic_regression(docs_to_matrix(docs, labels, n_features),
-                                           l2=l2, tol=1e-10)
-        theta = np.append(model.weights, model.bias)
-        self.check(theta, model.train_meta, docs, labels, n_features, "logistic", l2)
+        objective = cl.logistic_objective(docs_to_matrix(docs, labels, n_features), l2)
+        w, b, record = cl.tron(objective, cl.TRON_MAX_ITER, 1e-10)
+        self.check(np.append(w, b), record, docs, labels, n_features, "logistic", l2)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 100_000), c=st.floats(0.01, 100.0))
@@ -111,10 +111,13 @@ class TestLogisticRegressionFit:
 
     def test_iteration_cap_stops_unconverged(self):
         docs, labels, n_features = random_instance(3)
-        model = cl.fit_logistic_regression(docs_to_matrix(docs, labels, n_features),
-                                           max_iter=1, tol=1e-12)
-        assert model.train_meta["converged"] is False
-        assert model.train_meta["n_iter"] == 1
+        objective = cl.logistic_objective(docs_to_matrix(docs, labels, n_features), 1e-4)
+        _, _, record = cl.tron(objective, 1, 1e-12)
+        assert record["converged"] is False
+        assert record["n_iter"] == 1
+        w, b, record = cl.tron(objective, 0, 1e-12)
+        assert not w.any() and b == 0.0
+        assert record["converged"] is False and record["n_iter"] == 0
 
     def test_fit_is_deterministic(self):
         docs, labels, n_features = random_instance(3)
@@ -133,8 +136,6 @@ class TestLogisticRegressionFit:
 
     def test_validation(self):
         matrix = docs_to_matrix([{0: 1}, {1: 1}], [0, 1], 2)
-        with pytest.raises(TrainingError):
-            cl.fit_logistic_regression(matrix, max_iter=0)
         with pytest.raises(TrainingError):
             cl.fit_logistic_regression(matrix, l2=-1.0)
         with pytest.raises(TrainingError):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import planted_docs
 from vngender import classical, lstm
+from vngender.featurize import TokenIds, encode
 from vngender.errors import (
     DivergenceError,
     EmbeddingError,
@@ -35,12 +36,12 @@ def zero_lstm_params(dim, hidden):
 
 
 def batch_loss(sequences, labels, emb, params):
-    return lstm.batch_gradients(sequences, labels, emb, params)[0]
+    return lstm.batch_gradients(encode(sequences), labels, emb, params)[0]
 
 
 def score_one(tokens, emb, params, max_seq_len=None):
     """P(label 1) of one token list, scored as a batch of one."""
-    return float(lstm.predict_lstm([tokens], emb, params, max_seq_len)[0])
+    return float(lstm.predict_lstm(encode([tokens]), emb, params, max_seq_len)[0])
 
 
 def model_of(params, emb):
@@ -167,12 +168,12 @@ class TestOovLookup:
         def fresh_names(start, count):
             return [["họ", f"tên{i}"] for i in range(start, start + count)]
 
-        model.score(fresh_names(0, 1000))
+        model.score(encode(fresh_names(0, 1000)))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for start in range(1000, 21_000, 1000):
-                model.score(fresh_names(start, 1000))
+                model.score(encode(fresh_names(start, 1000)))
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -241,8 +242,8 @@ class TestForward:
     def test_empty_sequence_rejected(self):
         emb = lstm.random_embeddings(4, seed=5)
         params = zero_lstm_params(4, 2)
-        with pytest.raises(EmptySequenceError):
-            lstm.predict_lstm([["a"], []], emb, params)
+        with pytest.raises(EmptySequenceError, match=r"\(name 1\)"):
+            lstm.predict_lstm(encode([["a"], []]), emb, params)
 
     def test_sigmoid_equals_the_two_sided_formula_and_never_overflows(self):
         z = np.concatenate([
@@ -262,7 +263,7 @@ class TestGradients:
         params = lstm.init_lstm_params(3, 4, seed=seed + 50)
         seqs = [["a", "b", "c"], ["d"], ["e", "f"]]
         labels = [1, 0, 1]
-        _, grads = lstm.batch_gradients(seqs, labels, emb, params)
+        _, grads = lstm.batch_gradients(encode(seqs), labels, emb, params)
         for name, arr in params.tensors().items():
             fd = oracles.fd_gradient(
                 lambda: batch_loss(seqs, labels, emb, params), arr, 1e-4
@@ -283,7 +284,7 @@ class TestGradients:
         emb = lstm.random_embeddings(dim, seed=seed)
         params = random_params(dim, hidden, rng)
         seqs, labels = random_batch(rng)
-        loss, grads = lstm.batch_gradients(seqs, labels, emb, params)
+        loss, grads = lstm.batch_gradients(encode(seqs), labels, emb, params)
         vectors = [[emb.lookup(tok) for tok in seq] for seq in seqs]
         want_loss, want = oracles.lstm_loss_and_grads(vectors, labels, **params.tensors())
         assert abs(loss - want_loss) <= 1e-12
@@ -298,8 +299,8 @@ class TestTraining:
         emb = lstm.random_embeddings(8, seed=1)
         cfg = lstm.LstmTrainConfig(batch_size=16, epochs=3, learning_rate=0.5,
                                    hidden=8, seed=4)
-        a = lstm.train_lstm(docs, labels, emb, cfg)
-        b = lstm.train_lstm(docs, labels, emb, cfg)
+        a = lstm.train_lstm(encode(docs), labels, emb, cfg)
+        b = lstm.train_lstm(encode(docs), labels, emb, cfg)
         assert a.epoch_losses == b.epoch_losses
         for name, arr in a.params.tensors().items():
             assert np.array_equal(arr, b.params.tensors()[name])
@@ -309,8 +310,8 @@ class TestTraining:
         emb = lstm.random_embeddings(300, seed=2)
         cfg = lstm.LstmTrainConfig(batch_size=32, epochs=10, learning_rate=2.0,
                                    hidden=16, seed=5)
-        result = lstm.train_lstm(docs, labels, emb, cfg)
-        preds = lstm.predict_lstm(docs, emb, result.params, cfg.max_seq_len) >= 0.5
+        result = lstm.train_lstm(encode(docs), labels, emb, cfg)
+        preds = lstm.predict_lstm(encode(docs), emb, result.params, cfg.max_seq_len) >= 0.5
         accuracy = sum(p == y for p, y in zip(preds, labels)) / len(labels)
         assert accuracy >= 0.99
 
@@ -322,18 +323,59 @@ class TestTraining:
         # An overflowing readout bias makes the very first batch loss non-finite.
         init = zero_lstm_params(4, 4)
         init.out_b[()] = 1e308
-        with pytest.raises(DivergenceError, match=r"epoch 1, batch 1"):
-            lstm.train_lstm(docs, labels, emb, cfg, init=init)
+        # The overflow is reported as the error alone, without a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match=r"epoch 1, batch 1"):
+                lstm.train_lstm(encode(docs), labels, emb, cfg, init=init)
 
-    def test_truncation_keeps_trailing_tokens(self):
-        assert lstm.truncate_tokens(list("abcdefghij"), 8) == list("cdefghij")
-        assert lstm.truncate_tokens(["a", "b"], 8) == ["a", "b"]
+    def test_truncation_keeps_the_last_tokens(self):
+        docs = [list("abcdefghij"), ["a", "b"], ["x", "y", "x", "z", "x"], ["y", "y", "y", "y"]]
+        ids, lengths, tokens = lstm._sequences(encode(docs), 3, TrainingError, "{}")
+        kept = [[tokens[i] for i in row[ids.shape[1] - n:]] for row, n in zip(ids, lengths)]
+        assert kept == [doc[-3:] for doc in docs]
+        # Ids number the kept tokens in order of first sight.
+        assert tokens == ["h", "i", "j", "a", "b", "x", "z", "y"]
+        emb = lstm.random_embeddings(4, seed=9)
+        params = lstm.init_lstm_params(4, 3, seed=3)
+        assert np.array_equal(lstm.predict_lstm(encode(docs), emb, params, 3),
+                              lstm.predict_lstm(encode([doc[-3:] for doc in docs]), emb, params))
+
+    def test_empty_document_names_its_index(self):
+        docs = encode([["a"], ["b", "c"], [], ["d"]])
+        emb = lstm.random_embeddings(4, seed=0)
+        params = lstm.init_lstm_params(4, 2)
+        with pytest.raises(TrainingError, match=r"^sequence 2 is empty$"):
+            lstm.train_lstm(docs, [0, 1, 0, 1], emb, lstm.LstmTrainConfig(hidden=2))
+        with pytest.raises(EmptySequenceError, match=r"^sequence 2 is empty$"):
+            lstm.batch_gradients(docs, [0, 1, 0, 1], emb, params)
+        with pytest.raises(EmptySequenceError, match=r"empty token sequence \(name 2\)"):
+            lstm.predict_lstm(docs, emb, params)
+
+    def test_fit_does_not_depend_on_the_universe_order(self):
+        docs, labels = planted_docs(90, 0.9, 18)
+        docs[5] = [f"t{i}" for i in range(11)]
+        ordered = encode(docs)
+        # The same documents over a shuffled universe with tokens they do not use.
+        universe = list(ordered.tokens) + ["unused1", "unused2"]
+        perm = np.random.default_rng(3).permutation(len(universe))
+        new_id = np.argsort(perm)
+        shuffled = TokenIds(ordered.rows, new_id[ordered.ids],
+                            tuple(universe[i] for i in perm), ordered.n_docs)
+        assert shuffled.docs() == ordered.docs()
+        emb = lstm.random_embeddings(6, seed=2)
+        cfg = lstm.LstmTrainConfig(batch_size=16, epochs=2, learning_rate=0.5, hidden=5, seed=8)
+        a = lstm.train_lstm(ordered, labels, emb, cfg)
+        b = lstm.train_lstm(shuffled, labels, emb, cfg)
+        assert a.epoch_losses == b.epoch_losses
+        for name, arr in a.params.tensors().items():
+            assert np.array_equal(arr, b.params.tensors()[name]), name
 
     def test_single_class_rejected(self):
         emb = lstm.random_embeddings(4, seed=0)
         cfg = lstm.LstmTrainConfig(hidden=4)
         with pytest.raises(TrainingError):
-            lstm.train_lstm([["a"], ["b"]], [1, 1], emb, cfg)
+            lstm.train_lstm(encode([["a"], ["b"]]), [1, 1], emb, cfg)
 
     def test_config_validation(self):
         with pytest.raises(TrainingError):
@@ -347,7 +389,7 @@ class TestTraining:
 
     def test_zero_embedding_dim_rejected(self):
         with pytest.raises(TrainingError, match="embedding_dim"):
-            lstm.fit_lstm([["a"], ["b"]], [1, 0], embedding_dim=0, hidden=2)
+            lstm.fit_lstm(encode([["a"], ["b"]]), [1, 0], embedding_dim=0, hidden=2)
 
     def test_init_stacks_the_per_gate_draws(self):
         # The draws of the per-gate layout (w_i, w_f, w_o, w_c, u_i, ...,
@@ -370,7 +412,7 @@ class TestTraining:
         emb = lstm.random_embeddings(6, seed=2)
         cfg = lstm.LstmTrainConfig(batch_size=16, epochs=2, learning_rate=0.5,
                                    hidden=5, seed=8)
-        result = lstm.train_lstm(docs, labels, emb, cfg)
+        result = lstm.train_lstm(encode(docs), labels, emb, cfg)
 
         init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(2)
         params = lstm.init_lstm_params(6, 5, init_seed).tensors()
@@ -396,14 +438,14 @@ class TestTraining:
 class TestPredictLstm:
     def test_zero_params_tie_to_label_one(self):
         emb = lstm.random_embeddings(4, seed=0)
-        labels, scores = classical.predict(model_of(zero_lstm_params(4, 2), emb), [["a"]])
+        labels, scores = classical.predict(model_of(zero_lstm_params(4, 2), emb), encode([["a"]]))
         assert scores[0] == 0.5 and labels[0] == 1
 
     def test_probability_below_half_gives_label_zero(self):
         emb = lstm.random_embeddings(4, seed=0)
         params = zero_lstm_params(4, 2)
         params.out_b[()] = -1.0
-        labels, scores = classical.predict(model_of(params, emb), [["a"]])
+        labels, scores = classical.predict(model_of(params, emb), encode([["a"]]))
         assert labels[0] == 0 and scores[0] < 0.5
 
     def test_truncates_before_forward(self):
@@ -420,8 +462,9 @@ class TestPredictLstm:
         calls = []
         monkeypatch.setattr(lstm, "predict_lstm", lambda *args: calls.append(args) or np.zeros(1))
         model = model_of(lstm.init_lstm_params(4, 3, seed=3), emb)
-        model.score([["a", "b"]])
-        assert calls == [([["a", "b"]], emb, model.params, model.cfg.max_seq_len)]
+        docs = encode([["a", "b"]])
+        model.score(docs)
+        assert calls == [(docs, emb, model.params, model.cfg.max_seq_len)]
 
     @pytest.mark.parametrize("hidden", [3, 128])
     def test_a_name_scores_the_same_alone_and_in_a_batch(self, hidden):
@@ -432,8 +475,8 @@ class TestPredictLstm:
         docs += [["x"] * n for n in range(1, 10)]
         emb = lstm.random_embeddings(32, seed=1)
         model = model_of(random_params(32, hidden, rng), emb)
-        labels, scores = classical.predict(model, docs)
-        alone = [classical.predict(model, [doc]) for doc in docs]
+        labels, scores = classical.predict(model, encode(docs))
+        alone = [classical.predict(model, encode([doc])) for doc in docs]
         assert [int(label[0]) for label, _ in alone] == labels.tolist()
         assert np.abs(np.array([score[0] for _, score in alone]) - scores).max() <= 1e-15
 
@@ -445,9 +488,9 @@ class TestPredictLstm:
         emb = lstm.random_embeddings(dim, seed=seed)
         params = random_params(dim, hidden, rng)
         seqs, _ = random_batch(rng)
-        whole = lstm.predict_lstm(seqs, emb, params)
+        whole = lstm.predict_lstm(encode(seqs), emb, params)
         with mock.patch.object(lstm, "SCORE_CHUNK", chunk):
-            chunked = lstm.predict_lstm(seqs, emb, params)
+            chunked = lstm.predict_lstm(encode(seqs), emb, params)
         assert np.abs(chunked - whole).max() <= 1e-15
         for seq, score in zip(seqs, whole):
             # The oracle's loss for label 1 is softplus(-logit) = -log(score).
