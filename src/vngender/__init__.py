@@ -16,8 +16,8 @@ from .classical import (
     fit_logistic_regression,
     fit_multinomial_nb,
     fit_random_forest,
+    model_input,
     predict,
-    predict_docs,
     train_classifier,
 )
 from .data_io import (
@@ -39,10 +39,11 @@ from .evaluation import (
     stratified_split,
 )
 from .featurize import (
-    LabeledMatrix,
+    CsrMatrix,
     TokenIds,
     VectorizerConfig,
     Vocabulary,
+    check_labels,
     encode,
     fit_vocabulary,
     transform,

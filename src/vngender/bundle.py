@@ -19,8 +19,10 @@ embedding table is referenced (path + content hash, or a seed for random
 tables) rather than embedded, and resolved once when the model is built.
 
 Scoring has one path: `bundle_predict_many` normalizes and segments each raw
-name, keeps the bundle's components, and scores every scorable name in one
-`classical.predict_docs` call. `bundle_predict` is a batch of one.
+name, keeps the bundle's components, encodes every scorable name at once,
+turns them into the kind's `classical.model_input` as training did, and
+scores them in one `classical.predict` call. `bundle_predict` is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical, names_core
+from . import classical, featurize, names_core
 from .errors import (
     BundleError,
     BundleFormatError,
@@ -312,7 +314,7 @@ def _response(bundle: ModelBundle, comps: NameComponents, label, score) -> dict:
 
 def bundle_predict_many(bundle: ModelBundle, raw_names: list[str]) -> list[dict | ToolkitError]:
     """The wire-format response of each name, with every scorable name
-    scored in one `classical.predict_docs` call. A name that cannot be
+    scored in one `classical.predict` call. A name that cannot be
     scored gets the `EmptyNameError`, `InvalidNameError` or
     `EmptySequenceError` it raised in its place."""
     selected: list = []
@@ -324,8 +326,9 @@ def bundle_predict_many(bundle: ModelBundle, raw_names: list[str]) -> list[dict 
     valid = [item for item in selected if not isinstance(item, ToolkitError)]
     if not valid:
         return selected
-    labels, scores = classical.predict_docs(bundle.model, [tokens for _, tokens in valid],
-                                            bundle.vocabulary, bundle.vectorizer_cfg)
+    docs = featurize.encode([tokens for _, tokens in valid])
+    x = classical.model_input(bundle.model_kind, docs, bundle.vocabulary, bundle.vectorizer_cfg)
+    labels, scores = classical.predict(bundle.model, x)
     responses = iter(_response(bundle, comps, label, score)
                      for (comps, _), label, score in zip(valid, labels, scores))
     return [item if isinstance(item, ToolkitError) else next(responses) for item in selected]

@@ -6,18 +6,21 @@ squared-hinge linear SVM (two losses on one trust-region Newton solver), a
 Gini decision tree, and a bagging random forest. Training code is all
 local; numpy is used for array arithmetic only.
 
-`score(x)` gives one score per row of a `LabeledMatrix`: P(label 1), the
-SVM margin, or the forest's share of label-1 votes. Row sums use
-`LabeledMatrix.row_sums`, so a row scores bit-identically alone and in any
+One fit contract: every kind fits as `fit(x, labels, **options)`, through
+`train_classifier(kind, x, labels, ...)`. The labels ride beside `x`, not
+inside it, and each fit checks them once with `featurize.check_labels`. A
+kind's `x` comes from one step, `model_input(kind, docs, vocabulary,
+vectorizer_cfg)`: the encoded documents for a kind that reads tokens, their
+`CsrMatrix` otherwise. Fitting, scoring a test split and scoring a bundle's
+names all take that step, and every kind scores through `predict`.
+
+`score(x)` gives one score per row of a `CsrMatrix`: P(label 1), the SVM
+margin, or the forest's share of label-1 votes. Row sums use
+`CsrMatrix.row_sums`, so a row scores bit-identically alone and in any
 batch. `predict` labels a score 1 from the kind's threshold up (ties to 1).
 `MODEL_KINDS` registers all seven kinds, these six and the LSTM of `lstm`:
 each kind's model class, fit function, seed use, threshold, `vngender train`
-flags, and `reads_tokens`, set for a kind that skips the vectorizer. Every
-kind fits through `train_classifier(kind, *data, ...)`, on a labelled
-`LabeledMatrix` or, when it reads tokens, on (`TokenIds`, labels); every kind
-scores through `predict`, and token lists through `predict_docs`, which
-encodes them once and featurizes them only for a kind that does not read
-tokens.
+flags, and `reads_tokens`, set for a kind that skips the vectorizer.
 """
 
 from __future__ import annotations
@@ -30,16 +33,14 @@ import numpy as np
 
 from . import featurize
 from .errors import DivergenceError, PredictionError, TrainingError
-from .featurize import LabeledMatrix, VectorizerConfig, Vocabulary
+from .featurize import CsrMatrix, TokenIds, VectorizerConfig, Vocabulary, check_labels
 from .lstm import LstmModel, fit_lstm, sigmoid
 
 
-def _require_both_classes(labels) -> None:
-    if labels is None:
-        raise TrainingError("training needs labelled rows")
-    ones = int(labels.sum())
-    if ones == 0 or ones == len(labels):
-        raise TrainingError("training set contains a single class")
+def _check_strength(name: str, value: float) -> None:
+    """A smoothing or regularization strength must be finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise TrainingError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _posterior(j0: np.ndarray, j1: np.ndarray) -> np.ndarray:
@@ -67,7 +68,7 @@ class MultinomialNbModel:
     n_features: int
     train_meta: dict
 
-    def score(self, x: LabeledMatrix) -> np.ndarray:
+    def score(self, x: CsrMatrix) -> np.ndarray:
         j0, j1 = (
             self.class_log_prior[c] + x.row_sums(self.feature_log_prob[c, x.indices] * x.data)
             for c in (0, 1)
@@ -84,7 +85,7 @@ class BernoulliNbModel:
     n_features: int
     train_meta: dict
 
-    def score(self, x: LabeledMatrix) -> np.ndarray:
+    def score(self, x: CsrMatrix) -> np.ndarray:
         """prior + sum(log_absence) + sum over present features of
         (log_presence - log_absence), in O(nnz) per row. A -inf factor
         (alpha = 0) is counted apart, since -inf - -inf is NaN."""
@@ -102,44 +103,43 @@ class BernoulliNbModel:
         return _posterior(*joints)
 
 
-def _nb_counts(data: LabeledMatrix, alpha: float, entry_values) -> tuple:
+def _nb_counts(x: CsrMatrix, labels, alpha: float, entry_values) -> tuple:
     """Validates the fit; returns class log-priors, per-class sums of the
     entries' values for every feature (2, V) and rows per class."""
-    if alpha < 0:
-        raise TrainingError("alpha must be >= 0")
-    _require_both_classes(data.labels)
-    n_per_class = np.bincount(data.labels, minlength=2).astype(np.float64)
-    priors = np.log(n_per_class) - math.log(len(data))
-    entry_class = data.labels[data.row_ids]
-    sums = np.zeros((2, data.n_features), dtype=np.float64)
+    _check_strength("alpha", alpha)
+    y = check_labels(len(x), labels)
+    n_per_class = np.bincount(y, minlength=2).astype(np.float64)
+    priors = np.log(n_per_class) - math.log(len(x))
+    entry_class = y[x.row_ids]
+    sums = np.zeros((2, x.n_features), dtype=np.float64)
     for c in (0, 1):
         mask = entry_class == c
         weights = None if entry_values is None else entry_values[mask]
-        sums[c] = np.bincount(data.indices[mask], weights=weights, minlength=data.n_features)
+        sums[c] = np.bincount(x.indices[mask], weights=weights, minlength=x.n_features)
     return priors, sums, n_per_class
 
 
-def fit_multinomial_nb(data: LabeledMatrix, alpha: float = 1.0) -> MultinomialNbModel:
+def fit_multinomial_nb(x: CsrMatrix, labels, alpha: float = 1.0) -> MultinomialNbModel:
     """Class log-priors from label frequencies, token log-probabilities with
     additive smoothing `alpha` over the full feature set."""
-    priors, counts, _ = _nb_counts(data, alpha, data.data)
+    priors, counts, _ = _nb_counts(x, labels, alpha, x.data)
     with np.errstate(divide="ignore"):
         log_prob = np.log(counts + alpha) - np.log(
-            counts.sum(axis=1, keepdims=True) + alpha * data.n_features
+            counts.sum(axis=1, keepdims=True) + alpha * x.n_features
         )
-    meta = {"alpha": alpha, "n_train": len(data)}
-    return MultinomialNbModel(priors, log_prob, data.n_features, meta)
+    meta = {"alpha": alpha, "n_train": len(x)}
+    return MultinomialNbModel(priors, log_prob, x.n_features, meta)
 
 
-def fit_bernoulli_nb(data: LabeledMatrix, alpha: float = 1.0) -> BernoulliNbModel:
+def fit_bernoulli_nb(x: CsrMatrix, labels, alpha: float = 1.0) -> BernoulliNbModel:
     """As multinomial, but on feature presence, with explicit absence factors."""
-    priors, doc_counts, n_per_class = _nb_counts(data, alpha, None)
+    priors, doc_counts, n_per_class = _nb_counts(x, labels, alpha, None)
     p = (doc_counts + alpha) / (n_per_class[:, None] + 2.0 * alpha)
     with np.errstate(divide="ignore"):
         log_p = np.log(p)
         log_q = np.log(1.0 - p)
-    meta = {"alpha": alpha, "n_train": len(data)}
-    return BernoulliNbModel(priors, log_p, log_q, data.n_features, meta)
+    meta = {"alpha": alpha, "n_train": len(x)}
+    return BernoulliNbModel(priors, log_p, log_q, x.n_features, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ class _LinearModel:
     n_features: int
     train_meta: dict
 
-    def score(self, x: LabeledMatrix) -> np.ndarray:
+    def score(self, x: CsrMatrix) -> np.ndarray:
         return x.dot_weights(self.weights, self.bias)
 
 
@@ -161,7 +161,7 @@ class _LinearModel:
 class LogisticRegressionModel(_LinearModel):
     kind: ClassVar[str] = "logistic_regression"
 
-    def score(self, x: LabeledMatrix) -> np.ndarray:
+    def score(self, x: CsrMatrix) -> np.ndarray:
         return sigmoid(super().score(x))
 
 
@@ -176,7 +176,7 @@ class LinearObjective:
     theta = (w, b), with margins z = X w + b. `row_terms(z)` gives
     sum_i loss(z_i) and each row's first and second derivatives in z_i."""
 
-    data: LabeledMatrix
+    x: CsrMatrix
     reg: np.ndarray  # (n_features + 1,)
     row_terms: Callable
 
@@ -190,30 +190,30 @@ class LinearObjective:
         return f, gradient, lambda v: self.reg * v + self._transpose_dot(d2 * self._margins(v))
 
     def _margins(self, theta: np.ndarray) -> np.ndarray:
-        return self.data.dot_weights(theta[:-1], theta[-1])
+        return self.x.dot_weights(theta[:-1], theta[-1])
 
     def _transpose_dot(self, u: np.ndarray) -> np.ndarray:
-        x = self.data
+        x = self.x
         gw = np.bincount(x.indices, weights=x.data * u[x.row_ids], minlength=x.n_features)
         return np.append(gw, u.sum())
 
 
-def logistic_objective(data: LabeledMatrix, l2: float) -> LinearObjective:
+def logistic_objective(x: CsrMatrix, labels, l2: float) -> LinearObjective:
     """Mean log-loss plus (l2/2) * ||w||^2 (bias unregularized)."""
-    y, n = data.labels.astype(np.float64), len(data)
+    y, n = np.asarray(labels, dtype=np.float64), len(x)
     def row_terms(z):
         p = sigmoid(z)
         return float((np.logaddexp(0.0, z) - y * z).sum()) / n, (p - y) / n, p * (1.0 - p) / n
-    return LinearObjective(data, np.append(np.full(data.n_features, l2), 0.0), row_terms)
+    return LinearObjective(x, np.append(np.full(x.n_features, l2), 0.0), row_terms)
 
 
-def squared_hinge_objective(data: LabeledMatrix, c: float) -> LinearObjective:
+def squared_hinge_objective(x: CsrMatrix, labels, c: float) -> LinearObjective:
     """(1/2)(||w||^2 + b^2) + c * sum_i max(0, 1 - y_i z_i)^2, y in {-1, +1}."""
-    y = 2.0 * data.labels.astype(np.float64) - 1.0
+    y = 2.0 * np.asarray(labels, dtype=np.float64) - 1.0
     def row_terms(z):
         slack = np.maximum(0.0, 1.0 - y * z)
         return c * float(slack @ slack), -2.0 * c * y * slack, 2.0 * c * (slack > 0)
-    return LinearObjective(data, np.ones(data.n_features + 1), row_terms)
+    return LinearObjective(x, np.ones(x.n_features + 1), row_terms)
 
 
 def _truncated_cg(hessian_dot: Callable, g: np.ndarray, delta: float):
@@ -276,20 +276,18 @@ def tron(objective: LinearObjective, max_iter: int, tol: float) -> tuple[np.ndar
     return theta[:-1], float(theta[-1]), record
 
 
-def fit_logistic_regression(data: LabeledMatrix, l2: float = 1e-4) -> LogisticRegressionModel:
-    if l2 < 0:
-        raise TrainingError("l2 must be >= 0")
-    _require_both_classes(data.labels)
-    w, b, record = tron(logistic_objective(data, l2), TRON_MAX_ITER, TRON_TOL)
-    return LogisticRegressionModel(w, b, data.n_features, {"l2": l2, **record})
+def fit_logistic_regression(x: CsrMatrix, labels, l2: float = 1e-4) -> LogisticRegressionModel:
+    _check_strength("l2", l2)
+    y = check_labels(len(x), labels)
+    w, b, record = tron(logistic_objective(x, y, l2), TRON_MAX_ITER, TRON_TOL)
+    return LogisticRegressionModel(w, b, x.n_features, {"l2": l2, **record})
 
 
-def fit_linear_svm(data: LabeledMatrix, c: float = 1.0) -> LinearSvmModel:
-    if c < 0:
-        raise TrainingError("c must be >= 0")
-    _require_both_classes(data.labels)
-    w, b, record = tron(squared_hinge_objective(data, c), TRON_MAX_ITER, TRON_TOL)
-    return LinearSvmModel(w, b, data.n_features, {"c": c, **record})
+def fit_linear_svm(x: CsrMatrix, labels, c: float = 1.0) -> LinearSvmModel:
+    _check_strength("c", c)
+    y = check_labels(len(x), labels)
+    w, b, record = tron(squared_hinge_objective(x, y, c), TRON_MAX_ITER, TRON_TOL)
+    return LinearSvmModel(w, b, x.n_features, {"c": c, **record})
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +326,7 @@ class _TreeEnsemble:
                 or np.any(children <= np.tile(inner, 2)) or np.any(children >= size)):
             raise PredictionError("malformed tree node arrays")
 
-    def leaves(self, x: LabeledMatrix) -> np.ndarray:
+    def leaves(self, x: CsrMatrix) -> np.ndarray:
         """Leaf reached by every row in every tree, shape (rows, trees).
 
         Each step moves all unfinished (row, tree) pairs down one level.
@@ -355,7 +353,7 @@ class _TreeEnsemble:
 class DecisionTreeModel(_TreeEnsemble):
     kind: ClassVar[str] = "decision_tree"
 
-    def score(self, x: LabeledMatrix) -> np.ndarray:
+    def score(self, x: CsrMatrix) -> np.ndarray:
         return self.p1[self.leaves(x)[:, 0]]
 
 
@@ -363,7 +361,7 @@ class DecisionTreeModel(_TreeEnsemble):
 class RandomForestModel(_TreeEnsemble):
     kind: ClassVar[str] = "random_forest"
 
-    def score(self, x: LabeledMatrix) -> np.ndarray:
+    def score(self, x: CsrMatrix) -> np.ndarray:
         votes = (self.p1[self.leaves(x)] >= 0.5).sum(axis=1)
         return votes / self.roots.size
 
@@ -380,21 +378,21 @@ def _stack_trees(trees: list[dict]) -> dict:
     return out
 
 
-def _node_entries(data: LabeledMatrix, rows: np.ndarray, sampled: np.ndarray | None):
+def _node_entries(x: CsrMatrix, rows: np.ndarray, sampled: np.ndarray | None):
     """The stored entries of a node's rows as (owner, feature, value) arrays.
 
     `owner` is the entry's position in `rows`, so a row drawn twice by the
     bootstrap owns two copies. With `sampled`, a boolean mask over the
     features, only the entries of the marked features are kept.
     """
-    starts = data.indptr[rows]
-    sizes = data.indptr[rows + 1] - starts
+    starts = x.indptr[rows]
+    sizes = x.indptr[rows + 1] - starts
     owner = np.repeat(np.arange(rows.size), sizes)
     pos = np.arange(owner.size) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
     if sampled is not None:
-        kept = sampled[data.indices[pos]]
+        kept = sampled[x.indices[pos]]
         owner, pos = owner[kept], pos[kept]
-    return owner, data.indices[pos], data.data[pos]
+    return owner, x.indices[pos], x.data[pos]
 
 
 def _node_score(n1: int, n0: int) -> tuple[int, int]:
@@ -487,10 +485,12 @@ def _best_split(entries, ones: np.ndarray, min_leaf: int):
     return int(b_feature[cand[k]]), float(threshold[k])
 
 
-def _grow_tree(data: LabeledMatrix, rows, *, max_depth, min_leaf, mtry, rng) -> dict:
-    """Grow one tree depth-first on `rows` of `data` (duplicates allowed);
-    returns its node arrays, root first."""
-    y01, n_features = data.labels, data.n_features
+def _grow_tree(x: CsrMatrix, labels: np.ndarray, rows, *, max_depth, min_leaf, mtry,
+               rng) -> dict:
+    """Grow one tree depth-first on `rows` of `x` (duplicates allowed), with
+    `labels` the int64 labels of all of `x`'s rows; returns its node arrays,
+    root first."""
+    y01, n_features = labels, x.n_features
     # Marks the `mtry` features drawn for the node being split, then is cleared.
     sampled = np.zeros(n_features, dtype=bool) if mtry is not None and mtry < n_features else None
     nodes: dict[str, list] = {name: [] for name in _NODE_ARRAYS}
@@ -510,11 +510,11 @@ def _grow_tree(data: LabeledMatrix, rows, *, max_depth, min_leaf, mtry, rng) -> 
         )
         if can_split:
             if sampled is None:
-                entries = _node_entries(data, node_rows, None)
+                entries = _node_entries(x, node_rows, None)
             else:
                 features = rng.choice(n_features, size=mtry, replace=False)
                 sampled[features] = True
-                entries = _node_entries(data, node_rows, sampled)
+                entries = _node_entries(x, node_rows, sampled)
                 sampled[features] = False
             split = _best_split(entries, y01[node_rows], min_leaf)
         f, thr = split if split is not None else (-1, 0.0)
@@ -543,7 +543,8 @@ def _check_tree_options(max_depth: int | None, min_leaf: int) -> None:
 
 
 def fit_decision_tree(
-    data: LabeledMatrix,
+    x: CsrMatrix,
+    labels,
     max_depth: int | None = None,
     min_leaf: int = 1,
 ) -> DecisionTreeModel:
@@ -554,15 +555,16 @@ def fit_decision_tree(
     TF-IDF and negative values take the same path (see `_best_split`).
     """
     _check_tree_options(max_depth, min_leaf)
-    _require_both_classes(data.labels)
-    tree = _grow_tree(data, np.arange(len(data)), max_depth=max_depth, min_leaf=min_leaf,
+    y = check_labels(len(x), labels)
+    tree = _grow_tree(x, y, np.arange(len(x)), max_depth=max_depth, min_leaf=min_leaf,
                       mtry=None, rng=None)
     meta = {"max_depth": max_depth, "min_leaf": min_leaf}
-    return DecisionTreeModel(**_stack_trees([tree]), n_features=data.n_features, train_meta=meta)
+    return DecisionTreeModel(**_stack_trees([tree]), n_features=x.n_features, train_meta=meta)
 
 
 def fit_random_forest(
-    data: LabeledMatrix,
+    x: CsrMatrix,
+    labels,
     n_trees: int = 100,
     mtry: int | None = None,
     bootstrap: bool = True,
@@ -578,24 +580,24 @@ def fit_random_forest(
     if n_trees < 1:
         raise TrainingError("n_trees must be >= 1")
     if mtry is None:
-        mtry = max(1, math.ceil(math.sqrt(data.n_features)))
-    if not 1 <= mtry <= data.n_features:
-        raise TrainingError(f"mtry must lie in [1, {data.n_features}]")
+        mtry = max(1, math.ceil(math.sqrt(x.n_features)))
+    if not 1 <= mtry <= x.n_features:
+        raise TrainingError(f"mtry must lie in [1, {x.n_features}]")
     _check_tree_options(max_depth, min_leaf)
-    _require_both_classes(data.labels)
+    y = check_labels(len(x), labels)
 
-    n = len(data)
+    n = len(x)
     trees = []
     for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(tree_seed)
         rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(_grow_tree(data, rows, max_depth=max_depth, min_leaf=min_leaf,
+        trees.append(_grow_tree(x, y, rows, max_depth=max_depth, min_leaf=min_leaf,
                                 mtry=mtry, rng=rng))
     meta = {
         "n_trees": n_trees, "mtry": mtry, "bootstrap": bootstrap, "seed": seed,
         "max_depth": max_depth, "min_leaf": min_leaf,
     }
-    return RandomForestModel(**_stack_trees(trees), n_features=data.n_features, train_meta=meta)
+    return RandomForestModel(**_stack_trees(trees), n_features=x.n_features, train_meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +610,8 @@ class KindSpec:
 
     `threshold`: scores at or above it get label 1. `train_flags`: the
     `vngender train` flag (by its argparse destination) behind each fit
-    option. `reads_tokens`: the kind skips the vectorizer; it fits on
-    (`TokenIds`, labels) and scores a `TokenIds`, where the others fit on
-    and score a `LabeledMatrix`.
+    option. `reads_tokens`: the kind skips the vectorizer; it fits on and
+    scores a `TokenIds`, where the others fit on and score a `CsrMatrix`.
     """
 
     model: type
@@ -649,10 +650,20 @@ def kind_spec(kind: str) -> KindSpec:
     return spec
 
 
+def model_input(kind: str, docs: TokenIds, vocabulary: Vocabulary | None,
+                vectorizer_cfg: VectorizerConfig | None):
+    """What `kind` fits on and scores for encoded documents: the documents
+    themselves for a kind that reads tokens, else their `CsrMatrix` under
+    the vocabulary."""
+    if kind_spec(kind).reads_tokens:
+        return docs
+    return featurize.transform(docs, vocabulary, vectorizer_cfg)
+
+
 def predict(model, x) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, scores) for every row of `x`, a `LabeledMatrix` or, for a kind
-    that reads tokens, a `TokenIds`; ties at the threshold get label 1."""
-    if isinstance(x, LabeledMatrix) and x.indices.size and (
+    """(labels, scores) for every row of `x`, the `model_input` of the
+    model's kind; ties at the threshold get label 1."""
+    if isinstance(x, CsrMatrix) and x.indices.size and (
         int(x.indices.max()) >= model.n_features
     ):
         raise PredictionError(
@@ -664,23 +675,10 @@ def predict(model, x) -> tuple[np.ndarray, np.ndarray]:
     return labels, scores
 
 
-def predict_docs(
-    model, docs: list[list[str]], vocabulary: Vocabulary | None,
-    vectorizer_cfg: VectorizerConfig | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, scores) for token lists, encoded once and featurized with
-    the vocabulary unless the kind reads tokens."""
-    x = featurize.encode(docs)
-    if not MODEL_KINDS[model.kind].reads_tokens:
-        x = featurize.transform(x, vocabulary, vectorizer_cfg)
-    return predict(model, x)
-
-
-def train_classifier(kind: str, *data, seed: int = 0, **options):
-    """Fit `kind` on `data` with keyword options: a labelled `LabeledMatrix`,
-    or (`TokenIds`, labels) for a kind that reads tokens. Only a seeded kind
-    gets `seed`."""
+def train_classifier(kind: str, x, labels, *, seed: int = 0, **options):
+    """Fit `kind` on `x`, its `model_input`, and one 0/1 label per row, with
+    keyword options. Only a seeded kind gets `seed`."""
     spec = kind_spec(kind)
     if spec.seeded:
         options = {"seed": seed, **options}
-    return spec.fit(*data, **options)
+    return spec.fit(x, labels, **options)

@@ -34,11 +34,13 @@ def _vectorizer_config(mode: str, max_features: int | None = None) -> Vectorizer
 def cmd_train(args) -> int:
     dataset = data_io.load_dataset(args.data)
     mask = names_core.parse_mask(args.mask)
-    flags = classical.MODEL_KINDS[args.model_kind].train_flags
-    options = {option: getattr(args, dest) for option, dest in flags.items() if dest in args}
-    spec = ModelSpec(args.model_kind, seed=args.seed, options=options)
-    vcfg = _vectorizer_config(args.vectorizer, args.max_features)
-    result = evaluation.run_experiment(dataset, mask, spec, vcfg, SplitSpec(seed=args.seed))
+    kind = classical.MODEL_KINDS[args.model_kind]
+    options = {option: getattr(args, dest) for option, dest in kind.train_flags.items()
+               if dest in args}
+    # A kind that reads tokens ignores --vectorizer and --max-features.
+    vcfg = None if kind.reads_tokens else _vectorizer_config(args.vectorizer, args.max_features)
+    spec = ModelSpec(args.model_kind, vcfg, args.seed, options)
+    result = evaluation.run_experiment(dataset, mask, spec, SplitSpec(seed=args.seed))
     train_meta = {
         "dataset": dataset.source_tag,
         "seed": args.seed,
@@ -52,7 +54,7 @@ def cmd_train(args) -> int:
         },
     }
     built = bundle_mod.make_bundle(
-        result.model, mask, result.vectorizer_cfg, result.vocabulary, train_meta
+        result.model, mask, spec.vectorizer, result.vocabulary, train_meta
     )
     bundle_mod.save_model(built, args.out)
     if result.model.train_meta.get("converged") is False:
@@ -78,10 +80,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_model_list(text: str) -> tuple[list[ModelSpec], list[VectorizerConfig | None]]:
-    """`kind[:vectorizer]` items; a kind that reads tokens takes no vectorizer,
-    and no report label may repeat."""
-    specs, cfgs, labels = [], [], set()
+def _parse_model_list(text: str, seed: int) -> list[ModelSpec]:
+    """`kind[:vectorizer]` items, each fitted with `seed`; a kind that reads
+    tokens takes no vectorizer, and no report label may repeat."""
+    specs: list[ModelSpec] = []
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -89,32 +91,21 @@ def _parse_model_list(text: str) -> tuple[list[ModelSpec], list[VectorizerConfig
         kind, _, mode = item.partition(":")
         if kind not in classical.MODEL_KINDS:
             raise ToolkitError(f"unknown model kind {kind!r} in --models")
-        if classical.MODEL_KINDS[kind].reads_tokens:
-            if mode:
-                raise ToolkitError(
-                    f"{kind} reads tokens and takes no vectorizer: {item!r} in --models"
-                )
-            cfg = None
-        else:
-            cfg = _vectorizer_config(mode or "count")
-        spec = ModelSpec(kind)
-        label = evaluation.model_label(spec, cfg)
-        if label in labels:
-            raise ToolkitError(f"--models names {label} twice")
-        labels.add(label)
+        reads_tokens = classical.MODEL_KINDS[kind].reads_tokens
+        vcfg = None if reads_tokens and not mode else _vectorizer_config(mode or "count")
+        spec = ModelSpec(kind, vcfg, seed)  # rejects a vectorizer for a kind that reads tokens
+        if spec.label in (s.label for s in specs):
+            raise ToolkitError(f"--models names {spec.label} twice")
         specs.append(spec)
-        cfgs.append(cfg)
     if not specs:
         raise ToolkitError("--models selected no models")
-    return specs, cfgs
+    return specs
 
 
 def cmd_ablate(args) -> int:
     dataset = data_io.load_dataset(args.data)
-    specs, cfgs = _parse_model_list(args.models)
-    for spec in specs:
-        spec.seed = args.seed
-    report = evaluation.run_ablation(dataset, specs, cfgs, SplitSpec(seed=args.seed))
+    specs = _parse_model_list(args.models, args.seed)
+    report = evaluation.run_ablation(dataset, specs, SplitSpec(seed=args.seed))
     sys.stdout.write(evaluation.format_ablation(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

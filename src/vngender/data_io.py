@@ -73,13 +73,11 @@ def _parse_label(text: str) -> int | None:
     return {"0": FEMALE, "1": MALE}.get(text.strip())
 
 
-def load_dataset(path, fmt: str = "csv") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a `full_name,gender` CSV; bad rows are rejected with diagnostics.
 
     An optional header row is detected by its second field not parsing as 0/1.
     """
-    if fmt != "csv":
-        raise DataError(f"unsupported dataset format: {fmt!r}")
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             raw_rows = list(csv.reader(fh))

@@ -4,9 +4,11 @@ component ablation.
 An experiment splits the dataset once, normalizes and segments each record
 once, and encodes every subset as integer token ids tagged with their name
 component (`_encode_split`). A (mask, model) cell then keeps the entries of
-the mask's components, fits the vectorizer and the model on train and scores
-test (`_run_cell`). `run_experiment` is one cell; `run_ablation` runs the
-seven masks x the given models on one encoded split.
+the mask's components, fits the vectorizer (if the `ModelSpec` has one) on
+train, and fits and scores the model under the fit contract of `classical`:
+train and test go through the same `classical.model_input` step, and the
+model fits on (x, labels) (`_run_cell`). `run_experiment` is one cell;
+`run_ablation` runs the seven masks x the given models on one encoded split.
 """
 
 from __future__ import annotations
@@ -168,11 +170,26 @@ def macro_metrics(cm: ConfusionMatrix) -> MacroMetrics:
 
 @dataclass
 class ModelSpec:
-    """What to train: a kind of `classical.MODEL_KINDS`, plus its fit options."""
+    """What to train: a kind of `classical.MODEL_KINDS`, the vectorizer of a
+    kind that reads a feature matrix (a kind that reads tokens has none),
+    and its fit options."""
 
     kind: str
+    vectorizer: VectorizerConfig | None = None
     seed: int = 0
     options: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        reads_tokens = classical.kind_spec(self.kind).reads_tokens
+        if reads_tokens and self.vectorizer is not None:
+            raise EvaluationError(f"{self.kind} reads tokens and takes no vectorizer")
+        if not reads_tokens and self.vectorizer is None:
+            raise EvaluationError(f"{self.kind} needs a vectorizer config")
+
+    @property
+    def label(self) -> str:
+        """The report label: the kind, plus the vectorizer mode if it has one."""
+        return self.kind if self.vectorizer is None else f"{self.kind}+{self.vectorizer.mode}"
 
 
 @dataclass
@@ -184,8 +201,7 @@ class ExperimentResult:
     misclassified: list[tuple[str, int, int]]
     skipped: dict[str, int]
     subset_sizes: dict[str, int]
-    vectorizer_cfg: VectorizerConfig | None   # None for a kind that reads tokens
-    vocabulary: Vocabulary | None
+    vocabulary: Vocabulary | None   # None for a kind that reads tokens
     model: object
 
 
@@ -242,22 +258,8 @@ def _encode_split(dataset: Dataset, split_spec: SplitSpec) -> dict[str, _Encoded
     }
 
 
-def model_label(model_spec: ModelSpec, vectorizer_cfg: VectorizerConfig | None) -> str:
-    """The report label of a model: its kind, plus the vectorizer mode for a
-    kind that reads a feature matrix."""
-    if classical.kind_spec(model_spec.kind).reads_tokens:
-        return model_spec.kind
-    if vectorizer_cfg is None:
-        raise EvaluationError(f"{model_spec.kind} needs a vectorizer config")
-    return f"{model_spec.kind}+{vectorizer_cfg.mode}"
-
-
-def _run_cell(
-    split: dict[str, _EncodedSubset],
-    mask: ComponentMask,
-    model_spec: ModelSpec,
-    vectorizer_cfg: VectorizerConfig | None,
-) -> ExperimentResult:
+def _run_cell(split: dict[str, _EncodedSubset], mask: ComponentMask,
+              spec: ModelSpec) -> ExperimentResult:
     """One (mask, model) cell on an encoded split: select the mask's tokens,
     fit the vectorizer and the model on train, score test."""
     train, train_labels, skip_train = split["train"].select(mask)
@@ -268,17 +270,14 @@ def _run_cell(
     if not test.n_docs:
         raise EvaluationError(f"no usable test records under mask {mask.label!r}")
 
-    label = model_label(model_spec, vectorizer_cfg)
-    if classical.kind_spec(model_spec.kind).reads_tokens:
-        vectorizer_cfg = vocabulary = None
-        data, x_test = (train, train_labels), test
-    else:
-        vocabulary = featurize.fit_vocabulary(train, vectorizer_cfg)
-        data = (featurize.transform(train, vocabulary, vectorizer_cfg, train_labels),)
-        x_test = featurize.transform(test, vocabulary, vectorizer_cfg)
+    vocabulary = None
+    if spec.vectorizer is not None:
+        vocabulary = featurize.fit_vocabulary(train, spec.vectorizer)
     model = classical.train_classifier(
-        model_spec.kind, *data, seed=model_spec.seed, **model_spec.options
+        spec.kind, classical.model_input(spec.kind, train, vocabulary, spec.vectorizer),
+        train_labels, seed=spec.seed, **spec.options,
     )
+    x_test = classical.model_input(spec.kind, test, vocabulary, spec.vectorizer)
     preds = classical.predict(model, x_test)[0]
 
     cm = confusion(test_labels.tolist(), preds.tolist())
@@ -289,13 +288,12 @@ def _run_cell(
     ]
     return ExperimentResult(
         mask_label=mask.label,
-        model_label=label,
+        model_label=spec.label,
         metrics=macro_metrics(cm),
         confusion=cm,
         misclassified=misclassified,
         skipped={"train": skip_train, "dev": skip_dev, "test": skip_test},
         subset_sizes={name: len(subset.names) for name, subset in split.items()},
-        vectorizer_cfg=vectorizer_cfg,
         vocabulary=vocabulary,
         model=model,
     )
@@ -304,17 +302,16 @@ def _run_cell(
 def run_experiment(
     dataset: Dataset,
     mask: ComponentMask,
-    model_spec: ModelSpec,
-    vectorizer_cfg: VectorizerConfig | None,
+    spec: ModelSpec,
     split_spec: SplitSpec,
 ) -> ExperimentResult:
     """split -> segment/select -> fit vectorizer on train -> train -> score test.
 
-    A kind that reads tokens skips the vectorizer, and its result carries
-    none. The dev subset is produced and left untouched. Records whose selected
+    A kind that reads tokens skips the vectorizer, and its result carries no
+    vocabulary. The dev subset is produced and left untouched. Records whose selected
     components are empty under the mask are skipped and counted.
     """
-    return _run_cell(_encode_split(dataset, split_spec), mask, model_spec, vectorizer_cfg)
+    return _run_cell(_encode_split(dataset, split_spec), mask, spec)
 
 
 @dataclass
@@ -327,21 +324,18 @@ class AblationReport:
 
 def run_ablation(
     dataset: Dataset,
-    model_specs: Sequence[ModelSpec],
-    vectorizer_cfgs: Sequence[VectorizerConfig | None],
+    specs: Sequence[ModelSpec],
     split_spec: SplitSpec,
 ) -> AblationReport:
     """All seven masks x the given models on one split that is segmented and
     encoded once; each cell is the `run_experiment` of its mask and model."""
-    if len(model_specs) != len(vectorizer_cfgs):
-        raise EvaluationError("model_specs and vectorizer_cfgs must align")
     split = _encode_split(dataset, split_spec)
     cells: dict[tuple[str, str], MacroMetrics] = {}
     skipped: dict[str, int] = {}
     model_labels: list[str] = []
     for mask in ALL_MASKS:
-        for spec, vcfg in zip(model_specs, vectorizer_cfgs):
-            result = _run_cell(split, mask, spec, vcfg)
+        for spec in specs:
+            result = _run_cell(split, mask, spec)
             cells[(mask.label, result.model_label)] = result.metrics
             skipped[mask.label] = sum(result.skipped.values())
             if result.model_label not in model_labels:

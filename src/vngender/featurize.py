@@ -1,9 +1,14 @@
-"""Token vocabularies and the CSR feature matrix of count / TF-IDF vectors.
+"""Token vocabularies, the CSR feature matrix of count / TF-IDF vectors, and
+the one check of training labels.
 
 Both work on integer token ids: `encode` turns token lists into `TokenIds`,
 one flat entry per token occurrence, and `fit_vocabulary` and `transform`
 read those ids. The ablation builds its `TokenIds` once per split and
 filters them per component mask instead of re-tokenizing.
+
+Labels travel beside the data, never inside it: every model kind fits on
+(x, labels), where x is a `CsrMatrix` or a `TokenIds`, and checks its labels
+with `check_labels`.
 """
 
 from __future__ import annotations
@@ -13,25 +18,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FeaturizeError
+from .errors import FeaturizeError, TrainingError
 
 VECTORIZER_MODES = ("count", "tfidf")
 
 
 @dataclass(eq=False)
-class LabeledMatrix:
-    """Sparse feature rows in CSR form, with optional binary labels.
+class CsrMatrix:
+    """Sparse feature rows in CSR form.
 
     Row i holds the columns `indices[indptr[i]:indptr[i+1]]` (strictly
     increasing) with the non-zero values `data[...]` at the same positions.
-    `labels` is None for rows that are only scored.
     """
 
     indptr: np.ndarray   # int64, n_rows + 1
     indices: np.ndarray  # int64
     data: np.ndarray     # float64
     n_features: int
-    labels: np.ndarray | None = None  # int64, 0 or 1
     row_ids: np.ndarray = field(init=False, repr=False)  # row of every entry
 
     def __post_init__(self):
@@ -50,10 +53,6 @@ class LabeledMatrix:
             self.data == 0
         ):
             raise FeaturizeError("rows need strictly increasing columns and non-zero values")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (len(self),) or np.any(self.labels & ~1):
-                raise FeaturizeError("labels must be 0 or 1, one per row")
 
     def __len__(self) -> int:
         return self.indptr.size - 1
@@ -159,12 +158,7 @@ def fit_vocabulary(docs: TokenIds, cfg: VectorizerConfig) -> Vocabulary:
     return Vocabulary(tokens, index_of, doc_freq[kept], docs.n_docs)
 
 
-def transform(
-    docs: TokenIds,
-    vocab: Vocabulary,
-    cfg: VectorizerConfig,
-    labels: Sequence[int] | None = None,
-) -> LabeledMatrix:
+def transform(docs: TokenIds, vocab: Vocabulary, cfg: VectorizerConfig) -> CsrMatrix:
     """One CSR row per document; tokens outside the vocabulary are dropped.
 
     "count" rows hold raw term counts. "tfidf" rows hold smoothed TF-IDF,
@@ -186,4 +180,21 @@ def transform(
         data /= norms[row_ids]
     indptr = np.zeros(len(docs) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row_ids, minlength=len(docs)), out=indptr[1:])
-    return LabeledMatrix(indptr, indices, data, v, labels)
+    return CsrMatrix(indptr, indices, data, v)
+
+
+def check_labels(n_rows: int, labels) -> np.ndarray:
+    """The labels of `n_rows` training rows as int64, one per row, each 0 or
+    1, with both present; anything else raises `TrainingError`."""
+    if not n_rows:
+        raise TrainingError("empty training set")
+    y = np.asarray(labels)
+    if y.shape != (n_rows,):
+        raise TrainingError(f"expected {n_rows} labels, one per row, got shape {y.shape}")
+    if not np.isin(y, (0, 1)).all():
+        raise TrainingError("labels must be 0 or 1")
+    y = y.astype(np.int64)
+    ones = int(y.sum())
+    if ones == 0 or ones == n_rows:
+        raise TrainingError("training set contains a single class")
+    return y

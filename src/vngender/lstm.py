@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar, Collection, Sequence
@@ -54,7 +55,7 @@ from .errors import (
     EmptySequenceError,
     TrainingError,
 )
-from .featurize import TokenIds
+from .featurize import TokenIds, check_labels
 
 OOV_HALF_RANGE = 0.05
 INIT_HALF_RANGE = 0.1
@@ -228,6 +229,8 @@ class LstmTrainConfig:
             raise TrainingError("max_seq_len must be >= 1")
         if self.hidden < 1:
             raise TrainingError("hidden must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainingError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +380,7 @@ def train_lstm(
     seed derived from the same value, so training is a pure function of
     (data order, config, initial params).
     """
-    y = np.asarray(labels, dtype=np.float64)
-    if len(docs) != y.size:
-        raise TrainingError("sequences and labels must have the same length")
-    if not len(docs):
-        raise TrainingError("empty training set")
-    ones = y.sum()
-    if ones == 0 or ones == y.size:
-        raise TrainingError("training set contains a single class")
+    y = check_labels(len(docs), labels).astype(np.float64)
     ids, lengths, tokens = _sequences(docs, cfg.max_seq_len, TrainingError, "sequence {} is empty")
 
     init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(2)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import EmptyNameError, InvalidNameError
+from .errors import EmptyNameError, InvalidNameError, ToolkitError
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class ComponentMask:
 
     def __post_init__(self):
         if not (self.use_family or self.use_middle or self.use_given):
-            raise ValueError("component mask must keep at least one component")
+            raise ToolkitError("component mask must keep at least one component")
 
     @property
     def label(self) -> str:
@@ -71,7 +71,7 @@ def parse_mask(label: str) -> ComponentMask:
     try:
         return MASKS[label.strip().lower()]
     except KeyError:
-        raise ValueError(
+        raise ToolkitError(
             f"unknown component mask {label!r}; expected one of {', '.join(MASKS)}"
         ) from None
 

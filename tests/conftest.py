@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from vngender import classical, cli, data_io, names_core
-from vngender.featurize import LabeledMatrix
+from vngender.featurize import CsrMatrix
 
 
-def csr(docs, labels=None, n_features=None) -> LabeledMatrix:
+def csr(docs, n_features=None) -> CsrMatrix:
     """docs as dicts feature -> value; zero values are not stored. Without
     n_features, the matrix is as wide as its largest feature index."""
     rows = [sorted((int(f), float(v)) for f, v in dict(d).items() if v) for d in docs]
@@ -18,12 +18,7 @@ def csr(docs, labels=None, n_features=None) -> LabeledMatrix:
     indptr = np.cumsum([0] + [len(row) for row in rows])
     indices = [f for row in rows for f, _ in row]
     data = [v for row in rows for _, v in row]
-    return LabeledMatrix(indptr, indices, data, n_features, labels)
-
-
-def docs_to_matrix(docs, labels, n_features) -> LabeledMatrix:
-    """docs as dicts feature -> count."""
-    return csr(docs, list(labels), n_features)
+    return CsrMatrix(indptr, indices, data, n_features)
 
 
 class Prediction(NamedTuple):
@@ -37,7 +32,7 @@ def predict_row(model, doc) -> Prediction:
     return Prediction(int(labels[0]), float(scores[0]))
 
 
-def row_dict(matrix: LabeledMatrix, i: int) -> dict:
+def row_dict(matrix: CsrMatrix, i: int) -> dict:
     """Row i of a matrix as a dict feature -> value."""
     sl = slice(matrix.indptr[i], matrix.indptr[i + 1])
     return dict(zip(matrix.indices[sl].tolist(), matrix.data[sl].tolist()))

@@ -290,7 +290,7 @@ def token_vocabulary(corpus, cfg):
                                 len(corpus))
 
 
-def token_transform(docs, vocab, cfg, labels=None):
+def token_transform(docs, vocab, cfg):
     """CSR rows of token lists, looked up token by token in the vocabulary."""
     index_of = vocab.index_of
     v = len(vocab)
@@ -308,7 +308,7 @@ def token_transform(docs, vocab, cfg, labels=None):
         data /= norms[row_ids]
     indptr = np.zeros(len(docs) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row_ids, minlength=len(docs)), out=indptr[1:])
-    return featurize.LabeledMatrix(indptr, indices, data, v, labels)
+    return featurize.CsrMatrix(indptr, indices, data, v)
 
 
 def select_subset(subset, mask):
@@ -326,10 +326,11 @@ def select_subset(subset, mask):
     return docs, labels, skipped
 
 
-def experiment(dataset, mask, model_spec, vectorizer_cfg, split_spec) -> dict:
+def experiment(dataset, mask, model_spec, split_spec) -> dict:
     """One (mask, model) cell the token-list way, with its own split and
     segmentation. Returns the fields of `ExperimentResult` but the model and
     the vectorizer config."""
+    vectorizer_cfg = model_spec.vectorizer
     train, dev, test = evaluation.stratified_split(dataset, split_spec)
     train_docs, train_labels, skip_train = select_subset(train, mask)
     _, _, skip_dev = select_subset(dev, mask)
@@ -344,9 +345,9 @@ def experiment(dataset, mask, model_spec, vectorizer_cfg, split_spec) -> dict:
         label = model_spec.kind
     else:
         vocabulary = token_vocabulary(train_docs, vectorizer_cfg)
-        matrix = token_transform(train_docs, vocabulary, vectorizer_cfg, train_labels)
-        model = classical.train_classifier(model_spec.kind, matrix, seed=model_spec.seed,
-                                           **model_spec.options)
+        matrix = token_transform(train_docs, vocabulary, vectorizer_cfg)
+        model = classical.train_classifier(model_spec.kind, matrix, train_labels,
+                                           seed=model_spec.seed, **model_spec.options)
         x_test = token_transform(test_docs, vocabulary, vectorizer_cfg)
         label = f"{model_spec.kind}+{vectorizer_cfg.mode}"
     preds = classical.predict(model, x_test)[0].tolist()
@@ -365,12 +366,12 @@ def experiment(dataset, mask, model_spec, vectorizer_cfg, split_spec) -> dict:
     }
 
 
-def ablation_report(dataset, model_specs, vectorizer_cfgs, split_spec):
+def ablation_report(dataset, model_specs, split_spec):
     """The seven-mask ablation as one `experiment` per cell."""
     cells, skipped, model_labels = {}, {}, []
     for mask in names_core.ALL_MASKS:
-        for spec, vcfg in zip(model_specs, vectorizer_cfgs):
-            cell = experiment(dataset, mask, spec, vcfg, split_spec)
+        for spec in model_specs:
+            cell = experiment(dataset, mask, spec, split_spec)
             cells[(mask.label, cell["model_label"])] = cell["metrics"]
             skipped[mask.label] = sum(cell["skipped"].values())
             if cell["model_label"] not in model_labels:

@@ -147,6 +147,13 @@ class TestMalformedBundles:
         with pytest.raises(BundleFormatError, match="gbdt"):
             bm.load_model(write_sections(tmp_path, valid))
 
+    def test_unknown_mask(self, valid, tmp_path):
+        meta = json.loads(valid["meta"])
+        meta["mask"] = "given-only"
+        valid["meta"] = json.dumps(meta).encode("utf-8")
+        with pytest.raises(BundleFormatError, match="given-only"):
+            bm.load_model(write_sections(tmp_path, valid))
+
     def test_missing_npz_member(self, valid, tmp_path):
         arrays = npz_arrays(valid["arrays"])
         del arrays["threshold"]

@@ -1,11 +1,12 @@
 import dataclasses
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import SPLIT_SEED, run_cli
+from conftest import FAST_OPTIONS, SPLIT_SEED, run_cli
 from vngender import bundle as bm
 from vngender import classical, cli, data_io, evaluation, lstm, names_core
 from vngender.evaluation import ModelSpec, SplitSpec
@@ -53,10 +54,11 @@ class TestTrain:
     @pytest.mark.parametrize("kind", list(classical.MODEL_KINDS))
     def test_train_and_ablate_build_the_same_model(self, bundle_paths, names_csv, kind):
         loaded = bm.load_model(bundle_paths[kind, "full"])
-        spec = ModelSpec(kind, seed=SPLIT_SEED, options=FAST_FIT_OPTIONS.get(kind, {}))
+        vcfg = None if classical.MODEL_KINDS[kind].reads_tokens else VectorizerConfig("count")
+        spec = ModelSpec(kind, vcfg, SPLIT_SEED, FAST_FIT_OPTIONS.get(kind, {}))
         result = evaluation.run_experiment(
             data_io.load_dataset(names_csv), names_core.parse_mask("full"), spec,
-            VectorizerConfig("count"), SplitSpec(seed=SPLIT_SEED),
+            SplitSpec(seed=SPLIT_SEED),
         )
         arrays, meta = bm._split_fields(result.model)
         loaded_arrays, loaded_meta = bm._split_fields(loaded.model)
@@ -65,7 +67,7 @@ class TestTrain:
         for name, value in arrays.items():
             assert np.array_equal(value, loaded_arrays[name]), name
         rebuilt = bm.make_bundle(result.model, loaded.component_mask,
-                                 result.vectorizer_cfg, result.vocabulary)
+                                 spec.vectorizer, result.vocabulary)
         assert rebuilt.model_id == loaded.model_id
 
     def test_unconverged_fit_warns(self, names_csv, tmp_path, monkeypatch):
@@ -123,8 +125,12 @@ class TestCommands:
         calls, predict = [], classical.predict
         monkeypatch.setattr(classical, "predict",
                             lambda *args: calls.append(args) or predict(*args))
+        inputs, model_input = [], classical.model_input
+        monkeypatch.setattr(classical, "model_input",
+                            lambda *args: inputs.append(args) or model_input(*args))
         code, out, err = run_cli(["predict", "--model", path, *names])
-        assert (code, err, len(calls)) == (0, "", 1)
+        assert (code, err, len(calls), len(inputs)) == (0, "", 1, 1)
+        assert inputs[0][0] == kind and len(inputs[0][1]) == len(names)
         assert out.splitlines() == want
 
     def test_predict_stops_at_a_name_it_cannot_score(self, bundle_paths):
@@ -229,6 +235,24 @@ class TestErrors:
         err = self.expect_error(["predict", "--model", bundle_paths[kind, "full"],
                                  "Nguy\udcffn Lan"])
         assert "surrogate" in err
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("multinomial_nb", "--alpha", "nan"), ("multinomial_nb", "--alpha", "inf"),
+        ("bernoulli_nb", "--alpha", "nan"), ("bernoulli_nb", "--alpha", "inf"),
+        ("multinomial_nb", "--alpha", "-1"),
+        ("logistic_regression", "--l2", "inf"), ("logistic_regression", "--l2", "nan"),
+        ("linear_svm", "--c", "inf"), ("linear_svm", "--c", "nan"),
+        ("lstm", "--lr", "0"), ("lstm", "--lr", "-1"), ("lstm", "--lr", "nan"),
+        ("lstm", "--lr", "inf"),
+    ])
+    def test_bad_fit_option(self, names_csv, tmp_path, kind, flag, value):
+        option = {"--lr": "learning_rate"}.get(flag, flag[2:])
+        out = tmp_path / "m.bundle"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.expect_error(["train", "--data", names_csv, "--model", kind,
+                                     flag, value, "--out", out, *FAST_OPTIONS.get(kind, [])])
+        assert err.startswith(f"error: {option} must be finite and ") and not out.exists()
 
     def test_lstm_without_hidden_units(self, names_csv, tmp_path):
         out = tmp_path / "lstm.bundle"

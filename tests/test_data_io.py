@@ -68,10 +68,6 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="not found"):
             data_io.load_dataset(tmp_path / "nope.csv")
 
-    def test_unknown_format_errors(self, tmp_path):
-        with pytest.raises(DataError, match="format"):
-            data_io.load_dataset(write_csv(tmp_path, "a,1\n"), fmt="tsv")
-
 
 NAME_CHARS = st.characters(
     whitelist_categories=("Lu", "Ll", "Nd", "Po", "Zs"),

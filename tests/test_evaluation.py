@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from vngender import data_io, evaluation as ev, names_core as nc
+from vngender import classical, data_io, evaluation as ev, featurize, names_core as nc
 from vngender.data_io import Dataset, DatasetRecord
-from vngender.errors import EvaluationError
+from vngender.errors import EvaluationError, TrainingError
 from vngender.evaluation import ModelSpec, SplitSpec
 from vngender.featurize import VectorizerConfig
 
@@ -171,8 +171,8 @@ class TestRunExperiment:
     def test_planted_rule_multinomial_reaches_perfect_macro_f1(self):
         ds = data_io.generate_synthetic(2000, 1.0, 17)
         result = ev.run_experiment(
-            ds, nc.parse_mask("mn+fin"), ModelSpec("multinomial_nb"),
-            VectorizerConfig("count"), SplitSpec(seed=2),
+            ds, nc.parse_mask("mn+fin"), ModelSpec("multinomial_nb", VectorizerConfig("count")),
+            SplitSpec(seed=2),
         )
         assert result.metrics.macro_f1 == 1.0
         assert result.misclassified == []
@@ -180,8 +180,8 @@ class TestRunExperiment:
     def test_family_only_stays_near_majority_baseline(self):
         ds = data_io.generate_synthetic(2000, 1.0, 17)
         result = ev.run_experiment(
-            ds, nc.parse_mask("fan"), ModelSpec("multinomial_nb"),
-            VectorizerConfig("count"), SplitSpec(seed=2),
+            ds, nc.parse_mask("fan"), ModelSpec("multinomial_nb", VectorizerConfig("count")),
+            SplitSpec(seed=2),
         )
         train, _, test = ev.stratified_split(ds, SplitSpec(seed=2))
         majority = 1 if train.label_counts()[1] >= train.label_counts()[0] else 0
@@ -197,16 +197,16 @@ class TestRunExperiment:
         records += [DatasetRecord(f"Trần N{i}", 1) for i in range(6)]
         ds = Dataset(records)
         result = ev.run_experiment(
-            ds, nc.parse_mask("mn"), ModelSpec("multinomial_nb"),
-            VectorizerConfig("count"), SplitSpec(seed=0),
+            ds, nc.parse_mask("mn"), ModelSpec("multinomial_nb", VectorizerConfig("count")),
+            SplitSpec(seed=0),
         )
         assert sum(result.skipped.values()) == 6
 
     def test_misclassified_carries_component_text(self):
         ds = data_io.generate_synthetic(400, 0.7, 3)
         result = ev.run_experiment(
-            ds, nc.parse_mask("mn+fin"), ModelSpec("multinomial_nb"),
-            VectorizerConfig("count"), SplitSpec(seed=1),
+            ds, nc.parse_mask("mn+fin"), ModelSpec("multinomial_nb", VectorizerConfig("count")),
+            SplitSpec(seed=1),
         )
         assert result.misclassified
         text, truth, pred = result.misclassified[0]
@@ -220,25 +220,79 @@ class TestRunExperiment:
             options={"hidden": 8, "epochs": 1, "embedding_dim": 16,
                      "learning_rate": 0.5},
         )
-        result = ev.run_experiment(ds, nc.parse_mask("mn+fin"), spec, None, SplitSpec(seed=1))
+        result = ev.run_experiment(ds, nc.parse_mask("mn+fin"), spec, SplitSpec(seed=1))
         assert 0.0 <= result.metrics.macro_f1 <= 1.0
         assert len(result.model.train_meta["epoch_losses"]) == 1
 
-    def test_classical_requires_vectorizer(self):
+    def test_cell_takes_every_input_from_model_input(self, monkeypatch):
         ds = data_io.generate_synthetic(300, 1.0, 4)
-        with pytest.raises(EvaluationError):
-            ev.run_experiment(
-                ds, nc.parse_mask("full"), ModelSpec("multinomial_nb"), None, SplitSpec()
-            )
+        calls = []
+        original = classical.model_input
+
+        def counted(kind, docs, *args):
+            calls.append((kind, len(docs)))
+            return original(kind, docs, *args)
+
+        monkeypatch.setattr(classical, "model_input", counted)
+        train, _, test = ev.stratified_split(ds, SplitSpec(seed=1))
+        for spec in (ModelSpec("multinomial_nb", VectorizerConfig("count")),
+                     ModelSpec("lstm", options={"hidden": 2, "epochs": 1, "embedding_dim": 4})):
+            calls.clear()
+            ev.run_experiment(ds, nc.parse_mask("full"), spec, SplitSpec(seed=1))
+            assert calls == [(spec.kind, len(train)), (spec.kind, len(test))]
+
+
+class TestModelSpec:
+    def test_matrix_kind_requires_vectorizer(self):
+        with pytest.raises(EvaluationError, match="multinomial_nb needs a vectorizer"):
+            ModelSpec("multinomial_nb")
+
+    def test_token_kind_takes_no_vectorizer(self):
+        with pytest.raises(EvaluationError, match="lstm reads tokens and takes no vectorizer"):
+            ModelSpec("lstm", VectorizerConfig("count"))
+
+    def test_label(self):
+        assert ModelSpec("lstm").label == "lstm"
+        assert ModelSpec("linear_svm", VectorizerConfig("tfidf")).label == "linear_svm+tfidf"
+
+
+class TestFitContract:
+    """Every kind fits on (x, labels) and rejects bad labels with one message."""
+
+    DOCS = [["lê", "văn", "nam"], ["lê", "thị", "mai"], ["trần", "văn", "an"],
+            ["hồ", "thị", "hà"]]
+    OPTIONS = {"random_forest": {"n_trees": 2},
+               "lstm": {"hidden": 2, "epochs": 1, "embedding_dim": 4}}
+
+    def fit(self, kind, labels):
+        docs = featurize.encode(self.DOCS)
+        cfg = None if classical.MODEL_KINDS[kind].reads_tokens else VectorizerConfig("count")
+        vocabulary = None if cfg is None else featurize.fit_vocabulary(docs, cfg)
+        x = classical.model_input(kind, docs, vocabulary, cfg)
+        return classical.train_classifier(kind, x, labels, **self.OPTIONS.get(kind, {}))
+
+    @pytest.mark.parametrize("kind", list(classical.MODEL_KINDS))
+    def test_fits_on_x_and_labels(self, kind):
+        assert self.fit(kind, [1, 0, 1, 0]).kind == kind
+
+    @pytest.mark.parametrize("kind", list(classical.MODEL_KINDS))
+    @pytest.mark.parametrize("labels, message", [
+        ([1, 0, 2, 0], "^labels must be 0 or 1$"),
+        ([1, 0, 1], r"^expected 4 labels, one per row, got shape \(3,\)$"),
+        ([1, 1, 1, 1], "^training set contains a single class$"),
+    ])
+    def test_bad_labels_rejected_alike(self, kind, labels, message):
+        with pytest.raises(TrainingError, match=message):
+            self.fit(kind, labels)
 
 
 @pytest.fixture(scope="module")
 def report_and_dataset():
     ds = data_io.generate_synthetic(1600, 0.9, 23)
-    specs = [ModelSpec("multinomial_nb"), ModelSpec("linear_svm", seed=1)]
-    cfgs = [VectorizerConfig("count"), VectorizerConfig("count")]
-    report = ev.run_ablation(ds, specs, cfgs, SplitSpec(seed=6))
-    return report, ds, specs, cfgs
+    specs = [ModelSpec("multinomial_nb", VectorizerConfig("count")),
+             ModelSpec("linear_svm", VectorizerConfig("count"), seed=1)]
+    report = ev.run_ablation(ds, specs, SplitSpec(seed=6))
+    return report, ds, specs
 
 
 class TestRunAblation:
@@ -258,10 +312,10 @@ class TestRunAblation:
             assert floor_mn > ceil_rest
 
     def test_single_cell_reproduces_run_experiment(self, report_and_dataset):
-        report, ds, specs, cfgs = report_and_dataset
+        report, ds, specs = report_and_dataset
         for mask in nc.ALL_MASKS:
-            for spec, cfg in zip(specs, cfgs):
-                result = ev.run_experiment(ds, mask, spec, cfg, SplitSpec(seed=6))
+            for spec in specs:
+                result = ev.run_experiment(ds, mask, spec, SplitSpec(seed=6))
                 assert report.cells[(mask.label, result.model_label)] == result.metrics
         assert len(report.cells) == 14
 
@@ -274,7 +328,7 @@ class TestRunAblation:
         assert set(payload["skipped"]) == set(nc.MASKS)
 
     def test_splits_and_segments_each_record_once(self, report_and_dataset, monkeypatch):
-        _, ds, specs, cfgs = report_and_dataset
+        _, ds, specs = report_and_dataset
         calls = Counter()
 
         def count_calls(module, name):
@@ -289,7 +343,7 @@ class TestRunAblation:
         count_calls(nc, "normalize")
         count_calls(nc, "segment")
         count_calls(ev, "stratified_split")
-        ev.run_ablation(ds, specs, cfgs, SplitSpec(seed=6))
+        ev.run_ablation(ds, specs, SplitSpec(seed=6))
         assert calls == {"normalize": len(ds), "segment": len(ds), "stratified_split": 1}
 
 
@@ -306,14 +360,14 @@ EDGE_NAMES = (
 TIED_CAP = 5   # max_features below every mask's vocabulary size
 SPLIT = SplitSpec(seed=4)
 ORACLE_CONFIGS = {
-    "cli-default": ([ModelSpec("linear_svm", seed=4), ModelSpec("bernoulli_nb", seed=4)],
-                    [VectorizerConfig("count"), VectorizerConfig("tfidf", 4000)]),
-    "capped": ([ModelSpec("multinomial_nb"), ModelSpec("logistic_regression")],
-               [VectorizerConfig("count", 3), VectorizerConfig("tfidf", TIED_CAP)]),
-    "tokens": ([ModelSpec("lstm", seed=2, options={"hidden": 4, "embedding_dim": 8,
-                                                     "epochs": 1}),
-                ModelSpec("decision_tree", options={"max_depth": 4})],
-               [None, VectorizerConfig("count", 50)]),
+    "cli-default": [ModelSpec("linear_svm", VectorizerConfig("count"), seed=4),
+                    ModelSpec("bernoulli_nb", VectorizerConfig("tfidf", 4000), seed=4)],
+    "capped": [ModelSpec("multinomial_nb", VectorizerConfig("count", 3)),
+               ModelSpec("logistic_regression", VectorizerConfig("tfidf", TIED_CAP))],
+    "tokens": [ModelSpec("lstm", seed=2, options={"hidden": 4, "embedding_dim": 8,
+                                                  "epochs": 1}),
+               ModelSpec("decision_tree", VectorizerConfig("count", 50),
+                         options={"max_depth": 4})],
 }
 
 
@@ -332,18 +386,18 @@ class TestAblationOracle:
     @pytest.mark.parametrize("config", list(ORACLE_CONFIGS))
     def test_report_matches_token_list_oracle(self, config, seed):
         ds = edge_case_dataset(seed)
-        specs, cfgs = ORACLE_CONFIGS[config]
-        ours = ev.ablation_to_dict(ev.run_ablation(ds, specs, cfgs, SPLIT))
-        expected = ev.ablation_to_dict(oracles.ablation_report(ds, specs, cfgs, SPLIT))
+        specs = ORACLE_CONFIGS[config]
+        ours = ev.ablation_to_dict(ev.run_ablation(ds, specs, SPLIT))
+        expected = ev.ablation_to_dict(oracles.ablation_report(ds, specs, SPLIT))
         assert json.dumps(ours) == json.dumps(expected)
 
     @pytest.mark.parametrize("max_features", [None, 3, TIED_CAP, 50])
     def test_every_cell_matches_token_list_oracle(self, max_features):
         ds = edge_case_dataset(0)
-        spec, cfg = ModelSpec("multinomial_nb"), VectorizerConfig("tfidf", max_features)
+        spec = ModelSpec("multinomial_nb", VectorizerConfig("tfidf", max_features))
         for mask in nc.ALL_MASKS:
-            result = ev.run_experiment(ds, mask, spec, cfg, SPLIT)
-            expected = oracles.experiment(ds, mask, spec, cfg, SPLIT)
+            result = ev.run_experiment(ds, mask, spec, SPLIT)
+            expected = oracles.experiment(ds, mask, spec, SPLIT)
             vocab, oracle_vocab = result.vocabulary, expected.pop("vocabulary")
             assert vocab.tokens == oracle_vocab.tokens
             assert vocab.doc_freq.tolist() == oracle_vocab.doc_freq.tolist()

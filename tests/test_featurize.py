@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from vngender import featurize as fz
-from vngender.errors import FeaturizeError
+from vngender.errors import FeaturizeError, TrainingError
 
 TOKENS = st.sampled_from(["thị", "hiền", "văn", "nam", "đức", "mai", "an"])
 DOCS = st.lists(st.lists(TOKENS, max_size=6), min_size=1, max_size=10)
@@ -16,8 +16,8 @@ def fit(corpus, mode="count", max_features=None):
     return fz.fit_vocabulary(fz.encode(corpus), fz.VectorizerConfig(mode, max_features))
 
 
-def transform(docs, vocab, mode="count", labels=None):
-    return fz.transform(fz.encode(docs), vocab, fz.VectorizerConfig(mode), labels)
+def transform(docs, vocab, mode="count"):
+    return fz.transform(fz.encode(docs), vocab, fz.VectorizerConfig(mode))
 
 
 def vec(doc, vocab, mode="count") -> dict:
@@ -187,10 +187,14 @@ class TestBatchTransform:
             assert np.all(np.diff(m.indices[m.indptr[i]:m.indptr[i + 1]]) > 0)
         assert np.all(m.data > 0)
 
-    def test_labels_ride_along(self):
+    def test_labels_ride_beside(self):
+        # The matrix holds no labels; a fit gets them as a separate argument,
+        # checked into int64.
         vocab = fit([["a"], ["b"]])
-        m = transform([["a"], ["b"]], vocab, labels=[1, 0])
-        assert m.labels.tolist() == [1, 0]
+        m = transform([["a"], ["b"]], vocab)
+        assert not hasattr(m, "labels")
+        y = fz.check_labels(len(m), [True, False])
+        assert y.dtype == np.int64 and y.tolist() == [1, 0]
 
 
 class TestEncode:
@@ -238,31 +242,39 @@ class TestTokenListOracle:
                 assert getattr(ours, name).tolist() == getattr(theirs, name).tolist()
 
 
-class TestLabeledMatrix:
+class TestCsrMatrix:
     def test_out_of_range_feature_rejected(self):
         with pytest.raises(FeaturizeError, match="out of range"):
-            fz.LabeledMatrix([0, 1], [3], [1.0], 3)
+            fz.CsrMatrix([0, 1], [3], [1.0], 3)
 
     def test_unsorted_row_rejected(self):
         with pytest.raises(FeaturizeError, match="strictly increasing"):
-            fz.LabeledMatrix([0, 2], [2, 1], [1.0, 1.0], 3)
+            fz.CsrMatrix([0, 2], [2, 1], [1.0, 1.0], 3)
 
     def test_stored_zero_rejected(self):
         with pytest.raises(FeaturizeError, match="non-zero"):
-            fz.LabeledMatrix([0, 1], [1], [0.0], 3)
+            fz.CsrMatrix([0, 1], [1], [0.0], 3)
 
     def test_inconsistent_indptr_rejected(self):
         with pytest.raises(FeaturizeError):
-            fz.LabeledMatrix([0, 2], [1], [1.0], 3)
-
-    def test_label_validation(self):
-        with pytest.raises(FeaturizeError):
-            fz.LabeledMatrix([0, 1], [0], [1.0], 1, labels=[2])
-        with pytest.raises(FeaturizeError):
-            fz.LabeledMatrix([0, 1], [0], [1.0], 1, labels=[1, 0])
+            fz.CsrMatrix([0, 2], [1], [1.0], 3)
 
     def test_row_sums_match_alone_and_in_batch(self):
-        m = fz.LabeledMatrix([0, 2, 2, 5], [0, 3, 1, 2, 3], [0.1, 0.2, 0.3, 0.4, 0.5], 4)
-        alone = fz.LabeledMatrix([0, 3], [1, 2, 3], [0.3, 0.4, 0.5], 4)
+        m = fz.CsrMatrix([0, 2, 2, 5], [0, 3, 1, 2, 3], [0.1, 0.2, 0.3, 0.4, 0.5], 4)
+        alone = fz.CsrMatrix([0, 3], [1, 2, 3], [0.3, 0.4, 0.5], 4)
         assert m.row_sums(m.data)[2] == alone.row_sums(alone.data)[0]
         assert m.row_sums(m.data)[1] == 0.0
+
+
+class TestCheckLabels:
+    @pytest.mark.parametrize("n_rows, labels, message", [
+        (2, [1, 2], "^labels must be 0 or 1$"),
+        (2, [1, 0.5], "^labels must be 0 or 1$"),
+        (1, [1, 0], r"^expected 1 labels, one per row, got shape \(2,\)$"),
+        (2, [[1, 0]], r"^expected 2 labels, one per row, got shape \(1, 2\)$"),
+        (2, [1, 1], "^training set contains a single class$"),
+        (0, [], "^empty training set$"),
+    ])
+    def test_label_validation(self, n_rows, labels, message):
+        with pytest.raises(TrainingError, match=message):
+            fz.check_labels(n_rows, labels)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vngender import names_core as nc
-from vngender.errors import EmptyNameError, InvalidNameError
+from vngender.errors import EmptyNameError, InvalidNameError, ToolkitError
 
 TOKENS = st.sampled_from(
     ["nguyễn", "trần", "thị", "văn", "hiền", "đức", "minh", "tú", "a", "xyz"]
@@ -111,7 +111,7 @@ class TestMasks:
         assert len({m.label for m in nc.ALL_MASKS}) == 7
 
     def test_all_flags_must_not_be_off(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ToolkitError, match="at least one component"):
             nc.ComponentMask(False, False, False)
 
     def test_parse_round_trips_labels(self):
@@ -120,5 +120,5 @@ class TestMasks:
             assert mask.label == label
 
     def test_parse_unknown_mask(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ToolkitError, match="unknown component mask 'given-only'"):
             nc.parse_mask("given-only")

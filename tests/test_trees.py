@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import csr, docs_to_matrix, planted_docs, predict_row
+from conftest import csr, planted_docs, predict_row
 from vngender import classical as cl
 from vngender import featurize as fz
 from vngender.errors import PredictionError, TrainingError
@@ -119,8 +119,8 @@ class TestDecisionTree:
     @given(seed=st.integers(0, 100_000))
     def test_root_split_matches_exhaustive_oracle(self, seed):
         docs, labels, n_features = tree_instance(seed)
-        matrix = docs_to_matrix(docs, labels, n_features)
-        model = cl.fit_decision_tree(matrix)
+        matrix = csr(docs, n_features)
+        model = cl.fit_decision_tree(matrix, labels)
         expected = oracles.best_split(docs, labels, n_features)
         if expected is None:
             assert is_leaf(model, 0)
@@ -132,7 +132,7 @@ class TestDecisionTree:
            min_leaf=st.integers(1, 3), max_depth=st.none() | st.integers(0, 3))
     def test_every_node_matches_exhaustive_oracle(self, seed, values, min_leaf, max_depth):
         docs, labels, n_features = tree_instance(seed, max_rows=14, values=values)
-        model = cl.fit_decision_tree(docs_to_matrix(docs, labels, n_features),
+        model = cl.fit_decision_tree(csr(docs, n_features), labels,
                                      max_depth=max_depth, min_leaf=min_leaf)
         check_splits_against_oracle(model, 0, docs, labels, n_features, max_depth, min_leaf)
 
@@ -141,7 +141,7 @@ class TestDecisionTree:
         # last two rows; taking that midpoint would leave a child empty.
         docs = [{0: 1.0}, {0: 1.0 + 2.0**-52}, {}]
         labels = [1, 0, 0]
-        model = cl.fit_decision_tree(docs_to_matrix(docs, labels, 1))
+        model = cl.fit_decision_tree(csr(docs, 1), labels)
         check_splits_against_oracle(model, 0, docs, labels, 1, None, 1)
         assert model.feature.size == 3
 
@@ -151,46 +151,46 @@ class TestDecisionTree:
         rng = np.random.default_rng(5)
         docs = [{int(f): 1.0 for f in rng.choice(10**6, 3, replace=False)} for _ in range(8)]
         labels = [1, 0] * 4
-        matrix = docs_to_matrix(docs, labels, 10**6)
-        tree = cl.fit_decision_tree(matrix)
+        matrix = csr(docs, 10**6)
+        tree = cl.fit_decision_tree(matrix, labels)
         assert cl.predict(tree, matrix)[0].tolist() == labels
-        forest = cl.fit_random_forest(matrix, n_trees=3, seed=1)
+        forest = cl.fit_random_forest(matrix, labels, n_trees=3, seed=1)
         assert forest.roots.size == 3
 
     def test_perfect_feature_gives_depth_one_tree(self):
         docs = [{2: 1}, {2: 2}, {0: 1}, {1: 3}]
         labels = [1, 1, 0, 0]
-        matrix = docs_to_matrix(docs, labels, 3)
-        model = cl.fit_decision_tree(matrix)
+        matrix = csr(docs, 3)
+        model = cl.fit_decision_tree(matrix, labels)
         assert model.feature.size == 3  # root plus two leaves
         assert model.feature[0] == 2
         assert cl.predict(model, matrix)[0].tolist() == labels
 
     def test_pure_children_stop_splitting(self):
         docs = [{0: 1, 1: 1}, {0: 1, 1: 2}, {1: 1}, {1: 2}]
-        matrix = docs_to_matrix(docs, [1, 1, 0, 0], 2)
-        model = cl.fit_decision_tree(matrix)
+        matrix, labels = csr(docs, 2), [1, 1, 0, 0]
+        model = cl.fit_decision_tree(matrix, labels)
         assert all(is_leaf(model, i) for i in range(1, model.feature.size))
 
     def test_tie_breaks_to_lowest_feature(self):
         # Features 1 and 3 carry the same perfect pattern; 1 must win.
         docs = [{1: 1, 3: 1}, {1: 1, 3: 1}, {}, {}]
-        matrix = docs_to_matrix(docs, [1, 1, 0, 0], 4)
-        model = cl.fit_decision_tree(matrix)
+        matrix, labels = csr(docs, 4), [1, 1, 0, 0]
+        model = cl.fit_decision_tree(matrix, labels)
         assert model.feature[0] == 1
 
     def test_min_leaf_respected(self):
         docs, labels, n_features = tree_instance(77, max_rows=10)
-        matrix = docs_to_matrix(docs, labels, n_features)
-        model = cl.fit_decision_tree(matrix, min_leaf=3)
+        matrix = csr(docs, n_features)
+        model = cl.fit_decision_tree(matrix, labels, min_leaf=3)
         inner = model.feature >= 0
         assert np.all(model.n[model.left[inner]] >= 3)
         assert np.all(model.n[model.right[inner]] >= 3)
 
     def test_max_depth_limits_growth(self):
         docs, labels, n_features = tree_instance(78)
-        matrix = docs_to_matrix(docs, labels, n_features)
-        model = cl.fit_decision_tree(matrix, max_depth=1)
+        matrix = csr(docs, n_features)
+        model = cl.fit_decision_tree(matrix, labels, max_depth=1)
         assert all(is_leaf(model, c)
                    for c in (model.left[0], model.right[0])
                    if not is_leaf(model, 0))
@@ -199,8 +199,8 @@ class TestDecisionTree:
     @given(seed=st.integers(0, 100_000))
     def test_tree_shape_is_proper_binary(self, seed):
         docs, labels, n_features = tree_instance(seed)
-        matrix = docs_to_matrix(docs, labels, n_features)
-        validate_tree_shape(cl.fit_decision_tree(matrix))
+        matrix = csr(docs, n_features)
+        validate_tree_shape(cl.fit_decision_tree(matrix, labels))
 
     def test_leaf_tie_predicts_label_one(self):
         model = tree_model(cl.DecisionTreeModel, [(-1, 0.0, -1, -1, 0.5, 4)])
@@ -208,17 +208,17 @@ class TestDecisionTree:
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
-            cl.fit_decision_tree(docs_to_matrix([{0: 1}, {1: 1}], [1, 1], 2))
+            cl.fit_decision_tree(csr([{0: 1}, {1: 1}], 2), [1, 1])
 
     def test_min_leaf_validation(self):
-        matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
+        matrix, labels = csr([{0: 1}, {1: 1}], 2), [1, 0]
         with pytest.raises(TrainingError):
-            cl.fit_decision_tree(matrix, min_leaf=0)
+            cl.fit_decision_tree(matrix, labels, min_leaf=0)
 
     def test_negative_max_depth_rejected(self):
-        matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
+        matrix, labels = csr([{0: 1}, {1: 1}], 2), [1, 0]
         with pytest.raises(TrainingError, match="max_depth"):
-            cl.fit_decision_tree(matrix, max_depth=-1)
+            cl.fit_decision_tree(matrix, labels, max_depth=-1)
 
 
 def same_nodes(a, b) -> bool:
@@ -229,10 +229,10 @@ def same_nodes(a, b) -> bool:
 class TestRandomForest:
     def test_single_full_tree_forest_equals_tree(self):
         docs, labels, n_features = tree_instance(12, max_rows=30, max_features=5)
-        matrix = docs_to_matrix(docs, labels, n_features)
-        tree = cl.fit_decision_tree(matrix)
+        matrix = csr(docs, n_features)
+        tree = cl.fit_decision_tree(matrix, labels)
         forest = cl.fit_random_forest(
-            matrix, n_trees=1, mtry=n_features, bootstrap=False, seed=99
+            matrix, labels, n_trees=1, mtry=n_features, bootstrap=False, seed=99
         )
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -248,7 +248,7 @@ class TestRandomForest:
         # rows, so the rows a tree grew on can be drawn again here.
         docs, labels, n_features = tree_instance(seed, max_rows=14, values=values)
         n_trees = 3
-        forest = cl.fit_random_forest(docs_to_matrix(docs, labels, n_features),
+        forest = cl.fit_random_forest(csr(docs, n_features), labels,
                                       n_trees=n_trees, mtry=n_features, seed=seed,
                                       min_leaf=min_leaf)
         tree_seeds = np.random.SeedSequence(seed).spawn(n_trees)
@@ -259,24 +259,24 @@ class TestRandomForest:
 
     def test_same_seed_same_forest(self):
         docs, labels, n_features = tree_instance(13, max_rows=25)
-        matrix = docs_to_matrix(docs, labels, n_features)
-        a = cl.fit_random_forest(matrix, n_trees=7, seed=5)
-        b = cl.fit_random_forest(matrix, n_trees=7, seed=5)
+        matrix = csr(docs, n_features)
+        a = cl.fit_random_forest(matrix, labels, n_trees=7, seed=5)
+        b = cl.fit_random_forest(matrix, labels, n_trees=7, seed=5)
         assert same_nodes(a, b)
 
     def test_different_seeds_usually_differ(self):
         docs, labels, n_features = tree_instance(14, max_rows=25)
-        matrix = docs_to_matrix(docs, labels, n_features)
-        a = cl.fit_random_forest(matrix, n_trees=7, seed=5)
-        b = cl.fit_random_forest(matrix, n_trees=7, seed=6)
+        matrix = csr(docs, n_features)
+        a = cl.fit_random_forest(matrix, labels, n_trees=7, seed=5)
+        b = cl.fit_random_forest(matrix, labels, n_trees=7, seed=6)
         assert not same_nodes(a, b)
 
     def test_planted_rule_reaches_perfect_training_accuracy(self):
         docs, labels = planted_docs(800, 1.0, 31)
         encoded = fz.encode(docs)
         vocab = fz.fit_vocabulary(encoded, fz.VectorizerConfig("count"))
-        matrix = fz.transform(encoded, vocab, fz.VectorizerConfig("count"), labels)
-        forest = cl.fit_random_forest(matrix, n_trees=10, seed=8)
+        matrix = fz.transform(encoded, vocab, fz.VectorizerConfig("count"))
+        forest = cl.fit_random_forest(matrix, labels, n_trees=10, seed=8)
         assert cl.predict(forest, matrix)[0].tolist() == labels
 
     def test_vote_fraction_is_score_and_ties_to_one(self):
@@ -292,7 +292,7 @@ class TestRandomForest:
     @given(seed=st.integers(0, 100_000))
     def test_level_walk_matches_row_by_row_walk(self, seed):
         docs, labels, n_features = tree_instance(seed, max_rows=15)
-        forest = cl.fit_random_forest(docs_to_matrix(docs, labels, n_features),
+        forest = cl.fit_random_forest(csr(docs, n_features), labels,
                                       n_trees=5, seed=seed)
         rng = np.random.default_rng(seed)
         probes = docs + [{int(f): float(rng.integers(0, 5)) for f in range(n_features)}, {}]
@@ -303,39 +303,39 @@ class TestRandomForest:
             assert leaves[i].tolist() == expected
 
     def test_validation(self):
-        matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
+        matrix, labels = csr([{0: 1}, {1: 1}], 2), [1, 0]
         with pytest.raises(TrainingError):
-            cl.fit_random_forest(matrix, n_trees=0)
+            cl.fit_random_forest(matrix, labels, n_trees=0)
         with pytest.raises(TrainingError):
-            cl.fit_random_forest(matrix, mtry=5)
+            cl.fit_random_forest(matrix, labels, mtry=5)
         with pytest.raises(TrainingError, match="max_depth"):
-            cl.fit_random_forest(matrix, max_depth=-2)
+            cl.fit_random_forest(matrix, labels, max_depth=-2)
 
 
 class TestPredictDispatch:
     def test_out_of_range_feature_rejected(self):
-        matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
-        model = cl.fit_multinomial_nb(matrix)
+        matrix, labels = csr([{0: 1}, {1: 1}], 2), [1, 0]
+        model = cl.fit_multinomial_nb(matrix, labels)
         with pytest.raises(PredictionError, match="out of range"):
             predict_row(model, {5: 1})
 
     def test_train_classifier_dispatch(self):
-        matrix = docs_to_matrix([{0: 2}, {1: 1}, {0: 1}, {1: 2}], [1, 0, 1, 0], 2)
+        matrix, labels = csr([{0: 2}, {1: 1}, {0: 1}, {1: 2}], 2), [1, 0, 1, 0]
         for kind in MATRIX_KINDS:
             options = {"n_trees": 3} if kind == "random_forest" else {}
-            model = cl.train_classifier(kind, matrix, seed=1, **options)
+            model = cl.train_classifier(kind, matrix, labels, seed=1, **options)
             assert model.kind == kind
-            labels, _ = cl.predict(model, matrix)
-            assert set(labels.tolist()) <= {0, 1}
+            predicted, _ = cl.predict(model, matrix)
+            assert set(predicted.tolist()) <= {0, 1}
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_row_scores_alone_equal_scores_in_batch(self, seed):
         docs, labels, n_features = tree_instance(seed, max_rows=12)
-        matrix = docs_to_matrix(docs, labels, n_features)
+        matrix = csr(docs, n_features)
         for kind in MATRIX_KINDS:
             options = {"n_trees": 4} if kind == "random_forest" else {}
-            model = cl.train_classifier(kind, matrix, seed=seed, **options)
+            model = cl.train_classifier(kind, matrix, labels, seed=seed, **options)
             batch_labels, batch_scores = cl.predict(model, matrix)
             for i, doc in enumerate(docs):
                 alone = cl.predict(model, csr([doc], n_features=n_features))
@@ -350,6 +350,6 @@ class TestPredictDispatch:
             assert ("seed" in inspect.signature(spec.fit).parameters) == spec.seeded
 
     def test_unknown_kind_rejected(self):
-        matrix = docs_to_matrix([{0: 1}, {1: 1}], [1, 0], 2)
+        matrix, labels = csr([{0: 1}, {1: 1}], 2), [1, 0]
         with pytest.raises(TrainingError):
-            cl.train_classifier("gbdt", matrix)
+            cl.train_classifier("gbdt", matrix, labels)
