@@ -44,12 +44,12 @@ from .featurize import (
     VectorizerConfig,
     Vocabulary,
     check_labels,
+    columns,
     encode,
     fit_vocabulary,
     transform,
 )
 from .lstm import (
-    EmbeddingTable,
     LstmModel,
     LstmParams,
     LstmTrainConfig,

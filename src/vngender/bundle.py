@@ -1,22 +1,24 @@
 """Model bundles: a single binary file holding vectorizer, parameters, the
 component mask used at train time, and run metadata.
 
-Layout (format version 4): magic, big-endian format version, section count,
+Layout (format version 5): magic, big-endian format version, section count,
 then length-prefixed named sections, then a SHA-256 checksum of everything
 before it. Two sections:
 
 - ``meta``: UTF-8 JSON with the model kind, mask label, model id, training
-  metadata, vectorizer config and vocabulary (both null for a kind that
-  reads tokens, such as the LSTM), and ``model``, the model's fields that are
-  not arrays, its ``train_meta`` included.
+  metadata, vectorizer config (null for a kind that reads tokens, such as
+  the LSTM), vocabulary, and ``model``, the model's fields that are not
+  arrays, its ``train_meta`` included.
 - ``arrays``: an npz archive of the model's array fields, by field name;
   arrays of a nested dataclass are named ``<field>.<name>`` (the LSTM's
   ``params.w``, ``params.u``, ...). It is read with ``allow_pickle=False``.
 
 Every kind, the LSTM included, goes through the same field-by-field encoding,
-and the model class of a kind comes from `classical.MODEL_KINDS`. The LSTM's
-embedding table is referenced (path + content hash, or a seed for random
-tables) rather than embedded, and resolved once when the model is built.
+and the model class of a kind comes from `classical.MODEL_KINDS`. Every
+model reads the bundle's vocabulary, so its `n_features` is the
+vocabulary's size. A bundle needs no other file: the LSTM stores the
+pretrained vectors of its vocabulary and rebuilds its embedding table from
+them and its seed when it is built.
 
 Scoring has one path: `bundle_predict_many` normalizes and segments each raw
 name, keeps the bundle's components, encodes every scorable name at once,
@@ -53,7 +55,7 @@ from .featurize import VectorizerConfig, Vocabulary
 from .names_core import ComponentMask, NameComponents
 
 MAGIC = b"VNGBUNDL"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass
@@ -62,7 +64,7 @@ class ModelBundle:
     model_kind: str
     component_mask: ComponentMask
     vectorizer_cfg: VectorizerConfig | None
-    vocabulary: Vocabulary | None
+    vocabulary: Vocabulary
     model: object                      # a model class of `classical.MODEL_KINDS`
     train_meta: dict
     model_id: str
@@ -171,17 +173,16 @@ def _model_class(kind: str) -> type:
 
 
 def _check_features(model, vectorizer_cfg: VectorizerConfig | None,
-                    vocabulary: Vocabulary | None) -> None:
-    """A model that scores feature rows (it has `n_features`) needs a
-    vectorizer and a vocabulary of its width; any other model needs neither."""
-    width = None if vectorizer_cfg is None or vocabulary is None else len(vocabulary)
-    if getattr(model, "n_features", None) != width:
+                    vocabulary: Vocabulary) -> None:
+    """The model reads a vocabulary of its width, through a vectorizer
+    unless its kind reads tokens."""
+    if model.n_features != len(vocabulary) or (
+        (vectorizer_cfg is None) != classical.MODEL_KINDS[model.kind].reads_tokens
+    ):
         raise BundleFormatError(f"the {model.kind} model and the vocabulary do not match")
 
 
-def _vocab_meta(vocabulary: Vocabulary | None) -> dict | None:
-    if vocabulary is None:
-        return None
+def _vocab_meta(vocabulary: Vocabulary) -> dict:
     return {
         "tokens": list(vocabulary.tokens),
         "doc_freq": vocabulary.doc_freq.tolist(),
@@ -196,8 +197,8 @@ def _vocab_meta(vocabulary: Vocabulary | None) -> dict | None:
 def make_bundle(
     model,
     component_mask: ComponentMask,
-    vectorizer_cfg: VectorizerConfig | None = None,
-    vocabulary: Vocabulary | None = None,
+    vectorizer_cfg: VectorizerConfig | None,
+    vocabulary: Vocabulary,
     train_meta: dict | None = None,
 ) -> ModelBundle:
     """Assemble a bundle and derive its model_id from the payload bytes."""
@@ -253,7 +254,7 @@ def load_model(path) -> ModelBundle:
         kind = meta["model_kind"]
         model = _join_fields(_model_class(kind), arrays, meta["model"])
         vocab = meta["vocabulary"]
-        vocabulary = None if vocab is None else Vocabulary(
+        vocabulary = Vocabulary(
             tuple(vocab["tokens"]),
             {tok: i for i, tok in enumerate(vocab["tokens"])},
             np.array(vocab["doc_freq"], dtype=np.int64),

@@ -8,11 +8,13 @@ local; numpy is used for array arithmetic only.
 
 One fit contract: every kind fits as `fit(x, labels, **options)`, through
 `train_classifier(kind, x, labels, ...)`. The labels ride beside `x`, not
-inside it, and each fit checks them once with `featurize.check_labels`. A
-kind's `x` comes from one step, `model_input(kind, docs, vocabulary,
-vectorizer_cfg)`: the encoded documents for a kind that reads tokens, their
-`CsrMatrix` otherwise. Fitting, scoring a test split and scoring a bundle's
-names all take that step, and every kind scores through `predict`.
+inside it, and each fit checks them once with `featurize.check_labels`.
+Every kind reads its documents through a vocabulary fitted on its training
+tokens, and its `x` comes from one step, `model_input(kind, docs,
+vocabulary, vectorizer_cfg)`: the documents' vocabulary ids for a kind that
+reads tokens, their `CsrMatrix` otherwise. Fitting, scoring a test split and
+scoring a bundle's names all take that step, and every kind scores through
+`predict`.
 
 `score(x)` gives one score per row of a `CsrMatrix`: P(label 1), the SVM
 margin, or the forest's share of label-1 votes. Row sums use
@@ -20,7 +22,8 @@ margin, or the forest's share of label-1 votes. Row sums use
 batch. `predict` labels a score 1 from the kind's threshold up (ties to 1).
 `MODEL_KINDS` registers all seven kinds, these six and the LSTM of `lstm`:
 each kind's model class, fit function, seed use, threshold, `vngender train`
-flags, and `reads_tokens`, set for a kind that skips the vectorizer.
+flags, and `reads_tokens`, set for a kind that skips the vectorizer. Every
+model has `n_features`, the size of the vocabulary it reads.
 """
 
 from __future__ import annotations
@@ -611,7 +614,8 @@ class KindSpec:
     `threshold`: scores at or above it get label 1. `train_flags`: the
     `vngender train` flag (by its argparse destination) behind each fit
     option. `reads_tokens`: the kind skips the vectorizer; it fits on and
-    scores a `TokenIds`, where the others fit on and score a `CsrMatrix`.
+    scores a `TokenIds` over the vocabulary, where the others fit on and
+    score a `CsrMatrix`.
     """
 
     model: type
@@ -650,19 +654,23 @@ def kind_spec(kind: str) -> KindSpec:
     return spec
 
 
-def model_input(kind: str, docs: TokenIds, vocabulary: Vocabulary | None,
+def model_input(kind: str, docs: TokenIds, vocabulary: Vocabulary,
                 vectorizer_cfg: VectorizerConfig | None):
-    """What `kind` fits on and scores for encoded documents: the documents
-    themselves for a kind that reads tokens, else their `CsrMatrix` under
-    the vocabulary."""
+    """What `kind` fits on and scores for encoded documents: for a kind that
+    reads tokens, the documents as a `TokenIds` over the vocabulary (id
+    `len(vocabulary)` for an unseen token), else their `CsrMatrix` under it."""
     if kind_spec(kind).reads_tokens:
-        return docs
+        return TokenIds(docs.rows, featurize.columns(docs, vocabulary), vocabulary.tokens,
+                        docs.n_docs)
     return featurize.transform(docs, vocabulary, vectorizer_cfg)
 
 
 def predict(model, x) -> tuple[np.ndarray, np.ndarray]:
     """(labels, scores) for every row of `x`, the `model_input` of the
     model's kind; ties at the threshold get label 1."""
+    if isinstance(x, TokenIds) and len(x.tokens) != model.n_features:
+        raise PredictionError(f"documents over {len(x.tokens)} tokens for a model "
+                              f"with a vocabulary of {model.n_features}")
     if isinstance(x, CsrMatrix) and x.indices.size and (
         int(x.indices.max()) >= model.n_features
     ):

@@ -34,7 +34,8 @@ class DivergenceError(TrainingError):
 
 
 class EmbeddingError(ToolkitError):
-    """A pretrained vector file could not be parsed."""
+    """A pretrained vector file could not be parsed, or stored vectors do not
+    fit the embedding table."""
 
 
 class EvaluationError(ToolkitError):

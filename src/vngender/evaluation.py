@@ -4,10 +4,11 @@ component ablation.
 An experiment splits the dataset once, normalizes and segments each record
 once, and encodes every subset as integer token ids tagged with their name
 component (`_encode_split`). A (mask, model) cell then keeps the entries of
-the mask's components, fits the vectorizer (if the `ModelSpec` has one) on
-train, and fits and scores the model under the fit contract of `classical`:
-train and test go through the same `classical.model_input` step, and the
-model fits on (x, labels) (`_run_cell`). `run_experiment` is one cell;
+the mask's components, fits a vocabulary on train (under the `ModelSpec`'s
+vectorizer config, or the default one for a kind that reads tokens), and
+fits and scores the model under the fit contract of `classical`: train and
+test go through the same `classical.model_input` step, and the model fits
+on (x, labels) (`_run_cell`). `run_experiment` is one cell;
 `run_ablation` runs the seven masks x the given models on one encoded split.
 """
 
@@ -201,7 +202,7 @@ class ExperimentResult:
     misclassified: list[tuple[str, int, int]]
     skipped: dict[str, int]
     subset_sizes: dict[str, int]
-    vocabulary: Vocabulary | None   # None for a kind that reads tokens
+    vocabulary: Vocabulary
     model: object
 
 
@@ -261,7 +262,7 @@ def _encode_split(dataset: Dataset, split_spec: SplitSpec) -> dict[str, _Encoded
 def _run_cell(split: dict[str, _EncodedSubset], mask: ComponentMask,
               spec: ModelSpec) -> ExperimentResult:
     """One (mask, model) cell on an encoded split: select the mask's tokens,
-    fit the vectorizer and the model on train, score test."""
+    fit the vocabulary and the model on train, score test."""
     train, train_labels, skip_train = split["train"].select(mask)
     _, _, skip_dev = split["dev"].select(mask)
     test, test_labels, skip_test = split["test"].select(mask)
@@ -270,9 +271,7 @@ def _run_cell(split: dict[str, _EncodedSubset], mask: ComponentMask,
     if not test.n_docs:
         raise EvaluationError(f"no usable test records under mask {mask.label!r}")
 
-    vocabulary = None
-    if spec.vectorizer is not None:
-        vocabulary = featurize.fit_vocabulary(train, spec.vectorizer)
+    vocabulary = featurize.fit_vocabulary(train, spec.vectorizer or VectorizerConfig())
     model = classical.train_classifier(
         spec.kind, classical.model_input(spec.kind, train, vocabulary, spec.vectorizer),
         train_labels, seed=spec.seed, **spec.options,
@@ -305,10 +304,9 @@ def run_experiment(
     spec: ModelSpec,
     split_spec: SplitSpec,
 ) -> ExperimentResult:
-    """split -> segment/select -> fit vectorizer on train -> train -> score test.
+    """split -> segment/select -> fit vocabulary on train -> train -> score test.
 
-    A kind that reads tokens skips the vectorizer, and its result carries no
-    vocabulary. The dev subset is produced and left untouched. Records whose selected
+    The dev subset is produced and left untouched. Records whose selected
     components are empty under the mask are skipped and counted.
     """
     return _run_cell(_encode_split(dataset, split_spec), mask, spec)

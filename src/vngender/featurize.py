@@ -4,7 +4,10 @@ the one check of training labels.
 Both work on integer token ids: `encode` turns token lists into `TokenIds`,
 one flat entry per token occurrence, and `fit_vocabulary` and `transform`
 read those ids. The ablation builds its `TokenIds` once per split and
-filters them per component mask instead of re-tokenizing.
+filters them per component mask instead of re-tokenizing. Every model kind
+reads its documents through a fitted vocabulary: `columns` gives each entry's
+vocabulary index, with `len(vocab)` for an unseen token; `transform` counts
+those indices into a `CsrMatrix`, and the LSTM reads them as they are.
 
 Labels travel beside the data, never inside it: every model kind fits on
 (x, labels), where x is a `CsrMatrix` or a `TokenIds`, and checks its labels
@@ -102,6 +105,10 @@ class TokenIds:
     `tokens` is the sorted token universe (Python string order, so code-point
     order), so comparing ids compares tokens. `rows` does not decrease, and a
     document's entries keep its token order. A document may have no entries.
+    Documents read through a vocabulary (`classical.model_input` of a kind
+    that reads tokens) have the vocabulary's tokens as their universe and
+    index the vocabulary; there, id `len(tokens)` stands for a token outside
+    it.
     """
 
     rows: np.ndarray           # int64
@@ -158,18 +165,23 @@ def fit_vocabulary(docs: TokenIds, cfg: VectorizerConfig) -> Vocabulary:
     return Vocabulary(tokens, index_of, doc_freq[kept], docs.n_docs)
 
 
+def columns(docs: TokenIds, vocab: Vocabulary) -> np.ndarray:
+    """The vocabulary index of every entry of `docs`; `len(vocab)` for a
+    token outside the vocabulary."""
+    v = len(vocab)
+    return np.array([vocab.index_of.get(tok, v) for tok in docs.tokens], dtype=np.int64)[docs.ids]
+
+
 def transform(docs: TokenIds, vocab: Vocabulary, cfg: VectorizerConfig) -> CsrMatrix:
     """One CSR row per document; tokens outside the vocabulary are dropped.
 
     "count" rows hold raw term counts. "tfidf" rows hold smoothed TF-IDF,
     tf * (ln((1+N)/(1+df)) + 1), L2-normalized per row.
     """
-    index_of = vocab.index_of
     v = len(vocab)
-    columns = np.array([index_of.get(tok, -1) for tok in docs.tokens], dtype=np.int64)
-    ids = columns[docs.ids]
+    ids = columns(docs, vocab)
     rows = docs.rows
-    keep = ids >= 0
+    keep = ids < v
     keys, counts = np.unique(rows[keep] * v + ids[keep], return_counts=True)
     row_ids, indices = np.divmod(keys, v)
     data = counts.astype(np.float64)

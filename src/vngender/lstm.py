@@ -1,20 +1,23 @@
 """Single-layer LSTM sequence classifier trained by backpropagation through time.
 
-Token embeddings come from a pretrained ``.vec`` text file or a seeded random
-table; they stay frozen during training. The final hidden state feeds a
-sigmoid readout for the binary gender probability.
+The LSTM reads its documents through a `featurize.Vocabulary`, like every
+other kind: a document is a `featurize.TokenIds` whose ids index the
+vocabulary, id V (the vocabulary's size) standing for every unseen token.
+Each id picks a row of one frozen (V + 1, D) embedding table, built by
+`embedding_table` from the model's own fields: one seeded uniform draw,
+overwritten by the pretrained vectors of the vocabulary tokens that a
+``.vec`` text file holds. Those vectors are read once, at fit time, by a
+streaming parse (`load_embeddings`) that keeps only the vocabulary's rows, and
+they are stored with the model, so a bundle needs nothing outside it. The
+final hidden state feeds a sigmoid readout for the binary gender probability.
 
 Layout: `LstmParams` stacks the four gates in i, f, o, c order, so one
 (4H, D) input matrix, one (4H, H) recurrent matrix and one (4H,) bias give
 every gate's pre-activation in one product per step.
 
-Every entry point reads documents as `featurize.TokenIds`. `_sequences`
-keeps each document's last `max_seq_len` tokens and left-pads them into the
-rows of one integer id matrix, so that every sequence of a batch ends at the
-last step. Ids number a call's kept tokens in order of first sight, whatever
-the order of the `TokenIds` universe, and the embedding rows of those tokens
-are gathered once per call: once for a whole fit in `train_lstm`, once for a
-whole batch in `predict_lstm`.
+`_sequences` keeps each document's last `max_seq_len` ids and left-pads
+them into the rows of one integer id matrix, so that every sequence of a
+batch ends at the last step.
 
 One kernel serves training and scoring. A batch runs longest first: at each
 step the rows that hold a token are a prefix of the batch, and the rows after
@@ -23,29 +26,23 @@ projected through the input matrix once, a step multiplies the recurrent
 matrix only against rows that carry a state, and the backward pass returns
 the input gradient of the distinct tokens through one one-hot product.
 `predict_lstm` runs its forward passes on at most `SCORE_CHUNK` names each,
-so its working memory grows with the batch only by the id matrix and the
-embedding rows, and a single name is a batch of one.
-
-Out-of-vocabulary tokens get seeded random vectors, a pure function of the
-table's seed and the token. They are drawn when a matrix is gathered, once
-per distinct token, and never cached, so a table holds only what it was
-built with, however many unseen tokens it is asked about.
+so its working memory grows with the batch only by the id matrix, and a
+single name is a batch of one.
 
 `LstmModel` is the `lstm` kind of the model registry in `classical`: it has a
-`kind`, a `train_meta` (the per-epoch losses) and stored fields like every
-classical model, and `score(docs)` gives P(label 1) for every document of a
-`TokenIds`, where the classical kinds score the rows of a feature matrix.
-`fit_lstm(docs, labels, ...)` is its fit function.
+`kind`, a `train_meta` (the per-epoch losses), `n_features` (the vocabulary
+size) and stored fields like every classical model, and `score(docs)` gives
+P(label 1) for every document of a `TokenIds` over its vocabulary, where the
+classical kinds score the rows of a feature matrix. `fit_lstm(docs, labels,
+...)` is its fit function.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import ClassVar, Collection, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -63,108 +60,70 @@ INIT_HALF_RANGE = 0.1
 SCORE_CHUNK = 256
 
 
-def _oov_vector(token: str, seed: int, dim: int) -> np.ndarray:
-    # Derived per (seed, token), so lookups are order-independent and a
-    # reloaded table reproduces the exact same draws.
-    digest = hashlib.sha256(f"{seed}\x00{token}".encode("utf-8")).digest()
-    rng = np.random.default_rng(int.from_bytes(digest, "big"))
-    return rng.uniform(-OOV_HALF_RANGE, OOV_HALF_RANGE, dim)
-
-
-@dataclass
-class EmbeddingTable:
-    """Token -> vector lookup; unknown tokens get seeded-random draws."""
-
-    dim: int
-    vectors: dict[str, np.ndarray]
-    oov_seed: int = 0
-    source: dict = field(default_factory=dict)
-
-    def lookup(self, token: str) -> np.ndarray:
-        vec = self.vectors.get(token)
-        return vec if vec is not None else _oov_vector(token, self.oov_seed, self.dim)
-
-    def matrix(self, tokens: Collection[str]) -> np.ndarray:
-        """The vectors of distinct `tokens` as the rows of one (n, dim) matrix."""
-        out = np.empty((len(tokens), self.dim), dtype=np.float64)
-        for row, tok in zip(out, tokens):
-            row[:] = self.lookup(tok)
-        return out
-
-
-def random_embeddings(dim: int, seed: int = 0) -> EmbeddingTable:
-    """A table with no fixed vectors: every token is a seeded OOV draw."""
-    return EmbeddingTable(
-        dim, {}, oov_seed=seed, source={"kind": "random", "dim": dim, "seed": seed}
-    )
-
-
-def _read_vec_file(path, missing: str) -> bytes:
+def load_embeddings(path, tokens: Sequence[str], expected_dim: int):
+    """(rows, values) from a text vector file, a header "<count> <dim>" then
+    one token and its `dim` floats per line: the index in `tokens` of each
+    of them the file holds a vector for, and those vectors as the rows of a
+    (K, dim) matrix. Lines of other tokens are skipped unparsed; a token
+    given twice keeps its first vector."""
+    index_of = {tok: i for i, tok in enumerate(tokens)}
+    found: dict[int, list[float]] = {}
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        fh = open(path, encoding="utf-8")
     except FileNotFoundError as exc:
-        raise EmbeddingError(f"{missing}: {path}") from exc
-
-
-def _parse_vec_file(path, raw: bytes, expected_dim: int, oov_seed: int) -> EmbeddingTable:
-    """Parse a text vector file: header "<count> <dim>", then token + floats."""
-    fh = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    header = fh.readline().split()
-    if len(header) != 2:
-        raise EmbeddingError(f"{path}: malformed header line")
-    try:
-        count, dim = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise EmbeddingError(f"{path}: malformed header line") from exc
-    if dim != expected_dim:
-        raise EmbeddingError(
-            f"{path}: header dimension {dim} does not match expected {expected_dim}"
-        )
-    vectors: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(fh, start=2):
-        parts = line.rstrip("\n").split(" ")
-        if len(parts) == 1 and parts[0] == "":
-            continue
-        token, comps = parts[0], parts[1:]
-        if len(comps) != dim:
-            raise EmbeddingError(
-                f"{path}:{lineno}: expected {dim} components, got {len(comps)}"
-            )
+        raise EmbeddingError(f"embedding file not found: {path}") from exc
+    with fh:
         try:
-            vec = np.array([float(c) for c in comps], dtype=np.float64)
+            count, dim = map(int, fh.readline().split())
         except ValueError as exc:
-            raise EmbeddingError(f"{path}:{lineno}: non-numeric component") from exc
-        if token in vectors:
-            warnings.warn(f"{path}:{lineno}: duplicate token {token!r}, keeping first")
-            continue
-        vectors[token] = vec
-    if count != len(vectors):
-        warnings.warn(f"{path}: header count {count} != {len(vectors)} vectors read")
-    source = {"kind": "vec_file", "path": str(path), "sha256": hashlib.sha256(raw).hexdigest(),
-              "dim": dim, "oov_seed": oov_seed}
-    return EmbeddingTable(dim, vectors, oov_seed=oov_seed, source=source)
+            raise EmbeddingError(f"{path}:1: malformed header line") from exc
+        if dim != expected_dim:
+            raise EmbeddingError(
+                f"{path}:1: header dimension {dim} does not match expected {expected_dim}"
+            )
+        n_lines = 0
+        for lineno, line in enumerate(fh, start=2):
+            token, sep, rest = line.rstrip("\n").partition(" ")
+            if not (token or sep):
+                continue
+            n_lines += 1
+            row = index_of.get(token)
+            if row is None:
+                continue
+            comps = rest.split(" ") if sep else []
+            if len(comps) != dim:
+                raise EmbeddingError(
+                    f"{path}:{lineno}: expected {dim} components, got {len(comps)}"
+                )
+            try:
+                vec = [float(c) for c in comps]
+            except ValueError as exc:
+                raise EmbeddingError(f"{path}:{lineno}: non-numeric component") from exc
+            if row in found:
+                warnings.warn(f"{path}:{lineno}: duplicate token {token!r}, keeping first")
+                continue
+            found[row] = vec
+    if count != n_lines:
+        warnings.warn(f"{path}: header count {count} != {n_lines} vectors in the file")
+    return (np.array(list(found), dtype=np.int64),
+            np.array(list(found.values()), dtype=np.float64).reshape(-1, dim))
 
 
-def load_embeddings(path, expected_dim: int, oov_seed: int = 0) -> EmbeddingTable:
-    """The table of a text vector file: header "<count> <dim>", then one
-    token and its `dim` floats per line."""
-    return _parse_vec_file(path, _read_vec_file(path, "embedding file not found"),
-                           expected_dim, oov_seed)
-
-
-def resolve_embeddings(source: dict) -> EmbeddingTable:
-    """The table an `EmbeddingTable.source` describes; a referenced vector
-    file must still hold the content it was trained with."""
-    if source.get("kind") == "random":
-        return random_embeddings(source["dim"], source["seed"])
-    if source.get("kind") == "vec_file":
-        path = source["path"]
-        raw = _read_vec_file(path, "referenced embedding file missing")
-        if hashlib.sha256(raw).hexdigest() != source["sha256"]:
-            raise EmbeddingError(f"embedding file content changed: {path}")
-        return _parse_vec_file(path, raw, source["dim"], source.get("oov_seed", 0))
-    raise EmbeddingError(f"unknown embedding source {source.get('kind')!r}")
+def embedding_table(n_tokens: int, dim: int, seed: int, vec_rows: np.ndarray,
+                    vec_values: np.ndarray) -> np.ndarray:
+    """The (n_tokens + 1, dim) embedding table: one uniform +-OOV_HALF_RANGE
+    draw from the third child of `SeedSequence(seed)` (the first two seed
+    parameter init and batch order), with row vec_rows[k] set to
+    vec_values[k]. Row n_tokens serves every unseen token."""
+    if vec_values.shape != (vec_rows.size, dim) or vec_rows.ndim != 1:
+        raise EmbeddingError(
+            f"{vec_values.shape} stored vectors for {vec_rows.shape} rows of width {dim}")
+    if vec_rows.size and not 0 <= vec_rows.min() <= vec_rows.max() < n_tokens:
+        raise EmbeddingError(f"a stored vector row is outside the {n_tokens}-token vocabulary")
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+    table = rng.uniform(-OOV_HALF_RANGE, OOV_HALF_RANGE, (n_tokens + 1, dim))
+    table[vec_rows] = vec_values
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +204,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _sequences(docs: TokenIds, max_len: int | None, empty_error: type, message: str):
-    """(ids, lengths, tokens) for the LSTM: each document's last `max_len`
-    entries (all of them without a limit) left-padded into the rows of an
-    (n, T) id matrix, each row's length, and the kept tokens in id order.
-    Ids number the kept tokens in order of first sight, so a fit does not
-    depend on how the universe of `docs` is ordered. A document with no
-    entries raises `empty_error(message.format(index))`."""
+    """(ids, lengths) for the LSTM: each document's last `max_len` ids (all
+    of them without a limit) left-padded into the rows of an (n, T) id
+    matrix, and each row's length. A document with no entries raises
+    `empty_error(message.format(index))`."""
     lengths = np.bincount(docs.rows, minlength=docs.n_docs)
     if not lengths.all():
         raise empty_error(message.format(int(lengths.argmin())))
@@ -259,12 +216,9 @@ def _sequences(docs: TokenIds, max_len: int | None, empty_error: type, message: 
         width = min(width, max_len)
     to_end = np.repeat(np.cumsum(lengths), lengths) - np.arange(docs.ids.size)  # 1 = last
     kept = to_end <= width
-    uniq, first, inverse = np.unique(docs.ids[kept], return_index=True, return_inverse=True)
-    by_sight = np.argsort(first)
     ids = np.zeros((docs.n_docs, width), dtype=np.int64)
-    ids[docs.rows[kept], width - to_end[kept]] = np.argsort(by_sight)[inverse]
-    tokens = [docs.tokens[i] for i in uniq[by_sight].tolist()]
-    return ids, np.minimum(lengths, width), tokens
+    ids[docs.rows[kept], width - to_end[kept]] = docs.ids[kept]
+    return ids, np.minimum(lengths, width)
 
 
 def _schedule(ids: np.ndarray, lengths: np.ndarray):
@@ -351,14 +305,14 @@ def _loss_and_grads(ids: np.ndarray, lengths: np.ndarray, y: np.ndarray,
     return loss, grads
 
 
-def batch_gradients(docs: TokenIds, labels, emb: EmbeddingTable, params: LstmParams):
+def batch_gradients(docs: TokenIds, labels, table: np.ndarray, params: LstmParams):
     """Mean BCE loss of the documents (not truncated) and its gradient for
-    every tensor of `params`, by name."""
+    every tensor of `params`, by name; `table` holds the embedding row of
+    each id."""
     if not len(docs):
         raise TrainingError("empty batch")
-    ids, lengths, tokens = _sequences(docs, None, EmptySequenceError, "sequence {} is empty")
-    return _loss_and_grads(ids, lengths, np.asarray(labels, dtype=np.float64),
-                           emb.matrix(tokens), params)
+    ids, lengths = _sequences(docs, None, EmptySequenceError, "sequence {} is empty")
+    return _loss_and_grads(ids, lengths, np.asarray(labels, dtype=np.float64), table, params)
 
 
 @dataclass
@@ -370,24 +324,24 @@ class LstmTrainResult:
 def train_lstm(
     docs: TokenIds,
     labels: Sequence[int],
-    emb: EmbeddingTable,
+    table: np.ndarray,
     cfg: LstmTrainConfig,
     init: LstmParams | None = None,
 ) -> LstmTrainResult:
-    """Mini-batch SGD with BPTT; embeddings stay frozen.
+    """Mini-batch SGD with BPTT; the embedding `table`, one row per id,
+    stays frozen.
 
     Batch order reshuffles every epoch from cfg.seed; parameter init uses a
     seed derived from the same value, so training is a pure function of
-    (data order, config, initial params).
+    (data order, table, config, initial params).
     """
     y = check_labels(len(docs), labels).astype(np.float64)
-    ids, lengths, tokens = _sequences(docs, cfg.max_seq_len, TrainingError, "sequence {} is empty")
+    ids, lengths = _sequences(docs, cfg.max_seq_len, TrainingError, "sequence {} is empty")
 
     init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     params = init.copy() if init is not None else init_lstm_params(
-        emb.dim, cfg.hidden, init_seed
+        table.shape[1], cfg.hidden, init_seed
     )
-    table = emb.matrix(tokens)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n = len(docs)
     epoch_losses: list[float] = []
@@ -412,17 +366,16 @@ def train_lstm(
 
 def predict_lstm(
     docs: TokenIds,
-    emb: EmbeddingTable,
+    table: np.ndarray,
     params: LstmParams,
     max_seq_len: int | None = None,
 ) -> np.ndarray:
     """P(label 1) for every document, each cut to its last `max_seq_len`
-    tokens. The embedding rows of the call's distinct tokens are gathered
-    once; the forward passes take at most `SCORE_CHUNK` names each."""
-    ids, lengths, tokens = _sequences(
+    ids; `table` holds the embedding row of each id. The forward passes
+    take at most `SCORE_CHUNK` names each."""
+    ids, lengths = _sequences(
         docs, max_seq_len, EmptySequenceError,
         "cannot run the LSTM on an empty token sequence (name {})")
-    table = emb.matrix(tokens)
     scores = np.empty(len(lengths), dtype=np.float64)
     for start in range(0, len(lengths), SCORE_CHUNK):
         lens = lengths[start:start + SCORE_CHUNK]
@@ -435,25 +388,28 @@ def predict_lstm(
 
 @dataclass
 class LstmModel:
-    """A trained LSTM with the embedding table it reads, which is stored as
-    its `embedding_source` and resolved when the model is built."""
+    """A trained LSTM over a vocabulary of `n_features` tokens. It stores
+    the pretrained vectors it was given (`vec_values[k]` for vocabulary index
+    `vec_rows[k]`) and rebuilds its `embedding` table from them and
+    `cfg.seed` with `embedding_table`."""
 
     kind: ClassVar[str] = "lstm"
     params: LstmParams
     cfg: LstmTrainConfig
-    embedding_source: dict
+    n_features: int
+    vec_rows: np.ndarray     # int64, (K,)
+    vec_values: np.ndarray   # (K, D)
     train_meta: dict
-    embeddings: EmbeddingTable | None = field(
-        default=None, repr=False, metadata={"stored": False}
-    )
+    embedding: np.ndarray | None = field(default=None, repr=False, metadata={"stored": False})
 
     def __post_init__(self):
-        if self.embeddings is None:
-            self.embeddings = resolve_embeddings(self.embedding_source)
+        if self.embedding is None:
+            self.embedding = embedding_table(self.n_features, self.params.dim, self.cfg.seed,
+                                             self.vec_rows, self.vec_values)
 
     def score(self, docs: TokenIds) -> np.ndarray:
         """P(label 1) for every document, each truncated to `cfg.max_seq_len`."""
-        return predict_lstm(docs, self.embeddings, self.params, self.cfg.max_seq_len)
+        return predict_lstm(docs, self.embedding, self.params, self.cfg.max_seq_len)
 
 
 def fit_lstm(
@@ -464,18 +420,21 @@ def fit_lstm(
     embedding_path=None,
     **options,
 ) -> LstmModel:
-    """Train on encoded documents; `options` are `LstmTrainConfig` fields.
+    """Train on documents over a vocabulary, its tokens `docs.tokens`;
+    `options` are `LstmTrainConfig` fields.
 
-    Embeddings come from the vector file at `embedding_path`, or are seeded
-    random draws; `seed` also seeds out-of-vocabulary vectors, parameter
-    init and batch order.
+    The embedding table holds the vectors that the file at `embedding_path`
+    has for vocabulary tokens, and seeded draws for the other rows; `seed`
+    also seeds parameter init and batch order.
     """
     if embedding_dim < 1:
         raise TrainingError("embedding_dim must be >= 1")
-    if embedding_path is None:
-        emb = random_embeddings(embedding_dim, seed)
-    else:
-        emb = load_embeddings(embedding_path, embedding_dim, oov_seed=seed)
     cfg = LstmTrainConfig(seed=seed, **options)
-    result = train_lstm(docs, labels, emb, cfg)
-    return LstmModel(result.params, cfg, emb.source, {"epoch_losses": result.epoch_losses}, emb)
+    if embedding_path is None:
+        vec_rows, vec_values = np.zeros(0, dtype=np.int64), np.zeros((0, embedding_dim))
+    else:
+        vec_rows, vec_values = load_embeddings(embedding_path, docs.tokens, embedding_dim)
+    table = embedding_table(len(docs.tokens), embedding_dim, seed, vec_rows, vec_values)
+    result = train_lstm(docs, labels, table, cfg)
+    return LstmModel(result.params, cfg, len(docs.tokens), vec_rows, vec_values,
+                     {"epoch_losses": result.epoch_losses}, table)

@@ -290,6 +290,15 @@ def token_vocabulary(corpus, cfg):
                                 len(corpus))
 
 
+def token_ids(docs, vocab):
+    """Token lists as `TokenIds` over the vocabulary, looked up token by
+    token; an unseen token gets id len(vocab)."""
+    rows = [r for r, doc in enumerate(docs) for _ in doc]
+    ids = [vocab.index_of.get(tok, len(vocab)) for doc in docs for tok in doc]
+    return featurize.TokenIds(np.array(rows, dtype=np.int64), np.array(ids, dtype=np.int64),
+                              vocab.tokens, len(docs))
+
+
 def token_transform(docs, vocab, cfg):
     """CSR rows of token lists, looked up token by token in the vocabulary."""
     index_of = vocab.index_of
@@ -337,11 +346,11 @@ def experiment(dataset, mask, model_spec, split_spec) -> dict:
     test_docs, test_labels, skip_test = select_subset(test, mask)
     spec = classical.kind_spec(model_spec.kind)
     if spec.reads_tokens:
-        vocabulary = None
-        model = classical.train_classifier(model_spec.kind, featurize.encode(train_docs),
+        vocabulary = token_vocabulary(train_docs, featurize.VectorizerConfig())
+        model = classical.train_classifier(model_spec.kind, token_ids(train_docs, vocabulary),
                                            train_labels, seed=model_spec.seed,
                                            **model_spec.options)
-        x_test = featurize.encode(test_docs)
+        x_test = token_ids(test_docs, vocabulary)
         label = model_spec.kind
     else:
         vocabulary = token_vocabulary(train_docs, vectorizer_cfg)

@@ -72,12 +72,17 @@ class TestRoundTrip:
                            loaded.vectorizer_cfg, loaded.vocabulary, {"x": 2})
         assert a.model_id == b.model_id == loaded.model_id
 
-    def test_lstm_embeddings_resolved_at_load(self, bundle_paths):
-        loaded = bm.load_model(bundle_paths["lstm", "full"])
-        assert isinstance(loaded.model.embeddings, lstm.EmbeddingTable)
-        assert loaded.model.embeddings.source == loaded.model.embedding_source
-        bm.bundle_predict(loaded, "Trần Văn Nam")
-        assert not hasattr(loaded, "_embeddings")
+    def test_lstm_rebuilds_its_embedding_table_at_load(self, bundle_paths):
+        path = bundle_paths["lstm", "full"]
+        loaded = bm.load_model(path)
+        model = loaded.model
+        assert model.n_features == len(loaded.vocabulary)
+        want = lstm.embedding_table(model.n_features, 8, SPLIT_SEED, model.vec_rows,
+                                    model.vec_values)
+        assert want.shape == (model.n_features + 1, 8)
+        assert np.array_equal(model.embedding, want)
+        members = set(npz_arrays(sections_of(path)["arrays"]))
+        assert {"vec_rows", "vec_values"} <= members and "embedding" not in members
 
     def test_lstm_keeps_its_epoch_losses(self, bundle_paths):
         losses = bm.load_model(bundle_paths["lstm", "full"]).model.train_meta["epoch_losses"]
@@ -119,7 +124,7 @@ class TestMalformedBundles:
     def valid(self, bundle_paths):
         return sections_of(bundle_paths["decision_tree", "full"])
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_format_version_rejected(self, bundle_paths, tmp_path, version):
         blob = Path(bundle_paths["multinomial_nb", "full"]).read_bytes()[:-32]
         body = blob[:8] + struct.pack(">I", version) + blob[12:]
@@ -193,6 +198,24 @@ class TestMalformedBundles:
         valid["arrays"] = npz_bytes(arrays)
         with pytest.raises(BundleFormatError):
             bm.load_model(write_sections(tmp_path, valid))
+
+    @pytest.mark.parametrize("tamper", ["row out of range", "wrong width", "n_features"])
+    def test_tampered_lstm_rejected(self, bundle_paths, tmp_path, tamper):
+        sections = sections_of(bundle_paths["lstm", "full"])
+        meta = json.loads(sections["meta"])
+        arrays = npz_arrays(sections["arrays"])
+        n_features = meta["model"]["n_features"]
+        if tamper == "row out of range":
+            arrays["vec_rows"] = np.array([n_features], dtype=np.int64)
+            arrays["vec_values"] = np.zeros((1, 8))
+        elif tamper == "wrong width":
+            arrays["vec_values"] = np.zeros((0, 9))
+        else:
+            meta["model"]["n_features"] = n_features - 1
+        sections["meta"] = json.dumps(meta).encode("utf-8")
+        sections["arrays"] = npz_bytes(arrays)
+        with pytest.raises(BundleFormatError):
+            bm.load_model(write_sections(tmp_path, sections))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(BundleError):

@@ -142,6 +142,27 @@ class TestCommands:
                        f"\t{response['score']:.6f}\n")
         assert err == "error: name is empty after trimming\n"
 
+    def test_lstm_bundle_needs_no_vec_file(self, names_csv, tmp_path):
+        # Vectors for some training tokens, and for tokens the data lacks.
+        rng = np.random.default_rng(0)
+        tokens = [*data_io.MALE_MIDDLE_POOL, *data_io.GIVEN_POOL[:5], "zzz", "yyy"]
+        vec = tmp_path / "e.vec"
+        vec.write_text(f"{len(tokens)} 8\n" + "".join(
+            tok + "".join(f" {v:.4f}" for v in rng.uniform(-1, 1, 8)) + "\n" for tok in tokens
+        ), encoding="utf-8")
+        path = tmp_path / "lstm.bundle"
+        code, *_ = run_cli(["train", "--data", names_csv, "--model", "lstm", "--out", path,
+                            "--embedding", vec, *FAST_OPTIONS["lstm"]])
+        assert code == 0
+        model = bm.load_model(path).model
+        assert len(model.vec_rows) == len(tokens) - 2
+        assert np.array_equal(model.embedding[model.vec_rows], model.vec_values)
+        names = ["Nguyễn Văn Nam", "Trần Thị Lan", "Lê Minh"]
+        before = run_cli(["predict", "--model", path, *names])
+        vec.unlink()
+        assert run_cli(["predict", "--model", path, *names]) == before
+        assert before[0] == 0 and len(before[1].splitlines()) == 3
+
     @pytest.mark.parametrize("kind", ["multinomial_nb", "lstm"])
     def test_evaluate_skips_names_it_cannot_score(self, bundle_paths, monkeypatch, kind):
         # Blank, a lone surrogate, and a one-token name with no family

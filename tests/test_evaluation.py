@@ -267,7 +267,7 @@ class TestFitContract:
     def fit(self, kind, labels):
         docs = featurize.encode(self.DOCS)
         cfg = None if classical.MODEL_KINDS[kind].reads_tokens else VectorizerConfig("count")
-        vocabulary = None if cfg is None else featurize.fit_vocabulary(docs, cfg)
+        vocabulary = featurize.fit_vocabulary(docs, cfg or VectorizerConfig())
         x = classical.model_input(kind, docs, vocabulary, cfg)
         return classical.train_classifier(kind, x, labels, **self.OPTIONS.get(kind, {}))
 

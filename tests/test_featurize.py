@@ -208,6 +208,14 @@ class TestEncode:
         assert encoded.docs(which) == [list(docs[r]) for r in which]
 
 
+class TestColumns:
+    @given(DOCS, st.lists(st.lists(TOKENS, max_size=6), max_size=8))
+    def test_every_entry_gets_its_vocabulary_index(self, corpus, docs):
+        vocab = fit(corpus + [["thị", "an", "an"]], max_features=3)
+        got = fz.columns(fz.encode(docs), vocab).tolist()
+        assert got == [vocab.index_of.get(tok, len(vocab)) for doc in docs for tok in doc]
+
+
 def split_encoded(corpus, docs):
     """`corpus` and `docs` encoded over one token universe, as the ablation
     encodes its train and test subsets."""

@@ -2,7 +2,6 @@ import builtins
 import gc
 import math
 import sys
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -13,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import planted_docs
 from vngender import classical, lstm
-from vngender.featurize import TokenIds, encode
+from vngender.featurize import TokenIds, VectorizerConfig, encode, fit_vocabulary
 from vngender.errors import (
     DivergenceError,
     EmbeddingError,
     EmptySequenceError,
+    PredictionError,
     TrainingError,
 )
 
@@ -35,17 +35,39 @@ def zero_lstm_params(dim, hidden):
                            out_w=z(hidden), out_b=z())
 
 
-def batch_loss(sequences, labels, emb, params):
-    return lstm.batch_gradients(encode(sequences), labels, emb, params)[0]
+def random_table(n_tokens, dim, seed):
+    """The (n_tokens + 1, dim) table of a model fitted without vectors."""
+    return lstm.embedding_table(n_tokens, dim, seed, np.zeros(0, dtype=np.int64),
+                                np.zeros((0, dim)))
 
 
-def score_one(tokens, emb, params, max_seq_len=None):
+def vocab_of(seqs):
+    return fit_vocabulary(encode(seqs), VectorizerConfig())
+
+
+def over(seqs, vocab):
+    """Token lists as the LSTM reads them: ids of the vocabulary."""
+    return classical.model_input("lstm", encode(seqs), vocab, None)
+
+
+def vectors_of(docs, table):
+    """The table row of every entry, as one list of vectors per document."""
+    bounds = np.cumsum(np.bincount(docs.rows, minlength=docs.n_docs))[:-1]
+    return [list(table[ids]) for ids in np.split(docs.ids, bounds)]
+
+
+def batch_loss(docs, labels, table, params):
+    return lstm.batch_gradients(docs, labels, table, params)[0]
+
+
+def score_one(tokens, table, params, max_seq_len=None):
     """P(label 1) of one token list, scored as a batch of one."""
-    return float(lstm.predict_lstm(encode([tokens]), emb, params, max_seq_len)[0])
+    return float(lstm.predict_lstm(encode([tokens]), table, params, max_seq_len)[0])
 
 
-def model_of(params, emb):
-    return lstm.LstmModel(params, lstm.LstmTrainConfig(hidden=params.hidden), emb.source, {}, emb)
+def model_of(params, table):
+    return lstm.LstmModel(params, lstm.LstmTrainConfig(hidden=params.hidden), len(table) - 1,
+                          np.zeros(0, dtype=np.int64), np.zeros((0, params.dim)), {}, table)
 
 
 def random_params(dim, hidden, rng):
@@ -66,41 +88,53 @@ def random_batch(rng):
 
 
 class TestLoadEmbeddings:
-    def test_parses_header_and_rows(self, tmp_path):
-        path = write_vec(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n")
-        table = lstm.load_embeddings(path, 3)
-        assert table.dim == 3
-        assert set(table.vectors) == {"a", "b"}
-        assert np.array_equal(table.lookup("a"), [1.0, 0.0, 0.0])
-        assert table.source["kind"] == "vec_file"
+    def test_keeps_the_rows_of_vocabulary_tokens(self, tmp_path):
+        path = write_vec(tmp_path, "3 3\na 1 0 0\nb 0 1 0\nc 0 0 1\n")
+        rows, values = lstm.load_embeddings(path, ("b", "c", "d"), 3)
+        assert rows.dtype == np.int64 and rows.tolist() == [0, 1]
+        assert values.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        rows, values = lstm.load_embeddings(path, ("x",), 3)
+        assert rows.shape == (0,) and values.shape == (0, 3)
+
+    def test_skips_other_tokens_unparsed(self, tmp_path):
+        path = write_vec(tmp_path, "3 3\na 1 0 0\nzz x\nb 0 1 0\n")
+        rows, values = lstm.load_embeddings(path, ("a", "b"), 3)
+        assert rows.tolist() == [0, 1] and values.shape == (2, 3)
+
+    @pytest.mark.parametrize("header", ["3\n", "x 3\n", "1 2 3\n", "\n"])
+    def test_malformed_header_names_line_one(self, tmp_path, header):
+        path = write_vec(tmp_path, header + "a 1 0 0\n")
+        with pytest.raises(EmbeddingError, match=r":1: malformed header"):
+            lstm.load_embeddings(path, ("a",), 3)
 
     def test_header_dim_mismatch(self, tmp_path):
         path = write_vec(tmp_path, "1 300\na " + " ".join(["0"] * 300) + "\n")
-        with pytest.raises(EmbeddingError, match="300"):
-            lstm.load_embeddings(path, 64)
+        with pytest.raises(EmbeddingError, match=r":1: header dimension 300 .* 64"):
+            lstm.load_embeddings(path, ("a",), 64)
 
     def test_row_dim_mismatch_names_line(self, tmp_path):
         path = write_vec(tmp_path, "2 3\na 1 0 0\nb 0 1\n")
         with pytest.raises(EmbeddingError, match=":3:"):
-            lstm.load_embeddings(path, 3)
+            lstm.load_embeddings(path, ("a", "b"), 3)
 
     def test_non_numeric_component_names_line(self, tmp_path):
         path = write_vec(tmp_path, "1 3\na 1 x 0\n")
         with pytest.raises(EmbeddingError, match=":2:"):
-            lstm.load_embeddings(path, 3)
+            lstm.load_embeddings(path, ("a",), 3)
 
     def test_duplicate_token_keeps_first_and_warns(self, tmp_path):
         path = write_vec(tmp_path, "2 2\na 1 0\na 0 1\n")
         with pytest.warns(UserWarning, match="duplicate"):
-            table = lstm.load_embeddings(path, 2)
-        assert np.array_equal(table.lookup("a"), [1.0, 0.0])
+            rows, values = lstm.load_embeddings(path, ("a",), 2)
+        assert rows.tolist() == [0] and values.tolist() == [[1.0, 0.0]]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(EmbeddingError, match="not found"):
-            lstm.load_embeddings(tmp_path / "missing.vec", 3)
+            lstm.load_embeddings(tmp_path / "missing.vec", ("a",), 3)
 
-    def test_reads_each_file_once_and_closes_it(self, tmp_path, monkeypatch):
-        path = write_vec(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n")
+    def test_fit_reads_the_file_once_and_closes_it(self, tmp_path, monkeypatch):
+        path = write_vec(tmp_path, "3 3\na 1 0 0\nb 0 1 0\nq 0 0 1\n")
+        vocab = vocab_of([["a", "c"], ["b"], ["a"], ["c", "b"]])
         opened, unraisable = [], []
         real_open = builtins.open
 
@@ -114,72 +148,63 @@ class TestLoadEmbeddings:
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
-            table = lstm.load_embeddings(path, 3)
-            resolved = lstm.resolve_embeddings(table.source)
+            model = lstm.fit_lstm(over([["a", "c"], ["b"], ["a"], ["c", "b"]], vocab),
+                                  [1, 0, 1, 0], embedding_dim=3, embedding_path=path, hidden=2)
+            model.score(over([["a", "q"]], vocab))
             gc.collect()
         assert unraisable == []
-        assert opened == [path, str(path)]
-        assert resolved.source == table.source
-        assert np.array_equal(resolved.lookup("b"), [0.0, 1.0, 0.0])
-
-    def test_resolve_refuses_changed_content(self, tmp_path):
-        path = write_vec(tmp_path, "1 2\na 1 0\n")
-        source = lstm.load_embeddings(path, 2).source
-        write_vec(tmp_path, "1 2\na 0 1\n")
-        with pytest.raises(EmbeddingError, match="content changed"):
-            lstm.resolve_embeddings(source)
-        path.unlink()
-        with pytest.raises(EmbeddingError, match="missing"):
-            lstm.resolve_embeddings(source)
+        assert opened == [path]
+        assert model.vec_rows.tolist() == [0, 1]
+        assert np.array_equal(model.embedding[:2], np.eye(3)[:2])
 
 
-class TestOovLookup:
-    def test_lookup_is_stable(self):
-        table = lstm.random_embeddings(8, seed=3)
-        assert np.array_equal(table.lookup("đức"), table.lookup("đức"))
+class TestEmbeddingTable:
+    def test_one_seeded_draw_with_the_stored_vectors_written_in(self):
+        values = np.arange(6.0).reshape(2, 3)
+        table = lstm.embedding_table(4, 3, 7, np.array([2, 0]), values)
+        rng = np.random.default_rng(np.random.SeedSequence(7).spawn(3)[2])
+        want = rng.uniform(-lstm.OOV_HALF_RANGE, lstm.OOV_HALF_RANGE, (5, 3))
+        want[[2, 0]] = values
+        assert np.array_equal(table, want)
+        assert not np.array_equal(table, lstm.embedding_table(4, 3, 8, np.array([2, 0]), values))
 
-    def test_draws_do_not_depend_on_lookup_order(self):
-        a = lstm.random_embeddings(8, seed=3)
-        b = lstm.random_embeddings(8, seed=3)
-        a.lookup("x")
-        vec_a = a.lookup("y")
-        vec_b = b.lookup("y")
-        assert np.array_equal(vec_a, vec_b)
+    @pytest.mark.parametrize("rows, values", [
+        ([4], np.zeros((1, 3))), ([-1], np.zeros((1, 3))),       # outside the vocabulary
+        ([0], np.zeros((1, 2))), ([0, 1], np.zeros((1, 3))),     # not one row of width 3 each
+    ])
+    def test_stored_vectors_must_fit_the_table(self, rows, values):
+        with pytest.raises(EmbeddingError):
+            lstm.embedding_table(4, 3, 0, np.array(rows, dtype=np.int64), values)
 
-    def test_draws_respect_range_and_seed(self):
-        table = lstm.random_embeddings(64, seed=1)
-        vec = table.lookup("token")
-        assert np.all(np.abs(vec) <= lstm.OOV_HALF_RANGE)
-        other = lstm.random_embeddings(64, seed=2).lookup("token")
-        assert not np.array_equal(vec, other)
 
-    def test_matrix_rows_are_lookups(self):
-        table = lstm.EmbeddingTable(2, {"a": np.array([1.0, 2.0])}, oov_seed=4)
-        matrix = table.matrix(["b", "a"])
-        assert matrix.shape == (2, 2)
-        assert np.array_equal(matrix[0], table.lookup("b"))
-        assert np.array_equal(matrix[1], [1.0, 2.0])
-        assert table.matrix([]).shape == (0, 2)
+class TestUnseenTokens:
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        docs, labels = planted_docs(200, 1.0, 19, mask_label="full")
+        vocab = vocab_of(docs)
+        model = lstm.fit_lstm(over(docs, vocab), labels, seed=3, embedding_dim=8, hidden=6,
+                              epochs=1)
+        return vocab, model
 
-    def test_scoring_fresh_tokens_keeps_retained_memory_flat(self):
-        emb = lstm.random_embeddings(16, seed=0)
-        model = model_of(lstm.init_lstm_params(16, 4, seed=0), emb)
+    def test_names_that_differ_in_an_unseen_token_score_the_same(self, fitted):
+        vocab, model = fitted
+        seen = list(vocab.tokens[:2])
+        x = over([seen + ["zzz1"], seen + ["zzz2"]], vocab)
+        assert x.ids.tolist() == [0, 1, len(vocab)] * 2
+        scores = [classical.predict(model, over([seen + [tok]], vocab))[1][0]
+                  for tok in ("zzz1", "zzz2")]
+        assert scores[0] == scores[1]
 
-        def fresh_names(start, count):
-            return [["họ", f"tên{i}"] for i in range(start, start + count)]
+    def test_a_name_of_unseen_tokens_still_scores(self, fitted):
+        vocab, model = fitted
+        a, b = (classical.predict(model, over([doc], vocab))[1][0]
+                for doc in (["qqq", "rrr"], ["sss", "ttt"]))
+        assert 0.0 < a < 1.0 and a == b
 
-        model.score(encode(fresh_names(0, 1000)))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for start in range(1000, 21_000, 1000):
-                model.score(encode(fresh_names(start, 1000)))
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        # 20,000 cached 16-dim vectors would hold about 5 MB.
-        assert retained < 500_000
-        assert emb.vectors == {}
+    def test_documents_over_another_universe_are_refused(self, fitted):
+        _, model = fitted
+        with pytest.raises(PredictionError, match="vocabulary"):
+            classical.predict(model, encode([["a"]]))
 
 
 def scalar_oracle_forward(tokens, vectors, p):
@@ -210,9 +235,9 @@ def scalar_oracle_forward(tokens, vectors, p):
 
 class TestForward:
     def test_zero_params_output_half(self):
-        emb = lstm.random_embeddings(5, seed=0)
+        table = random_table(3, 5, seed=0)
         params = zero_lstm_params(5, 3)
-        assert score_one(["a", "b", "c"], emb, params) == 0.5
+        assert score_one(["a", "b", "c"], table, params) == 0.5
 
     def test_small_model_matches_scalar_oracle(self):
         vectors = {
@@ -220,30 +245,30 @@ class TestForward:
             "b": np.array([-0.1, 0.6]),
             "c": np.array([0.05, 0.2]),
         }
-        emb = lstm.EmbeddingTable(2, vectors)
+        table = np.array([vectors["a"], vectors["b"], vectors["c"], [0.0, 0.0]])
         params = lstm.init_lstm_params(2, 2, seed=17)
-        got = score_one(["a", "b", "c"], emb, params)
+        got = score_one(["a", "b", "c"], table, params)
         want = scalar_oracle_forward(["a", "b", "c"], vectors, params)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_forward_is_deterministic(self):
-        emb = lstm.random_embeddings(4, seed=5)
+        table = random_table(1, 4, seed=5)
         params = lstm.init_lstm_params(4, 6, seed=2)
-        runs = {score_one(["tú", "tú"], emb, params) for _ in range(3)}
+        runs = {score_one(["tú", "tú"], table, params) for _ in range(3)}
         assert len(runs) == 1
 
     def test_output_strictly_inside_unit_interval(self):
-        emb = lstm.random_embeddings(4, seed=5)
+        table = random_table(2, 4, seed=5)
         for seed in range(10):
             params = lstm.init_lstm_params(4, 6, seed=seed)
-            out = score_one(["a", "b"], emb, params)
+            out = score_one(["a", "b"], table, params)
             assert 0.0 < out < 1.0
 
     def test_empty_sequence_rejected(self):
-        emb = lstm.random_embeddings(4, seed=5)
+        table = random_table(1, 4, seed=5)
         params = zero_lstm_params(4, 2)
         with pytest.raises(EmptySequenceError, match=r"\(name 1\)"):
-            lstm.predict_lstm(encode([["a"], []]), emb, params)
+            lstm.predict_lstm(encode([["a"], []]), table, params)
 
     def test_sigmoid_equals_the_two_sided_formula_and_never_overflows(self):
         z = np.concatenate([
@@ -259,21 +284,21 @@ class TestForward:
 class TestGradients:
     @pytest.mark.parametrize("seed", range(3))
     def test_bptt_matches_central_differences(self, seed):
-        emb = lstm.random_embeddings(3, seed=seed)
+        docs = encode([["a", "b", "c"], ["d"], ["e", "f"]])
+        table = random_table(6, 3, seed=seed)
         params = lstm.init_lstm_params(3, 4, seed=seed + 50)
-        seqs = [["a", "b", "c"], ["d"], ["e", "f"]]
         labels = [1, 0, 1]
-        _, grads = lstm.batch_gradients(encode(seqs), labels, emb, params)
+        _, grads = lstm.batch_gradients(docs, labels, table, params)
         for name, arr in params.tensors().items():
             fd = oracles.fd_gradient(
-                lambda: batch_loss(seqs, labels, emb, params), arr, 1e-4
+                lambda: batch_loss(docs, labels, table, params), arr, 1e-4
             )
             assert oracles.tensor_rel_error(grads[name], fd) <= 1e-4, name
 
     def test_zero_params_first_batch_loss_is_ln2(self):
-        emb = lstm.random_embeddings(6, seed=0)
+        table = random_table(4, 6, seed=0)
         params = zero_lstm_params(6, 4)
-        loss = batch_loss([["a"], ["b", "c"], ["d"]], [1, 0, 1], emb, params)
+        loss = batch_loss(encode([["a"], ["b", "c"], ["d"]]), [1, 0, 1], table, params)
         assert loss == pytest.approx(math.log(2.0), abs=1e-6)
 
     @settings(max_examples=150, deadline=None)
@@ -281,12 +306,13 @@ class TestGradients:
     def test_loss_and_gradients_match_gate_by_gate_oracle(self, seed):
         rng = np.random.default_rng(seed)
         dim, hidden = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        emb = lstm.random_embeddings(dim, seed=seed)
         params = random_params(dim, hidden, rng)
         seqs, labels = random_batch(rng)
-        loss, grads = lstm.batch_gradients(encode(seqs), labels, emb, params)
-        vectors = [[emb.lookup(tok) for tok in seq] for seq in seqs]
-        want_loss, want = oracles.lstm_loss_and_grads(vectors, labels, **params.tensors())
+        docs = encode(seqs)
+        table = random_table(len(docs.tokens), dim, seed)
+        loss, grads = lstm.batch_gradients(docs, labels, table, params)
+        want_loss, want = oracles.lstm_loss_and_grads(vectors_of(docs, table), labels,
+                                                      **params.tensors())
         assert abs(loss - want_loss) <= 1e-12
         assert set(grads) == set(want)
         for name, grad in want.items():
@@ -296,28 +322,29 @@ class TestGradients:
 class TestTraining:
     def test_same_seed_identical_loss_traces(self):
         docs, labels = planted_docs(120, 1.0, 13)
-        emb = lstm.random_embeddings(8, seed=1)
+        x = encode(docs)
+        table = random_table(len(x.tokens), 8, seed=1)
         cfg = lstm.LstmTrainConfig(batch_size=16, epochs=3, learning_rate=0.5,
                                    hidden=8, seed=4)
-        a = lstm.train_lstm(encode(docs), labels, emb, cfg)
-        b = lstm.train_lstm(encode(docs), labels, emb, cfg)
+        a = lstm.train_lstm(x, labels, table, cfg)
+        b = lstm.train_lstm(x, labels, table, cfg)
         assert a.epoch_losses == b.epoch_losses
         for name, arr in a.params.tensors().items():
             assert np.array_equal(arr, b.params.tensors()[name])
 
     def test_planted_rule_training_accuracy(self):
         docs, labels = planted_docs(600, 1.0, 14)
-        emb = lstm.random_embeddings(300, seed=2)
-        cfg = lstm.LstmTrainConfig(batch_size=32, epochs=10, learning_rate=2.0,
-                                   hidden=16, seed=5)
-        result = lstm.train_lstm(encode(docs), labels, emb, cfg)
-        preds = lstm.predict_lstm(encode(docs), emb, result.params, cfg.max_seq_len) >= 0.5
+        vocab = vocab_of(docs)
+        model = lstm.fit_lstm(over(docs, vocab), labels, seed=5, batch_size=32, epochs=10,
+                              learning_rate=2.0, hidden=16)
+        preds = classical.predict(model, over(docs, vocab))[0]
         accuracy = sum(p == y for p, y in zip(preds, labels)) / len(labels)
         assert accuracy >= 0.99
 
     def test_divergence_names_epoch_and_batch(self):
         docs, labels = planted_docs(64, 1.0, 15)
-        emb = lstm.random_embeddings(4, seed=0)
+        x = encode(docs)
+        table = random_table(len(x.tokens), 4, seed=0)
         cfg = lstm.LstmTrainConfig(batch_size=16, epochs=3, learning_rate=0.1,
                                    hidden=4, seed=1)
         # An overflowing readout bias makes the very first batch loss non-finite.
@@ -327,55 +354,59 @@ class TestTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DivergenceError, match=r"epoch 1, batch 1"):
-                lstm.train_lstm(encode(docs), labels, emb, cfg, init=init)
+                lstm.train_lstm(x, labels, table, cfg, init=init)
 
     def test_truncation_keeps_the_last_tokens(self):
         docs = [list("abcdefghij"), ["a", "b"], ["x", "y", "x", "z", "x"], ["y", "y", "y", "y"]]
-        ids, lengths, tokens = lstm._sequences(encode(docs), 3, TrainingError, "{}")
-        kept = [[tokens[i] for i in row[ids.shape[1] - n:]] for row, n in zip(ids, lengths)]
+        x = encode(docs)
+        ids, lengths = lstm._sequences(x, 3, TrainingError, "{}")
+        kept = [[x.tokens[i] for i in row[ids.shape[1] - n:]] for row, n in zip(ids, lengths)]
         assert kept == [doc[-3:] for doc in docs]
-        # Ids number the kept tokens in order of first sight.
-        assert tokens == ["h", "i", "j", "a", "b", "x", "z", "y"]
-        emb = lstm.random_embeddings(4, seed=9)
+        vocab = vocab_of(docs)
+        table = random_table(len(vocab), 4, seed=9)
         params = lstm.init_lstm_params(4, 3, seed=3)
-        assert np.array_equal(lstm.predict_lstm(encode(docs), emb, params, 3),
-                              lstm.predict_lstm(encode([doc[-3:] for doc in docs]), emb, params))
+        assert np.array_equal(lstm.predict_lstm(over(docs, vocab), table, params, 3),
+                              lstm.predict_lstm(over([doc[-3:] for doc in docs], vocab),
+                                                table, params))
 
     def test_empty_document_names_its_index(self):
         docs = encode([["a"], ["b", "c"], [], ["d"]])
-        emb = lstm.random_embeddings(4, seed=0)
+        table = random_table(4, 4, seed=0)
         params = lstm.init_lstm_params(4, 2)
         with pytest.raises(TrainingError, match=r"^sequence 2 is empty$"):
-            lstm.train_lstm(docs, [0, 1, 0, 1], emb, lstm.LstmTrainConfig(hidden=2))
+            lstm.train_lstm(docs, [0, 1, 0, 1], table, lstm.LstmTrainConfig(hidden=2))
         with pytest.raises(EmptySequenceError, match=r"^sequence 2 is empty$"):
-            lstm.batch_gradients(docs, [0, 1, 0, 1], emb, params)
+            lstm.batch_gradients(docs, [0, 1, 0, 1], table, params)
         with pytest.raises(EmptySequenceError, match=r"empty token sequence \(name 2\)"):
-            lstm.predict_lstm(docs, emb, params)
+            lstm.predict_lstm(docs, table, params)
 
-    def test_fit_does_not_depend_on_the_universe_order(self):
+    def test_fit_does_not_depend_on_the_universe(self):
         docs, labels = planted_docs(90, 0.9, 18)
         docs[5] = [f"t{i}" for i in range(11)]
-        ordered = encode(docs)
-        # The same documents over a shuffled universe with tokens they do not use.
-        universe = list(ordered.tokens) + ["unused1", "unused2"]
-        perm = np.random.default_rng(3).permutation(len(universe))
-        new_id = np.argsort(perm)
-        shuffled = TokenIds(ordered.rows, new_id[ordered.ids],
-                            tuple(universe[i] for i in perm), ordered.n_docs)
-        assert shuffled.docs() == ordered.docs()
-        emb = lstm.random_embeddings(6, seed=2)
-        cfg = lstm.LstmTrainConfig(batch_size=16, epochs=2, learning_rate=0.5, hidden=5, seed=8)
-        a = lstm.train_lstm(ordered, labels, emb, cfg)
-        b = lstm.train_lstm(shuffled, labels, emb, cfg)
-        assert a.epoch_losses == b.epoch_losses
+        alone = encode(docs)
+        # The same documents inside a wider corpus, whose universe also holds
+        # tokens they do not use, before, among and after theirs.
+        wider = encode(docs + [["0"], ["m0", "t05"], ["zz"]])
+        keep = wider.rows < len(docs)
+        inside = TokenIds(wider.rows[keep], wider.ids[keep], wider.tokens, len(docs))
+        assert inside.docs() == alone.docs() and inside.tokens != alone.tokens
+        fits = []
+        for docs_ids in (alone, inside):
+            vocab = fit_vocabulary(docs_ids, VectorizerConfig())
+            x = classical.model_input("lstm", docs_ids, vocab, None)
+            fits.append(lstm.fit_lstm(x, labels, seed=8, embedding_dim=6, batch_size=16,
+                                      epochs=2, learning_rate=0.5, hidden=5))
+        a, b = fits
+        assert a.train_meta == b.train_meta
+        assert np.array_equal(a.embedding, b.embedding)
         for name, arr in a.params.tensors().items():
             assert np.array_equal(arr, b.params.tensors()[name]), name
 
     def test_single_class_rejected(self):
-        emb = lstm.random_embeddings(4, seed=0)
+        table = random_table(2, 4, seed=0)
         cfg = lstm.LstmTrainConfig(hidden=4)
         with pytest.raises(TrainingError):
-            lstm.train_lstm(encode([["a"], ["b"]]), [1, 1], emb, cfg)
+            lstm.train_lstm(encode([["a"], ["b"]]), [1, 1], table, cfg)
 
     def test_config_validation(self):
         with pytest.raises(TrainingError):
@@ -409,15 +440,16 @@ class TestTraining:
     def test_training_matches_an_sgd_loop_on_the_oracle(self):
         docs, labels = planted_docs(70, 0.9, 16)
         docs[3] = [f"t{i}" for i in range(11)]      # truncated to its last 8 tokens
-        emb = lstm.random_embeddings(6, seed=2)
+        x = encode(docs)
+        table = random_table(len(x.tokens), 6, seed=2)
         cfg = lstm.LstmTrainConfig(batch_size=16, epochs=2, learning_rate=0.5,
                                    hidden=5, seed=8)
-        result = lstm.train_lstm(encode(docs), labels, emb, cfg)
+        result = lstm.train_lstm(x, labels, table, cfg)
 
         init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(2)
         params = lstm.init_lstm_params(6, 5, init_seed).tensors()
         shuffle_rng = np.random.default_rng(shuffle_seed)
-        vectors = [[emb.lookup(tok) for tok in doc[-cfg.max_seq_len:]] for doc in docs]
+        vectors = [doc[-cfg.max_seq_len:] for doc in vectors_of(x, table)]
         losses = []
         for _ in range(cfg.epochs):
             order = shuffle_rng.permutation(len(docs))
@@ -434,37 +466,49 @@ class TestTraining:
         for name, arr in result.params.tensors().items():
             assert np.abs(arr - params[name]).max() <= 1e-12, name
 
+    def test_fit_trains_on_its_embedding_table(self, monkeypatch):
+        docs, labels = planted_docs(60, 0.9, 20)
+        vocab = vocab_of(docs)
+        calls, train = [], lstm.train_lstm
+        monkeypatch.setattr(lstm, "train_lstm",
+                            lambda *args: calls.append(args) or train(*args))
+        model = lstm.fit_lstm(over(docs, vocab), labels, seed=4, embedding_dim=5, hidden=3)
+        assert len(calls) == 1 and calls[0][2] is model.embedding
+        assert np.array_equal(model.embedding, random_table(len(vocab), 5, seed=4))
+        assert model.n_features == len(vocab)
+
 
 class TestPredictLstm:
     def test_zero_params_tie_to_label_one(self):
-        emb = lstm.random_embeddings(4, seed=0)
-        labels, scores = classical.predict(model_of(zero_lstm_params(4, 2), emb), encode([["a"]]))
+        model = model_of(zero_lstm_params(4, 2), random_table(1, 4, seed=0))
+        labels, scores = classical.predict(model, encode([["a"]]))
         assert scores[0] == 0.5 and labels[0] == 1
 
     def test_probability_below_half_gives_label_zero(self):
-        emb = lstm.random_embeddings(4, seed=0)
         params = zero_lstm_params(4, 2)
         params.out_b[()] = -1.0
-        labels, scores = classical.predict(model_of(params, emb), encode([["a"]]))
+        labels, scores = classical.predict(model_of(params, random_table(1, 4, seed=0)),
+                                           encode([["a"]]))
         assert labels[0] == 0 and scores[0] < 0.5
 
     def test_truncates_before_forward(self):
-        emb = lstm.random_embeddings(4, seed=9)
-        params = lstm.init_lstm_params(4, 3, seed=3)
         long_tokens = [f"t{i}" for i in range(12)]
+        vocab = vocab_of([long_tokens])
+        table = random_table(len(vocab), 4, seed=9)
+        params = lstm.init_lstm_params(4, 3, seed=3)
         assert (
-            score_one(long_tokens, emb, params, max_seq_len=4)
-            == score_one(long_tokens[-4:], emb, params)
+            lstm.predict_lstm(over([long_tokens], vocab), table, params, 4)[0]
+            == lstm.predict_lstm(over([long_tokens[-4:]], vocab), table, params)[0]
         )
 
     def test_model_scores_through_predict_lstm(self, monkeypatch):
-        emb = lstm.random_embeddings(4, seed=9)
+        table = random_table(2, 4, seed=9)
         calls = []
         monkeypatch.setattr(lstm, "predict_lstm", lambda *args: calls.append(args) or np.zeros(1))
-        model = model_of(lstm.init_lstm_params(4, 3, seed=3), emb)
+        model = model_of(lstm.init_lstm_params(4, 3, seed=3), table)
         docs = encode([["a", "b"]])
         model.score(docs)
-        assert calls == [(docs, emb, model.params, model.cfg.max_seq_len)]
+        assert calls == [(docs, table, model.params, model.cfg.max_seq_len)]
 
     @pytest.mark.parametrize("hidden", [3, 128])
     def test_a_name_scores_the_same_alone_and_in_a_batch(self, hidden):
@@ -473,10 +517,10 @@ class TestPredictLstm:
         rng = np.random.default_rng(hidden)
         docs, _ = planted_docs(150, 1.0, 17, mask_label="full")
         docs += [["x"] * n for n in range(1, 10)]
-        emb = lstm.random_embeddings(32, seed=1)
-        model = model_of(random_params(32, hidden, rng), emb)
-        labels, scores = classical.predict(model, encode(docs))
-        alone = [classical.predict(model, encode([doc])) for doc in docs]
+        vocab = vocab_of(docs)
+        model = model_of(random_params(32, hidden, rng), random_table(len(vocab), 32, seed=1))
+        labels, scores = classical.predict(model, over(docs, vocab))
+        alone = [classical.predict(model, over([doc], vocab)) for doc in docs]
         assert [int(label[0]) for label, _ in alone] == labels.tolist()
         assert np.abs(np.array([score[0] for _, score in alone]) - scores).max() <= 1e-15
 
@@ -485,15 +529,15 @@ class TestPredictLstm:
     def test_chunks_score_like_one_pass_and_like_the_oracle(self, seed, chunk):
         rng = np.random.default_rng(seed)
         dim, hidden = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        emb = lstm.random_embeddings(dim, seed=seed)
         params = random_params(dim, hidden, rng)
         seqs, _ = random_batch(rng)
-        whole = lstm.predict_lstm(encode(seqs), emb, params)
+        docs = encode(seqs)
+        table = random_table(len(docs.tokens), dim, seed)
+        whole = lstm.predict_lstm(docs, table, params)
         with mock.patch.object(lstm, "SCORE_CHUNK", chunk):
-            chunked = lstm.predict_lstm(encode(seqs), emb, params)
+            chunked = lstm.predict_lstm(docs, table, params)
         assert np.abs(chunked - whole).max() <= 1e-15
-        for seq, score in zip(seqs, whole):
+        for vectors, score in zip(vectors_of(docs, table), whole):
             # The oracle's loss for label 1 is softplus(-logit) = -log(score).
-            loss, _ = oracles.lstm_loss_and_grads([[emb.lookup(t) for t in seq]], [1],
-                                                  **params.tensors())
+            loss, _ = oracles.lstm_loss_and_grads([vectors], [1], **params.tensors())
             assert abs(-math.log(score) - loss) <= 1e-12 * max(1.0, loss)
