@@ -68,22 +68,28 @@ class ModelBundle:
     model: object                      # a model class of `classical.MODEL_KINDS`
     train_meta: dict
     model_id: str
+    arrays_npz: bytes = dataclasses.field(repr=False)  # the model's encoded arrays section
 
 
 # ---------------------------------------------------------------------------
 # Section encoding
 # ---------------------------------------------------------------------------
 
-def _pack_sections(sections: list[tuple[str, bytes]]) -> bytes:
-    out = bytearray(MAGIC)
-    out += struct.pack(">I", FORMAT_VERSION)
-    out += struct.pack(">I", len(sections))
+def _write_sections(fh, sections: list[tuple[str, bytes]]) -> None:
+    """Write the header and the sections to `fh`, then the SHA-256 of all
+    of it, hashing as it goes: no copy of the whole file is made."""
+    digest = hashlib.sha256()
+
+    def write(data: bytes) -> None:
+        digest.update(data)
+        fh.write(data)
+
+    write(MAGIC + struct.pack(">II", FORMAT_VERSION, len(sections)))
     for name, payload in sections:
         encoded = name.encode("utf-8")
-        out += struct.pack(">H", len(encoded)) + encoded
-        out += struct.pack(">Q", len(payload)) + payload
-    out += hashlib.sha256(bytes(out)).digest()
-    return bytes(out)
+        write(struct.pack(">H", len(encoded)) + encoded + struct.pack(">Q", len(payload)))
+        write(payload)
+    fh.write(digest.digest())
 
 
 def _unpack_sections(blob: bytes) -> dict[str, bytes]:
@@ -205,10 +211,9 @@ def make_bundle(
     meta = dict(train_meta or {})
     meta.setdefault("created_unix", int(time.time()))
     _check_features(model, vectorizer_cfg, vocabulary)
-    arrays_blob, model_meta = _encode_model(model)
-    digest = hashlib.sha256(
-        arrays_blob + _json_bytes([model_meta, _vocab_meta(vocabulary)])
-    ).hexdigest()
+    arrays_npz, model_meta = _encode_model(model)
+    digest = hashlib.sha256(arrays_npz)
+    digest.update(_json_bytes([model_meta, _vocab_meta(vocabulary)]))
     return ModelBundle(
         format_version=FORMAT_VERSION,
         model_kind=model.kind,
@@ -217,12 +222,15 @@ def make_bundle(
         vocabulary=vocabulary,
         model=model,
         train_meta=meta,
-        model_id=f"{model.kind}-{digest[:12]}",
+        model_id=f"{model.kind}-{digest.hexdigest()[:12]}",
+        arrays_npz=arrays_npz,
     )
 
 
 def save_model(bundle: ModelBundle, path) -> None:
-    arrays_blob, model_meta = _encode_model(bundle.model)
+    """Write the bundle, its arrays section as `make_bundle` or `load_model`
+    encoded it."""
+    _, model_meta = _split_fields(bundle.model)
     vcfg = bundle.vectorizer_cfg
     meta = {
         "model_kind": bundle.model_kind,
@@ -234,7 +242,7 @@ def save_model(bundle: ModelBundle, path) -> None:
         "model": model_meta,
     }
     with open(path, "wb") as fh:
-        fh.write(_pack_sections([("meta", _json_bytes(meta)), ("arrays", arrays_blob)]))
+        _write_sections(fh, [("meta", _json_bytes(meta)), ("arrays", bundle.arrays_npz)])
 
 
 def load_model(path) -> ModelBundle:
@@ -272,6 +280,7 @@ def load_model(path) -> ModelBundle:
             model=model,
             train_meta=meta["train_meta"],
             model_id=meta["model_id"],
+            arrays_npz=sections["arrays"],
         )
     except BundleError:
         raise

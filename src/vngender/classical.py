@@ -173,24 +173,78 @@ class LinearSvmModel(_LinearModel):
     kind: ClassVar[str] = "linear_svm"
 
 
+def _group_ids(*keys: np.ndarray) -> np.ndarray:
+    """Dense ids of the distinct key tuples, one per position."""
+    order = np.lexsort(keys)
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return ids
+
+
+def _distinct_rows(x: CsrMatrix, labels) -> tuple[CsrMatrix, np.ndarray, np.ndarray]:
+    """The distinct (row, label) pairs of `x`, in order of first occurrence:
+    their rows, their labels and how many rows of `x` each stands for.
+
+    Two rows are equal when they store the same columns with the same
+    values. Rows start grouped by label and length; pass k splits the groups
+    of rows longer than k by their k-th stored (column, value), so no padded
+    copy of the matrix is built.
+    """
+    y = np.asarray(labels)
+    sizes = np.diff(x.indptr)
+    bits = x.data.view(np.int64)  # no stored zeros, so equal values have equal bits
+    group = _group_ids(sizes, y)
+    next_id = int(group.max(initial=-1)) + 1
+    for k in range(int(sizes.max(initial=0))):
+        live = np.flatnonzero(sizes > k)
+        at = x.indptr[live] + k
+        refined = _group_ids(bits[at], x.indices[at], group[live])
+        group[live] = next_id + refined
+        next_id += int(refined.max()) + 1
+    _, first, counts = np.unique(group, return_index=True, return_counts=True)
+    # Each array is freed once used: building the matrix sets the fit's peak memory.
+    del group, bits
+    order = np.argsort(first)
+    keep, counts = first[order], counts[order]
+    del first, order
+    sizes = sizes[keep]
+    entries = featurize.entry_positions(x.indptr[keep], sizes)
+    indices, data = x.indices[entries], x.data[entries]
+    del entries
+    indptr = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return CsrMatrix(indptr, indices, data, x.n_features), y[keep], counts
+
+
 @dataclass
 class LinearObjective:
-    """f(theta) = sum_i loss(z_i) + (1/2) sum_j reg_j theta_j^2 over
-    theta = (w, b), with margins z = X w + b. `row_terms(z)` gives
-    sum_i loss(z_i) and each row's first and second derivatives in z_i."""
+    """f(theta) = sum_i m_i loss(z_i, y_i) + (1/2) sum_j reg_j theta_j^2
+    over theta = (w, b), with margins z = X w + b, summed over the distinct
+    (row, label) pairs of the training rows: row i of `x` stands for its
+    multiplicity of training rows, and its weight m_i is that multiplicity
+    times the loss's scale. `loss(z, y)` gives each row's loss and its first
+    and second derivatives in z_i."""
 
-    x: CsrMatrix
-    reg: np.ndarray  # (n_features + 1,)
-    row_terms: Callable
+    x: CsrMatrix          # the distinct rows
+    y: np.ndarray         # their labels
+    weights: np.ndarray   # m_i, one per distinct row
+    reg: np.ndarray       # (n_features + 1,)
+    loss: Callable
 
     def at(self, theta: np.ndarray) -> tuple[float, np.ndarray, Callable]:
         """f(theta), its gradient, and v -> H(theta) v; a non-finite f raises."""
-        total, d1, d2 = self.row_terms(self._margins(theta))
-        f = total + 0.5 * float(theta @ (self.reg * theta))
+        loss, d1, d2 = self.loss(self._margins(theta), self.y)
+        f = float(self.weights @ loss) + 0.5 * float(theta @ (self.reg * theta))
         if not math.isfinite(f):
             raise DivergenceError("the linear fit's objective is not finite")
-        gradient = self.reg * theta + self._transpose_dot(d1)
-        return f, gradient, lambda v: self.reg * v + self._transpose_dot(d2 * self._margins(v))
+        gradient = self.reg * theta + self._transpose_dot(self.weights * d1)
+        curvature = self.weights * d2
+        return f, gradient, lambda v: self.reg * v + self._transpose_dot(curvature * self._margins(v))
 
     def _margins(self, theta: np.ndarray) -> np.ndarray:
         return self.x.dot_weights(theta[:-1], theta[-1])
@@ -201,22 +255,34 @@ class LinearObjective:
         return np.append(gw, u.sum())
 
 
+def _linear_objective(x: CsrMatrix, labels, scale: float, reg: np.ndarray,
+                      loss: Callable) -> LinearObjective:
+    """The objective of `loss` times `scale` over the distinct rows of `x`."""
+    rows, y, counts = _distinct_rows(x, labels)
+    return LinearObjective(rows, y.astype(np.float64), scale * counts, reg, loss)
+
+
+def _log_loss(z: np.ndarray, y: np.ndarray):
+    p = sigmoid(z)
+    return np.logaddexp(0.0, z) - y * z, p - y, p * (1.0 - p)
+
+
+def _squared_hinge(z: np.ndarray, y: np.ndarray):
+    sign = 2.0 * y - 1.0
+    slack = np.maximum(0.0, 1.0 - sign * z)
+    return slack * slack, -2.0 * sign * slack, 2.0 * (slack > 0)
+
+
 def logistic_objective(x: CsrMatrix, labels, l2: float) -> LinearObjective:
-    """Mean log-loss plus (l2/2) * ||w||^2 (bias unregularized)."""
-    y, n = np.asarray(labels, dtype=np.float64), len(x)
-    def row_terms(z):
-        p = sigmoid(z)
-        return float((np.logaddexp(0.0, z) - y * z).sum()) / n, (p - y) / n, p * (1.0 - p) / n
-    return LinearObjective(x, np.append(np.full(x.n_features, l2), 0.0), row_terms)
+    """Mean log-loss over the n rows of `x` plus (l2/2) * ||w||^2 (bias
+    unregularized)."""
+    reg = np.append(np.full(x.n_features, l2), 0.0)
+    return _linear_objective(x, labels, 1.0 / len(x), reg, _log_loss)
 
 
 def squared_hinge_objective(x: CsrMatrix, labels, c: float) -> LinearObjective:
     """(1/2)(||w||^2 + b^2) + c * sum_i max(0, 1 - y_i z_i)^2, y in {-1, +1}."""
-    y = 2.0 * np.asarray(labels, dtype=np.float64) - 1.0
-    def row_terms(z):
-        slack = np.maximum(0.0, 1.0 - y * z)
-        return c * float(slack @ slack), -2.0 * c * y * slack, 2.0 * c * (slack > 0)
-    return LinearObjective(x, np.ones(x.n_features + 1), row_terms)
+    return _linear_objective(x, labels, c, np.ones(x.n_features + 1), _squared_hinge)
 
 
 def _truncated_cg(hessian_dot: Callable, g: np.ndarray, delta: float):
@@ -245,15 +311,19 @@ TRON_TOL = 1e-4
 
 def tron(objective: LinearObjective, max_iter: int, tol: float) -> tuple[np.ndarray, float, dict]:
     """Trust-region Newton-CG from theta = 0 with the rules of LIBLINEAR's
-    primal solver (Lin, Weng & Keerthi, JMLR 2008). Converged once ||g|| <=
-    tol * ||g_0||; unconverged after `max_iter` iterations (rejected steps
-    included) or when a step changes f by no more than rounding. Returns
-    (weights, bias, the convergence record the fits store in `train_meta`)."""
+    primal solver (Lin, Weng & Keerthi, JMLR 2008), run on the objective's
+    distinct rows, each weighted by its multiplicity (LIBLINEAR's instance
+    weights). Converged once ||g|| <= tol * ||g_0||. Returns (weights, bias,
+    the convergence record the fits store in `train_meta`); its `stop` says
+    why the solve ended: "gradient" (converged), "no_progress" (a step
+    changed f by no more than rounding) or "max_iter" (`max_iter`
+    iterations, rejected steps included), and `gradient_ratio` is the final
+    ||g|| / ||g_0||."""
     theta = np.zeros(objective.reg.size)
     f, g, hessian_dot = objective.at(theta)
     delta = g0_norm = float(np.linalg.norm(g))
-    converged, n_iter = g0_norm == 0.0, 0
-    while not converged and n_iter < max_iter:
+    converged, stalled, n_iter = g0_norm == 0.0, False, 0
+    while not (converged or stalled) and n_iter < max_iter:
         n_iter += 1
         s, r = _truncated_cg(hessian_dot, g, delta)
         f_new, g_new, hessian_dot_new = objective.at(theta + s)
@@ -272,10 +342,12 @@ def tron(objective: LinearObjective, max_iter: int, tol: float) -> tuple[np.ndar
         if actual > 1e-4 * predicted:
             theta, f, g, hessian_dot = theta + s, f_new, g_new, hessian_dot_new
             converged = float(np.linalg.norm(g)) <= tol * g0_norm
-        if (predicted <= 0 and actual <= 0) or max(abs(actual), abs(predicted)) <= 1e-12 * abs(f):
-            break
-    record = {"max_iter": max_iter, "tol": tol, "converged": converged, "n_iter": n_iter,
-              "objective": f}
+        stalled = ((predicted <= 0 and actual <= 0)
+                   or max(abs(actual), abs(predicted)) <= 1e-12 * abs(f))
+    stop = "gradient" if converged else "no_progress" if stalled else "max_iter"
+    record = {"max_iter": max_iter, "tol": tol, "converged": converged, "stop": stop,
+              "n_iter": n_iter, "objective": f,
+              "gradient_ratio": float(np.linalg.norm(g)) / g0_norm if g0_norm else 0.0}
     return theta[:-1], float(theta[-1]), record
 
 
@@ -391,7 +463,7 @@ def _node_entries(x: CsrMatrix, rows: np.ndarray, sampled: np.ndarray | None):
     starts = x.indptr[rows]
     sizes = x.indptr[rows + 1] - starts
     owner = np.repeat(np.arange(rows.size), sizes)
-    pos = np.arange(owner.size) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    pos = featurize.entry_positions(starts, sizes)
     if sampled is not None:
         kept = sampled[x.indices[pos]]
         owner, pos = owner[kept], pos[kept]

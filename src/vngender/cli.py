@@ -16,6 +16,13 @@ from .featurize import VectorizerConfig
 ENV_BUNDLE = "GENDER_MODEL_PATH"
 
 
+# Why an unconverged linear fit stopped, by the `stop` of its TRON record.
+STOP_REASONS = {
+    "max_iter": "it reached its cap of {max_iter} iterations",
+    "no_progress": "its last step changed the objective by no more than rounding",
+}
+
+
 def _bundle_path(args) -> str:
     path = args.model or os.environ.get(ENV_BUNDLE)
     if not path:
@@ -57,8 +64,11 @@ def cmd_train(args) -> int:
         result.model, mask, spec.vectorizer, result.vocabulary, train_meta
     )
     bundle_mod.save_model(built, args.out)
-    if result.model.train_meta.get("converged") is False:
-        sys.stderr.write(f"warning: the {spec.kind} fit stopped before it converged\n")
+    meta = result.model.train_meta
+    if meta.get("converged") is False:
+        reason = STOP_REASONS[meta["stop"]].format(**meta)
+        sys.stderr.write(f"warning: the {spec.kind} fit stopped before it converged: {reason}; "
+                         f"||g||/||g0|| = {meta['gradient_ratio']:.3g} against tol {meta['tol']:g}\n")
     sys.stdout.write(evaluation.format_metrics(result.metrics, result.confusion))
     sys.stdout.write(f"bundle\t{args.out}\t{built.model_id}\n")
     return 0

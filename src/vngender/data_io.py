@@ -69,44 +69,43 @@ class DatasetStats:
     top_given_names: dict[int, list[tuple[str, int]]]
 
 
+_LABELS = {"0": FEMALE, "1": MALE}
+
+
 def _parse_label(text: str) -> int | None:
-    return {"0": FEMALE, "1": MALE}.get(text.strip())
+    return _LABELS.get(text.strip())
 
 
 def load_dataset(path) -> Dataset:
     """Read a `full_name,gender` CSV; bad rows are rejected with diagnostics.
 
     An optional header row is detected by its second field not parsing as 0/1.
+    Rows are read one at a time, so the file's rows are never all held at once.
     """
+    records: list[DatasetRecord] = []
+    rejects: list[str] = []
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            raw_rows = list(csv.reader(fh))
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row:
+                    continue  # blank line
+                if len(row) != 2:
+                    rejects.append(f"row {lineno}: expected 2 fields, got {len(row)}")
+                    continue
+                label = _parse_label(row[1])
+                if label is None:
+                    if lineno > 1:
+                        rejects.append(f"row {lineno}: label not in {{0,1}}: {row[1]!r}")
+                    continue  # a first row is the header
+                name = row[0].strip()
+                if not name:
+                    rejects.append(f"row {lineno}: empty full name")
+                    continue
+                records.append(DatasetRecord(name, label))
     except FileNotFoundError as exc:
         raise DataError(f"dataset file not found: {path}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
-
-    start = 0
-    if raw_rows and len(raw_rows[0]) == 2 and _parse_label(raw_rows[0][1]) is None:
-        start = 1  # header row
-
-    records: list[DatasetRecord] = []
-    rejects: list[str] = []
-    for lineno, row in enumerate(raw_rows[start:], start=start + 1):
-        if not row:
-            continue  # blank line
-        if len(row) != 2:
-            rejects.append(f"row {lineno}: expected 2 fields, got {len(row)}")
-            continue
-        label = _parse_label(row[1])
-        if label is None:
-            rejects.append(f"row {lineno}: label not in {{0,1}}: {row[1]!r}")
-            continue
-        name = row[0].strip()
-        if not name:
-            rejects.append(f"row {lineno}: empty full name")
-            continue
-        records.append(DatasetRecord(name, label))
 
     if not records:
         raise DataError(f"{path}: dataset contains no valid rows")

@@ -1,9 +1,12 @@
 """Stratified splitting, macro-averaged metrics, experiments, and the 7-way
 component ablation.
 
-An experiment splits the dataset once, normalizes and segments each record
-once, and encodes every subset as integer token ids tagged with their name
-component (`_encode_split`). A (mask, model) cell then keeps the entries of
+An experiment encodes the dataset in one pass over its records, in file
+order: each name is normalized once and its tokens become integer ids, each
+tagged with its name component by position (`_encode_split`). The train, dev
+and test subsets are then index gathers over those arrays, in the order
+`_split_indices` draws, the same draw `stratified_split` uses to split the
+records themselves. A (mask, model) cell then keeps the entries of
 the mask's components, fits a vocabulary on train (under the `ModelSpec`'s
 vectorizer config, or the default one for a kind that reads tokens), and
 fits and scores the model under the fit contract of `classical`: train and
@@ -43,47 +46,55 @@ class SplitSpec:
             raise EvaluationError("split fractions must sum to 1")
 
 
+SUBSETS = ("train", "dev", "test")
+
+
 def _cut(n: int, frac: float) -> int:
     # The epsilon guards floor() against cases like 100 * 0.7 == 69.999...
     return int(math.floor(n * frac + 1e-9))
 
 
-def stratified_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Per-label seeded shuffle and floor cuts, merged and reshuffled.
+def _split_indices(labels: np.ndarray, spec: SplitSpec) -> list[np.ndarray]:
+    """The train, dev and test record indices of records with `labels`.
 
-    Each label's records are shuffled and cut at floor(n*train) and
-    floor(n*(train+dev)); the per-label pieces are merged across labels and
-    each merged subset is reshuffled with its own derived seed.
+    Each label's indices are shuffled with a seed of their own and cut at
+    floor(n*train) and floor(n*(train+dev)); the per-label pieces are merged
+    across labels and each merged subset is reshuffled with its own derived
+    seed.
     """
-    by_label: dict[int, list[int]] = {0: [], 1: []}
-    for i, rec in enumerate(dataset.records):
-        by_label[rec.gender].append(i)
-    for label, idx in by_label.items():
-        if len(idx) < 3:
+    if not np.isin(labels, (0, 1)).all():
+        raise EvaluationError("labels must be 0 or 1")
+    seeds = np.random.SeedSequence(spec.seed).spawn(5)
+    by_label = [np.flatnonzero(labels == label) for label in (0, 1)]
+    for label, idx in enumerate(by_label):
+        if idx.size < 3:
             raise EvaluationError(
-                f"label {label} has only {len(idx)} records; "
+                f"label {label} has only {idx.size} records; "
                 "need at least 3 to populate train/dev/test"
             )
-
-    seeds = np.random.SeedSequence(spec.seed).spawn(5)
-    parts: dict[str, list[int]] = {"train": [], "dev": [], "test": []}
-    for label, seed in ((0, seeds[0]), (1, seeds[1])):
-        idx = np.array(by_label[label], dtype=np.int64)
+    pieces = []
+    for idx, seed in zip(by_label, seeds):
         np.random.default_rng(seed).shuffle(idx)
         n = idx.size
-        c1 = _cut(n, spec.train_frac)
-        c2 = _cut(n, spec.train_frac + spec.dev_frac)
-        parts["train"].extend(idx[:c1].tolist())
-        parts["dev"].extend(idx[c1:c2].tolist())
-        parts["test"].extend(idx[c2:].tolist())
+        pieces.append(np.split(idx, [_cut(n, spec.train_frac),
+                                     _cut(n, spec.train_frac + spec.dev_frac)]))
+    subsets = []
+    for parts, seed in zip(zip(*pieces), seeds[2:]):
+        idx = np.concatenate(parts)
+        np.random.default_rng(seed).shuffle(idx)
+        subsets.append(idx)
+    return subsets
 
-    out = []
-    for (name, ids), seed in zip(parts.items(), seeds[2:]):
-        arr = np.array(ids, dtype=np.int64)
-        np.random.default_rng(seed).shuffle(arr)
-        records = [dataset.records[i] for i in arr]
-        out.append(Dataset(records, source_tag=f"{dataset.source_tag}:{name}"))
-    return out[0], out[1], out[2]
+
+def stratified_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
+    """The train, dev and test subsets of `_split_indices`, as datasets."""
+    labels = np.array([rec.gender for rec in dataset.records], dtype=np.int64)
+    train, dev, test = (
+        Dataset([dataset.records[i] for i in idx.tolist()],
+                source_tag=f"{dataset.source_tag}:{name}")
+        for name, idx in zip(SUBSETS, _split_indices(labels, spec))
+    )
+    return train, dev, test
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +217,12 @@ class ExperimentResult:
     model: object
 
 
-# Component code of each encoded token occurrence; a mask keeps the codes of
-# its components.
-FAMILY, MIDDLE, GIVEN = 0, 1, 2
-
-
 @dataclass(frozen=True, eq=False)
 class _EncodedSubset:
     """Every token of every record of one split subset, with its component."""
 
     names: TokenIds     # one document per record, all components
-    parts: np.ndarray   # int8 component code of each entry of `names`
+    parts: np.ndarray   # int8 `names_core` component code of each entry of `names`
     labels: np.ndarray  # int64, one per record
 
     def select(self, mask: ComponentMask) -> tuple[TokenIds, np.ndarray, int]:
@@ -232,31 +238,43 @@ class _EncodedSubset:
 
 
 def _encode_split(dataset: Dataset, split_spec: SplitSpec) -> dict[str, _EncodedSubset]:
-    """Split once, normalize and segment each record once, and encode the
-    train, dev and test subsets over one sorted token universe."""
-    subsets = dict(zip(("train", "dev", "test"), stratified_split(dataset, split_spec)))
+    """Encode every record once, then gather the train, dev and test subsets.
+
+    One pass over the records in file order normalizes each name once,
+    splits it, and maps its tokens straight to ids in order of first sight.
+    The ids are renumbered over the sorted token universe, the component of
+    each token comes from its position (`names_core.component_codes`), and
+    each subset gathers the entries of its records in `_split_indices`
+    order.
+    """
     first_id: dict[str, int] = {}   # token -> id in order of first sight
-    encoded = {}
-    for name, subset in subsets.items():
-        rows, ids, parts = array("q"), array("q"), array("b")
-        for row, rec in enumerate(subset.records):
-            comps = names_core.segment(names_core.normalize(rec.full_name))
-            for part, tokens in ((FAMILY, (comps.family,) if comps.family else ()),
-                                 (MIDDLE, comps.middle), (GIVEN, (comps.given,))):
-                for tok in tokens:
-                    rows.append(row)
-                    ids.append(first_id.setdefault(tok, len(first_id)))
-                    parts.append(part)
-        labels = np.array([rec.gender for rec in subset.records], dtype=np.int64)
-        encoded[name] = (np.array(rows, dtype=np.int64), np.array(ids, dtype=np.int64),
-                         np.array(parts, dtype=np.int8), labels)
+    ids, lengths, labels = array("i"), array("i"), array("b")
+    for rec in dataset.records:
+        tokens = names_core.normalize(rec.full_name).split()
+        for tok in tokens:
+            if tok not in first_id:
+                first_id[tok] = len(first_id)
+            ids.append(first_id[tok])
+        lengths.append(len(tokens))
+        labels.append(rec.gender)
     universe = tuple(sorted(first_id))
     rank = np.empty(len(universe), dtype=np.int64)
     rank[[first_id[tok] for tok in universe]] = np.arange(len(universe))
-    return {
-        name: _EncodedSubset(TokenIds(rows, rank[ids], universe, labels.size), parts, labels)
-        for name, (rows, ids, parts, labels) in encoded.items()
-    }
+    del first_id  # freed before the gathers, which set the peak memory
+    ids = np.frombuffer(ids, dtype=np.intc)
+    lengths = np.frombuffer(lengths, dtype=np.intc)
+    labels = np.frombuffer(labels, dtype=np.int8)
+    parts = names_core.component_codes(lengths)
+    starts = np.cumsum(lengths, dtype=np.int64) - lengths
+
+    encoded = {}
+    for name, idx in zip(SUBSETS, _split_indices(labels, split_spec)):
+        sizes = lengths[idx]
+        rows = np.repeat(np.arange(idx.size, dtype=np.int64), sizes)
+        entry = featurize.entry_positions(starts[idx], sizes)
+        encoded[name] = _EncodedSubset(TokenIds(rows, rank[ids[entry]], universe, idx.size),
+                                       parts[entry], labels[idx].astype(np.int64))
+    return encoded
 
 
 def _run_cell(split: dict[str, _EncodedSubset], mask: ComponentMask,

@@ -52,9 +52,9 @@ class CsrMatrix:
         self.row_ids = np.repeat(np.arange(len(self), dtype=np.int64), sizes)
         if np.any((self.indices < 0) | (self.indices >= self.n_features)):
             raise FeaturizeError(f"feature index out of range (n_features={self.n_features})")
-        if np.any(np.diff(self.row_ids * self.n_features + self.indices) <= 0) or np.any(
-            self.data == 0
-        ):
+        keys = self.row_ids * self.n_features
+        keys += self.indices
+        if np.any(keys[1:] <= keys[:-1]) or np.any(self.data == 0):
             raise FeaturizeError("rows need strictly increasing columns and non-zero values")
 
     def __len__(self) -> int:
@@ -126,6 +126,15 @@ class TokenIds:
         tokens = self.tokens
         which = range(self.n_docs) if which is None else which
         return [[tokens[i] for i in ids[bounds[r]:bounds[r + 1]]] for r in which]
+
+
+def entry_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The int64 positions of the entries of the runs [starts[k], starts[k]
+    + sizes[k]), run after run: the gather of some rows of a flat array of
+    rows (a CSR matrix's entries, a `TokenIds`'s tokens)."""
+    pos = np.repeat(starts - (np.cumsum(sizes, dtype=np.int64) - sizes), sizes)
+    pos += np.arange(pos.size, dtype=np.int64)
+    return pos
 
 
 def encode(docs: Sequence[Sequence[str]]) -> TokenIds:

@@ -1,13 +1,17 @@
 """Normalization and family / middle / given segmentation of Vietnamese full names.
 
 Vietnamese names put the family name first and the given name last; everything
-in between is the middle name. Segmentation here is strictly positional.
+in between is the middle name. Segmentation here is strictly positional:
+`segment` splits one name, and `component_codes` gives the same rule for many
+names at once, as one code per token.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EmptyNameError, InvalidNameError, ToolkitError
 
@@ -104,6 +108,24 @@ def segment(normalized: str) -> NameComponents:
     if len(tokens) == 1:
         return NameComponents(None, (), tokens[0])
     return NameComponents(tokens[0], tuple(tokens[1:-1]), tokens[-1])
+
+
+# Component code of a token; a mask keeps the codes of its components.
+FAMILY, MIDDLE, GIVEN = 0, 1, 2
+
+
+def component_codes(lengths: np.ndarray) -> np.ndarray:
+    """The int8 component code of every token of names of `lengths` tokens
+    each, flattened name by name: the positional rule of `segment`. A name's
+    last token is GIVEN, the first of a name of two or more tokens FAMILY,
+    and every other MIDDLE."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    codes = np.full(int(lengths.sum()), MIDDLE, dtype=np.int8)
+    several = lengths >= 2
+    codes[ends[several] - lengths[several]] = FAMILY
+    codes[ends[lengths >= 1] - 1] = GIVEN
+    return codes
 
 
 def select_components(components: NameComponents, mask: ComponentMask) -> list[str]:

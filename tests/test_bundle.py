@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import SPLIT_SEED, run_cli
+from conftest import FAST_OPTIONS, SPLIT_SEED, run_cli
 from vngender import bundle as bm
 from vngender import classical, data_io, evaluation, lstm
 from vngender.errors import (
@@ -27,7 +27,8 @@ def sections_of(path) -> dict[str, bytes]:
 
 def write_sections(tmp_path, sections: dict[str, bytes]):
     path = tmp_path / "crafted.bundle"
-    path.write_bytes(bm._pack_sections(list(sections.items())))
+    with open(path, "wb") as fh:
+        bm._write_sections(fh, list(sections.items()))
     return path
 
 
@@ -50,6 +51,7 @@ class TestRoundTrip:
         assert loaded.format_version == bm.FORMAT_VERSION
         again_path = tmp_path / "again.bundle"
         bm.save_model(loaded, again_path)
+        assert again_path.read_bytes() == Path(bundle_paths[kind, "full"]).read_bytes()
         again = bm.load_model(again_path)
         assert again.model_id == loaded.model_id
         assert again.train_meta == loaded.train_meta
@@ -63,6 +65,21 @@ class TestRoundTrip:
         batch = bm.bundle_predict_many(loaded, PROBE_NAMES)
         for name, response in zip(PROBE_NAMES, batch, strict=True):
             assert bm.bundle_predict(loaded, name) == response
+
+    def test_train_encodes_the_arrays_once(self, names_csv, tmp_path, monkeypatch):
+        calls = []
+        original = bm._encode_model
+
+        def counted(model):
+            calls.append(model.kind)
+            return original(model)
+
+        monkeypatch.setattr(bm, "_encode_model", counted)
+        path = tmp_path / "lstm.bundle"
+        code, *_ = run_cli(["train", "--data", names_csv, "--model", "lstm", "--out", path,
+                            *FAST_OPTIONS["lstm"]])
+        assert code == 0 and calls == ["lstm"]
+        assert sections_of(path)["arrays"] == bm.load_model(path).arrays_npz
 
     def test_model_id_depends_only_on_content(self, bundle_paths):
         loaded = bm.load_model(bundle_paths["random_forest", "full"])

@@ -75,10 +75,27 @@ class TestTrain:
         code, out, err = run_cli(["train", "--data", names_csv, "--model",
                                   "logistic_regression", "--out", tmp_path / "lr.bundle"])
         assert code == 0
-        assert bm.load_model(tmp_path / "lr.bundle").model.train_meta["converged"] is False
-        assert len(err.splitlines()) == 1 and err.startswith("warning")
+        meta = bm.load_model(tmp_path / "lr.bundle").model.train_meta
+        assert meta["converged"] is False and meta["stop"] == "max_iter"
+        assert err == ("warning: the logistic_regression fit stopped before it converged: "
+                       "it reached its cap of 3 iterations; "
+                       f"||g||/||g0|| = {meta['gradient_ratio']:.3g} against tol 0.0001\n")
+        assert meta["gradient_ratio"] > 1e-4
         confusion = next(line for line in out.splitlines() if line.startswith("confusion"))
         assert len(confusion.split("\t")) == 5
+
+    def test_fit_stalled_at_rounding_warns_with_its_reason(self, names_csv, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.setattr(classical, "TRON_TOL", 1e-30)
+        code, _, err = run_cli(["train", "--data", names_csv, "--model", "linear_svm",
+                                "--out", tmp_path / "svm.bundle"])
+        assert code == 0
+        meta = bm.load_model(tmp_path / "svm.bundle").model.train_meta
+        assert meta["converged"] is False and meta["stop"] == "no_progress"
+        assert meta["n_iter"] < classical.TRON_MAX_ITER
+        assert err == ("warning: the linear_svm fit stopped before it converged: "
+                       "its last step changed the objective by no more than rounding; "
+                       f"||g||/||g0|| = {meta['gradient_ratio']:.3g} against tol 1e-30\n")
 
     def test_linear_svm_records_convergence_without_warning(self, names_csv, tmp_path):
         code, _, err = run_cli(["train", "--data", names_csv, "--model", "linear_svm",

@@ -81,6 +81,13 @@ class TestStratifiedSplit:
         with pytest.raises(EvaluationError, match="label 0"):
             ev.stratified_split(tiny_dataset(5, 2), SplitSpec())
 
+    def test_label_other_than_zero_or_one_rejected(self):
+        ds = tiny_dataset(5, 5)
+        ds.records.append(DatasetRecord("Lê Văn Nam", 2))
+        for split in (ev.stratified_split, ev._encode_split):
+            with pytest.raises(EvaluationError, match="labels must be 0 or 1"):
+                split(ds, SplitSpec())
+
 
 class TestConfusion:
     def test_mixed_counts(self):
@@ -343,8 +350,11 @@ class TestRunAblation:
         count_calls(nc, "normalize")
         count_calls(nc, "segment")
         count_calls(ev, "stratified_split")
+        count_calls(ev, "_split_indices")
         ev.run_ablation(ds, specs, SplitSpec(seed=6))
-        assert calls == {"normalize": len(ds), "segment": len(ds), "stratified_split": 1}
+        # One pass over the records: each name is normalized once and its
+        # components come from token positions, not from `segment`.
+        assert calls == {"normalize": len(ds), "_split_indices": 1}
 
 
 # Names the encoded split must handle like per-record segmentation does.
@@ -379,6 +389,40 @@ def edge_case_dataset(seed: int) -> Dataset:
     records += [DatasetRecord(name, int(rng.integers(0, 2))) for name in EDGE_NAMES * 4]
     rng.shuffle(records)
     return Dataset(records)
+
+
+NAME_TOKENS = st.sampled_from(["nguyễn", "Trần", "thị", "VĂN", "hiền", "Đức", "đức", "duc",
+                                "minh", "tú", "a", "xyz"])
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \n ", "\u3000"])
+
+
+@st.composite
+def raw_names(draw):
+    """1-7 tokens with padded or inner whitespace, in NFC or NFD form."""
+    tokens = draw(st.lists(NAME_TOKENS, min_size=1, max_size=7))
+    name = tokens[0] + "".join(draw(SEPARATORS) + tok for tok in tokens[1:])
+    name = draw(st.sampled_from(["", " ", "\t "])) + name + draw(st.sampled_from(["", "  ", "\n"]))
+    return unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), name)
+
+
+@st.composite
+def raw_datasets(draw):
+    """At least three records of each label, in any order."""
+    labels = [0] * draw(st.integers(3, 15)) + [1] * draw(st.integers(3, 15))
+    return Dataset([DatasetRecord(draw(raw_names()), y) for y in draw(st.permutations(labels))])
+
+
+class TestEncodedSplit:
+    @settings(max_examples=80, deadline=None)
+    @given(ds=raw_datasets(), seed=st.integers(0, 1000))
+    def test_every_mask_selects_what_the_oracle_selects(self, ds, seed):
+        spec = SplitSpec(seed=seed)
+        encoded = ev._encode_split(ds, spec)
+        for subset, records in zip(encoded.values(), ev.stratified_split(ds, spec)):
+            for mask in nc.ALL_MASKS:
+                docs, labels, skipped = subset.select(mask)
+                assert labels.dtype == np.int64
+                assert (docs.docs(), labels.tolist(), skipped) == oracles.select_subset(records, mask)
 
 
 class TestAblationOracle:

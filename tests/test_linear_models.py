@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +63,62 @@ class TestObjectiveDerivatives:
         assert value == pytest.approx(manual, rel=1e-12)
 
 
+@st.composite
+def repeated_rows(draw):
+    """A few distinct rows, each drawn many times with either label."""
+    n_features = draw(st.integers(1, 5))
+    row = st.dictionaries(st.integers(0, n_features - 1), st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                          max_size=n_features)
+    distinct = draw(st.lists(row, min_size=1, max_size=5))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(distinct) - 1), st.integers(0, 1)),
+                          min_size=2, max_size=30))
+    return [distinct[i] for i, _ in picks], [y for _, y in picks], n_features
+
+
+class TestDistinctRows:
+    @settings(max_examples=100, deadline=None)
+    @given(instance=repeated_rows())
+    def test_multiplicities_count_every_row_once(self, instance):
+        docs, labels, n_features = instance
+        rows, y, counts = cl._distinct_rows(csr(docs, n_features), labels)
+        assert counts.sum() == len(docs)
+        pairs = [(tuple(sorted(row_dict(rows, i).items())), int(y[i])) for i in range(len(rows))]
+        expected = Counter((tuple(sorted(doc.items())), label) for doc, label in zip(docs, labels))
+        assert dict(zip(pairs, counts.tolist())) == expected
+        assert len(pairs) == len(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=repeated_rows(), loss=st.sampled_from(list(OBJECTIVES)),
+           seed=st.integers(0, 1000))
+    def test_objective_matches_the_full_row_objective(self, instance, loss, seed):
+        docs, labels, n_features = instance
+        objective = OBJECTIVES[loss](csr(docs, n_features), labels, 0.7)
+        value, gradient, hessian = oracles.dense_linear_objective(
+            docs, labels, n_features, loss, 0.7)
+        theta, v = random_point(seed, n_features)
+        f, g, hessian_dot = objective.at(theta)
+        assert f == pytest.approx(value(theta), rel=1e-12)
+        assert oracles.tensor_rel_error(g, gradient(theta)) <= 1e-12
+        assert oracles.tensor_rel_error(hessian_dot(v), hessian(theta) @ v) <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_repeated_k_times_fit_the_same_weights(self, seed, k):
+        # Mean log-loss is unchanged by repeating every row; the squared
+        # hinge sum grows k-fold, which c / k undoes.
+        docs, labels, n_features = random_instance(seed, max_docs=10)
+        original = csr(docs, n_features)
+        repeated = csr([doc for doc in docs for _ in range(k)], n_features)
+        repeated_labels = np.repeat(labels, k)
+        pairs = [(cl.fit_logistic_regression(original, labels, l2=0.1),
+                  cl.fit_logistic_regression(repeated, repeated_labels, l2=0.1)),
+                 (cl.fit_linear_svm(original, labels, c=1.0),
+                  cl.fit_linear_svm(repeated, repeated_labels, c=1.0 / k))]
+        for a, b in pairs:
+            assert oracles.tensor_rel_error(np.append(a.weights, a.bias),
+                                            np.append(b.weights, b.bias)) <= 1e-5
+
+
 class TestSolverMatchesNewtonOracle:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 100_000), l2=st.floats(1e-2, 1.0))
@@ -112,11 +170,19 @@ class TestLogisticRegressionFit:
         docs, labels, n_features = random_instance(3)
         objective = cl.logistic_objective(csr(docs, n_features), labels, 1e-4)
         _, _, record = cl.tron(objective, 1, 1e-12)
-        assert record["converged"] is False
+        assert record["converged"] is False and record["stop"] == "max_iter"
         assert record["n_iter"] == 1
         w, b, record = cl.tron(objective, 0, 1e-12)
         assert not w.any() and b == 0.0
         assert record["converged"] is False and record["n_iter"] == 0
+        assert record["stop"] == "max_iter" and record["gradient_ratio"] == 1.0
+
+    def test_stall_at_rounding_level_is_no_progress(self):
+        docs, labels, n_features = random_instance(3)
+        objective = cl.logistic_objective(csr(docs, n_features), labels, 1e-4)
+        _, _, record = cl.tron(objective, cl.TRON_MAX_ITER, 1e-30)
+        assert record["converged"] is False and record["stop"] == "no_progress"
+        assert record["n_iter"] < cl.TRON_MAX_ITER and 0.0 < record["gradient_ratio"] < 1e-8
 
     def test_fit_is_deterministic(self):
         docs, labels, n_features = random_instance(3)
@@ -169,14 +235,16 @@ class TestLinearSvm:
         model = cl.fit_linear_svm(*svm_instance(), c=0.0)
         assert np.all(model.weights == 0.0) and model.bias == 0.0
         assert model.train_meta["converged"] is True
-        assert model.train_meta["n_iter"] == 0
+        assert model.train_meta["n_iter"] == 0 and model.train_meta["stop"] == "gradient"
         assert model.train_meta["objective"] == 0.0
 
     def test_default_fit_converges_and_records_it(self):
         model = cl.fit_linear_svm(*svm_instance(seed=7))
         meta = model.train_meta
         assert meta["converged"] is True
-        assert set(meta) == {"c", "max_iter", "tol", "converged", "n_iter", "objective"}
+        assert set(meta) == {"c", "max_iter", "tol", "converged", "stop", "n_iter", "objective",
+                             "gradient_ratio"}
+        assert meta["stop"] == "gradient" and meta["gradient_ratio"] <= meta["tol"]
         objective = cl.squared_hinge_objective(*svm_instance(seed=7), 1.0)
         theta = np.append(model.weights, model.bias)
         assert meta["objective"] == objective.at(theta)[0]

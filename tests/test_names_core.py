@@ -1,5 +1,6 @@
 import unicodedata
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -122,3 +123,16 @@ class TestMasks:
     def test_parse_unknown_mask(self):
         with pytest.raises(ToolkitError, match="unknown component mask 'given-only'"):
             nc.parse_mask("given-only")
+
+
+class TestComponentCodes:
+    @given(st.lists(st.integers(1, 10), max_size=12))
+    def test_codes_follow_segment(self, lengths):
+        expected = []
+        for n in lengths:
+            comps = nc.segment(" ".join(f"t{i}" for i in range(n)))
+            expected += [nc.FAMILY] * (comps.family is not None)
+            expected += [nc.MIDDLE] * len(comps.middle) + [nc.GIVEN]
+        codes = nc.component_codes(np.array(lengths, dtype=np.int32))
+        assert codes.dtype == np.int8
+        assert codes.tolist() == expected
