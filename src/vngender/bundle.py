@@ -60,7 +60,6 @@ FORMAT_VERSION = 5
 
 @dataclass
 class ModelBundle:
-    format_version: int
     model_kind: str
     component_mask: ComponentMask
     vectorizer_cfg: VectorizerConfig | None
@@ -171,13 +170,6 @@ def _encode_model(model) -> tuple[bytes, dict]:
     return buf.getvalue(), meta
 
 
-def _model_class(kind: str) -> type:
-    spec = classical.MODEL_KINDS.get(kind)
-    if spec is None:
-        raise BundleFormatError(f"unknown model kind {kind!r}")
-    return spec.model
-
-
 def _check_features(model, vectorizer_cfg: VectorizerConfig | None,
                     vocabulary: Vocabulary) -> None:
     """The model reads a vocabulary of its width, through a vectorizer
@@ -215,7 +207,6 @@ def make_bundle(
     digest = hashlib.sha256(arrays_npz)
     digest.update(_json_bytes([model_meta, _vocab_meta(vocabulary)]))
     return ModelBundle(
-        format_version=FORMAT_VERSION,
         model_kind=model.kind,
         component_mask=component_mask,
         vectorizer_cfg=vectorizer_cfg,
@@ -260,7 +251,7 @@ def load_model(path) -> ModelBundle:
                 raise BundleFormatError("compressed array member")
             arrays = {name: archive[name] for name in archive.files}
         kind = meta["model_kind"]
-        model = _join_fields(_model_class(kind), arrays, meta["model"])
+        model = _join_fields(classical.kind_spec(kind).model, arrays, meta["model"])
         vocab = meta["vocabulary"]
         vocabulary = Vocabulary(
             tuple(vocab["tokens"]),
@@ -272,7 +263,6 @@ def load_model(path) -> ModelBundle:
         vcfg = None if vcfg is None else VectorizerConfig(**vcfg)
         _check_features(model, vcfg, vocabulary)
         return ModelBundle(
-            format_version=FORMAT_VERSION,
             model_kind=kind,
             component_mask=names_core.parse_mask(meta["mask"]),
             vectorizer_cfg=vcfg,

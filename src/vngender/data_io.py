@@ -51,12 +51,6 @@ class Dataset:
             counts[rec.gender] += 1
         return counts
 
-    def names(self) -> list[str]:
-        return [rec.full_name for rec in self.records]
-
-    def labels(self) -> list[int]:
-        return [rec.gender for rec in self.records]
-
 
 @dataclass
 class DatasetStats:

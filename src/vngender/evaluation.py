@@ -1,10 +1,15 @@
 """Stratified splitting, macro-averaged metrics, experiments, and the 7-way
 component ablation.
 
+The split is the paper's: per label, 70% train, 10% dev and the rest test,
+drawn from one seed. The fractions are fixed so that every command and every
+bundle's recorded metrics come from the same protocol; only the seed varies.
+
 An experiment encodes the dataset in one pass over its records, in file
-order: each name is normalized once and its tokens become integer ids, each
-tagged with its name component by position (`_encode_split`). The train, dev
-and test subsets are then index gathers over those arrays, in the order
+order: each name is normalized once and its tokens stream through
+`featurize.encode`, the one token encoder, and each token is tagged with its
+name component by position (`_encode_split`). The train, dev and test
+subsets are then index gathers over those arrays, in the order
 `_split_indices` draws, the same draw `stratified_split` uses to split the
 records themselves. A (mask, model) cell then keeps the entries of
 the mask's components, fits a vocabulary on train (under the `ModelSpec`'s
@@ -18,7 +23,6 @@ on (x, labels) (`_run_cell`). `run_experiment` is one cell;
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,19 +35,14 @@ from .featurize import TokenIds, VectorizerConfig, Vocabulary
 from .names_core import ALL_MASKS, ComponentMask
 
 
+# The shares of each label that go to train and dev; test gets the rest.
+TRAIN_FRAC = 0.7
+DEV_FRAC = 0.1
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    train_frac: float = 0.7
-    dev_frac: float = 0.1
-    test_frac: float = 0.2
     seed: int = 0
-
-    def __post_init__(self):
-        fracs = (self.train_frac, self.dev_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
-            raise EvaluationError("split fractions must be positive")
-        if abs(sum(fracs) - 1.0) > 1e-12:
-            raise EvaluationError("split fractions must sum to 1")
 
 
 SUBSETS = ("train", "dev", "test")
@@ -58,9 +57,9 @@ def _split_indices(labels: np.ndarray, spec: SplitSpec) -> list[np.ndarray]:
     """The train, dev and test record indices of records with `labels`.
 
     Each label's indices are shuffled with a seed of their own and cut at
-    floor(n*train) and floor(n*(train+dev)); the per-label pieces are merged
-    across labels and each merged subset is reshuffled with its own derived
-    seed.
+    floor(n*TRAIN_FRAC) and floor(n*(TRAIN_FRAC+DEV_FRAC)); the per-label
+    pieces are merged across labels and each merged subset is reshuffled
+    with its own derived seed.
     """
     if not np.isin(labels, (0, 1)).all():
         raise EvaluationError("labels must be 0 or 1")
@@ -76,8 +75,7 @@ def _split_indices(labels: np.ndarray, spec: SplitSpec) -> list[np.ndarray]:
     for idx, seed in zip(by_label, seeds):
         np.random.default_rng(seed).shuffle(idx)
         n = idx.size
-        pieces.append(np.split(idx, [_cut(n, spec.train_frac),
-                                     _cut(n, spec.train_frac + spec.dev_frac)]))
+        pieces.append(np.split(idx, [_cut(n, TRAIN_FRAC), _cut(n, TRAIN_FRAC + DEV_FRAC)]))
     subsets = []
     for parts, seed in zip(zip(*pieces), seeds[2:]):
         idx = np.concatenate(parts)
@@ -114,25 +112,17 @@ class ConfusionMatrix:
 
 
 def confusion(y_true: Sequence[int], y_pred: Sequence[int]) -> ConfusionMatrix:
-    """2x2 counts with label 1 (male) as the positive class."""
-    if len(y_true) != len(y_pred):
+    """2x2 counts with label 1 (male) as the positive class; the labels may
+    be sequences or arrays."""
+    t, p = np.asarray(y_true), np.asarray(y_pred)
+    if len(t) != len(p):
         raise EvaluationError("y_true and y_pred must have the same length")
-    if not y_true:
+    if not len(t):
         raise EvaluationError("cannot build a confusion matrix from no pairs")
-    tp = fp = tn = fn = 0
-    for t, p in zip(y_true, y_pred):
-        if t not in (0, 1) or p not in (0, 1):
-            raise EvaluationError("labels must be 0 or 1")
-        if t == 1:
-            if p == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == 1:
-                fp += 1
-            else:
-                tn += 1
+    if not (np.isin(t, (0, 1)).all() and np.isin(p, (0, 1)).all()):
+        raise EvaluationError("labels must be 0 or 1")
+    tn, fp, fn, tp = np.bincount(2 * t.astype(np.int64) + p.astype(np.int64),
+                                 minlength=4).tolist()
     return ConfusionMatrix(tp, fp, tn, fn)
 
 
@@ -210,7 +200,6 @@ class ExperimentResult:
     model_label: str
     metrics: MacroMetrics
     confusion: ConfusionMatrix
-    misclassified: list[tuple[str, int, int]]
     skipped: dict[str, int]
     subset_sizes: dict[str, int]
     vocabulary: Vocabulary
@@ -241,39 +230,27 @@ def _encode_split(dataset: Dataset, split_spec: SplitSpec) -> dict[str, _Encoded
     """Encode every record once, then gather the train, dev and test subsets.
 
     One pass over the records in file order normalizes each name once,
-    splits it, and maps its tokens straight to ids in order of first sight.
-    The ids are renumbered over the sorted token universe, the component of
-    each token comes from its position (`names_core.component_codes`), and
-    each subset gathers the entries of its records in `_split_indices`
-    order.
+    splits it and streams its tokens through `featurize.encode`. The
+    component of each token comes from its position
+    (`names_core.component_codes`), and each subset gathers the entries of
+    its records in `_split_indices` order.
     """
-    first_id: dict[str, int] = {}   # token -> id in order of first sight
-    ids, lengths, labels = array("i"), array("i"), array("b")
-    for rec in dataset.records:
-        tokens = names_core.normalize(rec.full_name).split()
-        for tok in tokens:
-            if tok not in first_id:
-                first_id[tok] = len(first_id)
-            ids.append(first_id[tok])
-        lengths.append(len(tokens))
-        labels.append(rec.gender)
-    universe = tuple(sorted(first_id))
-    rank = np.empty(len(universe), dtype=np.int64)
-    rank[[first_id[tok] for tok in universe]] = np.arange(len(universe))
-    del first_id  # freed before the gathers, which set the peak memory
-    ids = np.frombuffer(ids, dtype=np.intc)
-    lengths = np.frombuffer(lengths, dtype=np.intc)
-    labels = np.frombuffer(labels, dtype=np.int8)
+    names = featurize.encode(names_core.normalize(rec.full_name).split()
+                             for rec in dataset.records)
+    lengths = np.bincount(names.rows, minlength=names.n_docs)
+    ids, tokens = names.ids, names.tokens
+    del names  # its rows are freed before the gathers, which set the peak memory
+    labels = np.array([rec.gender for rec in dataset.records], dtype=np.int64)
     parts = names_core.component_codes(lengths)
-    starts = np.cumsum(lengths, dtype=np.int64) - lengths
+    starts = np.cumsum(lengths) - lengths
 
     encoded = {}
     for name, idx in zip(SUBSETS, _split_indices(labels, split_spec)):
         sizes = lengths[idx]
         rows = np.repeat(np.arange(idx.size, dtype=np.int64), sizes)
         entry = featurize.entry_positions(starts[idx], sizes)
-        encoded[name] = _EncodedSubset(TokenIds(rows, rank[ids[entry]], universe, idx.size),
-                                       parts[entry], labels[idx].astype(np.int64))
+        encoded[name] = _EncodedSubset(TokenIds(rows, ids[entry], tokens, idx.size),
+                                       parts[entry], labels[idx])
     return encoded
 
 
@@ -297,18 +274,12 @@ def _run_cell(split: dict[str, _EncodedSubset], mask: ComponentMask,
     x_test = classical.model_input(spec.kind, test, vocabulary, spec.vectorizer)
     preds = classical.predict(model, x_test)[0]
 
-    cm = confusion(test_labels.tolist(), preds.tolist())
-    wrong = np.flatnonzero(preds != test_labels).tolist()
-    misclassified = [
-        (" ".join(doc), int(test_labels[r]), int(preds[r]))
-        for r, doc in zip(wrong, test.docs(wrong))
-    ]
+    cm = confusion(test_labels, preds)
     return ExperimentResult(
         mask_label=mask.label,
         model_label=spec.label,
         metrics=macro_metrics(cm),
         confusion=cm,
-        misclassified=misclassified,
         skipped={"train": skip_train, "dev": skip_dev, "test": skip_test},
         subset_sizes={name: len(subset.names) for name, subset in split.items()},
         vocabulary=vocabulary,
@@ -322,7 +293,8 @@ def run_experiment(
     spec: ModelSpec,
     split_spec: SplitSpec,
 ) -> ExperimentResult:
-    """split -> segment/select -> fit vocabulary on train -> train -> score test.
+    """encode and split -> select the mask's tokens -> fit vocabulary on
+    train -> train -> score test.
 
     The dev subset is produced and left untouched. Records whose selected
     components are empty under the mask are skipped and counted.

@@ -1,10 +1,11 @@
 """Token vocabularies, the CSR feature matrix of count / TF-IDF vectors, and
 the one check of training labels.
 
-Both work on integer token ids: `encode` turns token lists into `TokenIds`,
-one flat entry per token occurrence, and `fit_vocabulary` and `transform`
-read those ids. The ablation builds its `TokenIds` once per split and
-filters them per component mask instead of re-tokenizing. Every model kind
+Both work on integer token ids: `encode`, the one place token strings become
+ids, turns token lists into `TokenIds`, one flat entry per token occurrence,
+and `fit_vocabulary` and `transform` read those ids. The ablation encodes
+every name of its dataset once, streaming them through `encode`, and filters
+the ids per component mask instead of re-tokenizing. Every model kind
 reads its documents through a fitted vocabulary: `columns` gives each entry's
 vocabulary index, with `len(vocab)` for an unseen token; `transform` counts
 those indices into a `CsrMatrix`, and the LSTM reads them as they are.
@@ -16,8 +17,9 @@ with `check_labels`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -137,14 +139,27 @@ def entry_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return pos
 
 
-def encode(docs: Sequence[Sequence[str]]) -> TokenIds:
-    """Token lists as `TokenIds` over the sorted set of their tokens."""
-    tokens = tuple(sorted({tok for doc in docs for tok in doc}))
-    id_of = {tok: i for i, tok in enumerate(tokens)}
-    ids = np.array([id_of[tok] for doc in docs for tok in doc], dtype=np.int64)
-    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
-    rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
-    return TokenIds(rows, ids, tokens, len(docs))
+def encode(docs: Iterable[Sequence[str]]) -> TokenIds:
+    """Token sequences as `TokenIds` over the sorted set of their tokens.
+
+    `docs` may be any iterable, a generator included, and is read once:
+    each token gets an id in order of first sight, and the ids are
+    renumbered over the sorted token universe at the end.
+    """
+    first_id: dict[str, int] = {}   # token -> id in order of first sight
+    ids, lengths = array("i"), array("i")
+    for doc in docs:
+        for tok in doc:
+            if tok not in first_id:
+                first_id[tok] = len(first_id)
+            ids.append(first_id[tok])
+        lengths.append(len(doc))
+    tokens = tuple(sorted(first_id))
+    rank = np.empty(len(tokens), dtype=np.int64)
+    rank[[first_id[tok] for tok in tokens]] = np.arange(len(tokens))
+    lengths = np.frombuffer(lengths, dtype=np.intc)
+    rows = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    return TokenIds(rows, rank[np.frombuffer(ids, dtype=np.intc)], tokens, lengths.size)
 
 
 def fit_vocabulary(docs: TokenIds, cfg: VectorizerConfig) -> Vocabulary:

@@ -86,6 +86,10 @@ FAST_OPTIONS = {
     "lstm": ["--hidden", "4", "--embedding-dim", "8", "--epochs", "1"],
 }
 SPLIT_SEED = 3
+# The (kind, mask) of every bundle `bundle_paths` trains: every kind under
+# "full", and multinomial NB and the LSTM under "fan".
+BUNDLES = [(kind, "full") for kind in classical.MODEL_KINDS]
+BUNDLES += [("multinomial_nb", "fan"), ("lstm", "fan")]
 
 
 def run_cli(argv) -> tuple[int, str, str]:
@@ -114,13 +118,10 @@ def names_csv(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def bundle_paths(names_csv, tmp_path_factory):
-    """Trained bundle paths by (kind, mask): every kind under "full", and
-    multinomial NB and the LSTM under "fan"."""
+    """Trained bundle paths by (kind, mask), one for each of `BUNDLES`."""
     out = tmp_path_factory.mktemp("bundles")
-    wanted = [(kind, "full") for kind in classical.MODEL_KINDS]
-    wanted += [("multinomial_nb", "fan"), ("lstm", "fan")]
     paths = {}
-    for kind, mask in wanted:
+    for kind, mask in BUNDLES:
         path = out / f"{kind}-{mask}.bundle"
         code, *_ = run_cli(["train", "--data", names_csv, "--model", kind, "--mask", mask,
                            "--seed", SPLIT_SEED, "--out", path, *FAST_OPTIONS.get(kind, [])])

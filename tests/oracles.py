@@ -5,7 +5,7 @@ central finite differences for gradients, a dense damped Newton method for the
 linear models, a gate-by-gate LSTM forward and backward pass, frozen from
 the LSTM's original per-gate layout, and the component ablation frozen from
 its token-list path (each cell splits and segments again, and fits a
-`Counter` vocabulary)."""
+`Counter` vocabulary), and the token encoder frozen from its set-based form."""
 
 import math
 from collections import Counter
@@ -290,6 +290,17 @@ def token_vocabulary(corpus, cfg):
                                 len(corpus))
 
 
+def set_encode(docs):
+    """Token lists as `TokenIds` over the sorted set of their tokens, looked
+    up in a dict built from that set."""
+    tokens = tuple(sorted({tok for doc in docs for tok in doc}))
+    id_of = {tok: i for i, tok in enumerate(tokens)}
+    ids = np.array([id_of[tok] for doc in docs for tok in doc], dtype=np.int64)
+    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
+    rows = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+    return featurize.TokenIds(rows, ids, tokens, len(docs))
+
+
 def token_ids(docs, vocab):
     """Token lists as `TokenIds` over the vocabulary, looked up token by
     token; an unseen token gets id len(vocab)."""
@@ -366,9 +377,6 @@ def experiment(dataset, mask, model_spec, split_spec) -> dict:
         "model_label": label,
         "metrics": evaluation.macro_metrics(cm),
         "confusion": cm,
-        "misclassified": [(" ".join(doc), truth, pred)
-                          for doc, truth, pred in zip(test_docs, test_labels, preds)
-                          if truth != pred],
         "skipped": {"train": skip_train, "dev": skip_dev, "test": skip_test},
         "subset_sizes": {"train": len(train), "dev": len(dev), "test": len(test)},
         "vocabulary": vocabulary,

@@ -229,7 +229,7 @@ class TestCommands:
         assert len(out.splitlines()) == 41
         code, _, _ = run_cli(["synth", 40, 0.9, 7, "--out", tmp_path / "s.csv"])
         assert code == 0
-        assert data_io.load_dataset(tmp_path / "s.csv").names() == [
+        assert [rec.full_name for rec in data_io.load_dataset(tmp_path / "s.csv").records] == [
             line.rsplit(",", 1)[0] for line in out.splitlines()[1:]
         ]
 

@@ -1,4 +1,5 @@
 import math
+import unicodedata
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from vngender.errors import FeaturizeError, TrainingError
 
 TOKENS = st.sampled_from(["thị", "hiền", "văn", "nam", "đức", "mai", "an"])
 DOCS = st.lists(st.lists(TOKENS, max_size=6), min_size=1, max_size=10)
+# One syllable in its composed and decomposed forms, which are different tokens.
+SYLLABLES = st.sampled_from(["hiền", unicodedata.normalize("NFD", "hiền"), "văn", "a", "đức"])
 
 
 def fit(corpus, mode="count", max_features=None):
@@ -206,6 +209,17 @@ class TestEncode:
         assert encoded.docs() == [list(doc) for doc in docs]
         which = list(range(len(docs)))[::-2]
         assert encoded.docs(which) == [list(docs[r]) for r in which]
+
+    @given(st.lists(st.lists(SYLLABLES, max_size=7), max_size=12))
+    def test_one_pass_matches_set_based_oracle(self, docs):
+        expected = oracles.set_encode(docs)
+        for got in (fz.encode(docs), fz.encode(list(doc) for doc in docs)):
+            assert got.tokens == expected.tokens
+            assert got.n_docs == expected.n_docs
+            for name in ("rows", "ids"):
+                ours, theirs = getattr(got, name), getattr(expected, name)
+                assert ours.dtype == theirs.dtype
+                assert ours.tolist() == theirs.tolist()
 
 
 class TestColumns:
