@@ -246,6 +246,19 @@ class LinearObjective:
         curvature = self.weights * d2
         return f, gradient, lambda v: self.reg * v + self._transpose_dot(curvature * self._margins(v))
 
+    def preconditioner(self) -> np.ndarray:
+        """M, the diagonal of the Hessian at theta = 0, where every margin is
+        0: reg_j + sum_i m_i d2_i(0) x_ij^2, and sum_i m_i d2_i(0) for the
+        bias. An entry that is not > 0 (a column no row stores, with no
+        regularization) is 1."""
+        x = self.x
+        curvature = self.weights * self.loss(np.zeros(len(self.y)), self.y)[2]
+        columns = np.bincount(x.indices, weights=x.data * x.data * curvature[x.row_ids],
+                              minlength=x.n_features)
+        m = self.reg + np.append(columns, curvature.sum())
+        m[~(m > 0)] = 1.0
+        return m
+
     def _margins(self, theta: np.ndarray) -> np.ndarray:
         return self.x.dot_weights(theta[:-1], theta[-1])
 
@@ -285,24 +298,36 @@ def squared_hinge_objective(x: CsrMatrix, labels, c: float) -> LinearObjective:
     return _linear_objective(x, labels, c, np.ones(x.n_features + 1), _squared_hinge)
 
 
-def _truncated_cg(hessian_dot: Callable, g: np.ndarray, delta: float):
-    """Conjugate gradient on H s = -g until ||H s + g|| <= 0.1 ||g||, or up to
-    the boundary ||s|| = delta. Returns s and its residual -g - H s."""
-    s, r, d = np.zeros_like(g), -g, -g
-    rr = rr0 = float(g @ g)
-    while rr > 0.01 * rr0:  # also ends at the boundary: Steihaug's ||s|| only grows
+def _m_norm(v: np.ndarray, m: np.ndarray) -> float:
+    """||v||_M = sqrt(v' M v) for a diagonal M."""
+    return math.sqrt(float(v @ (m * v)))
+
+
+def _truncated_cg(hessian_dot: Callable, g: np.ndarray, delta: float, m: np.ndarray):
+    """Conjugate gradient on H s = -g, preconditioned with the diagonal M
+    (z = r / M), until z'r <= 0.01 z_0'r_0 (the 0.1 relative residual in the
+    M^-1-norm), or up to the boundary ||s||_M = delta. Returns s, its
+    residual -g - H s and the number of Hessian-vector products."""
+    s, r = np.zeros_like(g), -g
+    d = z = r / m
+    zr = zr0 = float(z @ r)
+    steps = 0
+    while zr > 0.01 * zr0:  # also ends at the boundary: Steihaug's ||s||_M only grows
         hd = hessian_dot(d)
+        steps += 1
         dhd = float(d @ hd)
-        step = rr / dhd if dhd > 0 else math.inf
-        if step == math.inf or np.linalg.norm(s + step * d) > delta:
-            sd, ss, dd = float(s @ d), float(s @ s), float(d @ d)
+        step = zr / dhd if dhd > 0 else math.inf
+        if step == math.inf or _m_norm(s + step * d, m) > delta:
+            md = m * d
+            sd, ss, dd = float(s @ md), float(s @ (m * s)), float(d @ md)
             rad = math.sqrt(sd * sd + dd * (delta * delta - ss))
             step = (delta * delta - ss) / (sd + rad) if sd >= 0 else (rad - sd) / dd
-            return s + step * d, r - step * hd
-        s, r, rr_old = s + step * d, r - step * hd, rr
-        rr = float(r @ r)
-        d = r + (rr / rr_old) * d
-    return s, r
+            return s + step * d, r - step * hd, steps
+        s, r, zr_old = s + step * d, r - step * hd, zr
+        z = r / m
+        zr = float(z @ r)
+        d = z + (zr / zr_old) * d
+    return s, r, steps
 
 
 TRON_MAX_ITER = 1000
@@ -313,21 +338,35 @@ def tron(objective: LinearObjective, max_iter: int, tol: float) -> tuple[np.ndar
     """Trust-region Newton-CG from theta = 0 with the rules of LIBLINEAR's
     primal solver (Lin, Weng & Keerthi, JMLR 2008), run on the objective's
     distinct rows, each weighted by its multiplicity (LIBLINEAR's instance
-    weights). Converged once ||g|| <= tol * ||g_0||. Returns (weights, bias,
-    the convergence record the fits store in `train_meta`); its `stop` says
-    why the solve ended: "gradient" (converged), "no_progress" (a step
+    weights).
+
+    The CG is preconditioned with M, the Hessian's diagonal at theta = 0
+    (`LinearObjective.preconditioner`), and the trust region is measured in
+    the M-norm ||s||_M = sqrt(s' M s), starting at radius ||g_0||_{M^-1}
+    (Hsia, Chiang & Lin, "Preconditioned Conjugate Gradient Methods in
+    Truncated Newton Frameworks for Large-scale Linear Classification", ACML
+    2018). That is the unpreconditioned solve on the rescaled variable
+    M^(1/2) theta. M is computed once: a diagonal that follows theta would
+    change what the carried radius measures from one iteration to the next.
+
+    Converged once ||g|| <= tol * ||g_0|| (Euclidean). Returns (weights,
+    bias, the convergence record the fits store in `train_meta`); its `stop`
+    says why the solve ended: "gradient" (converged), "no_progress" (a step
     changed f by no more than rounding) or "max_iter" (`max_iter`
-    iterations, rejected steps included), and `gradient_ratio` is the final
-    ||g|| / ||g_0||."""
+    iterations, rejected steps included), `gradient_ratio` is the final
+    ||g|| / ||g_0|| and `cg_steps` counts the Hessian-vector products."""
     theta = np.zeros(objective.reg.size)
     f, g, hessian_dot = objective.at(theta)
-    delta = g0_norm = float(np.linalg.norm(g))
-    converged, stalled, n_iter = g0_norm == 0.0, False, 0
+    m = objective.preconditioner()
+    g0_norm = float(np.linalg.norm(g))
+    delta = _m_norm(g, 1.0 / m)
+    converged, stalled, n_iter, cg_steps = g0_norm == 0.0, False, 0, 0
     while not (converged or stalled) and n_iter < max_iter:
         n_iter += 1
-        s, r = _truncated_cg(hessian_dot, g, delta)
+        s, r, steps = _truncated_cg(hessian_dot, g, delta, m)
+        cg_steps += steps
         f_new, g_new, hessian_dot_new = objective.at(theta + s)
-        gs, s_norm = float(g @ s), float(np.linalg.norm(s))
+        gs, s_norm = float(g @ s), _m_norm(s, m)
         predicted, actual = -0.5 * (gs - float(s @ r)), f - f_new
         if n_iter == 1:
             delta = min(delta, s_norm)
@@ -346,7 +385,7 @@ def tron(objective: LinearObjective, max_iter: int, tol: float) -> tuple[np.ndar
                    or max(abs(actual), abs(predicted)) <= 1e-12 * abs(f))
     stop = "gradient" if converged else "no_progress" if stalled else "max_iter"
     record = {"max_iter": max_iter, "tol": tol, "converged": converged, "stop": stop,
-              "n_iter": n_iter, "objective": f,
+              "n_iter": n_iter, "cg_steps": cg_steps, "objective": f,
               "gradient_ratio": float(np.linalg.norm(g)) / g0_norm if g0_norm else 0.0}
     return theta[:-1], float(theta[-1]), record
 

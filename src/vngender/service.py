@@ -14,6 +14,9 @@ Routes:
 
 Every other response is ``{"error": code}``:
 
+- 400 ``bad_content_length``: a ``Content-Length`` that is not all ASCII
+  digits once spaces and tabs around it are trimmed (``-14``, ``abc``,
+  ``1_4``), refused unread.
 - 400 ``malformed_json``: the body is not UTF-8 JSON.
 - 400 ``invalid_name``: no string ``name``, a ``names`` that is not a list
   of strings, or a name holding a lone surrogate.
@@ -34,8 +37,8 @@ Every other response is ``{"error": code}``:
   than 100 headers), 501 ``not_implemented`` (a method other than GET and
   POST) and 505 ``http_version_not_supported``.
 
-408, 413 and the protocol errors carry ``Connection: close`` and end the
-connection. A connection with no request in flight for ``SOCKET_TIMEOUT_S``
+``bad_content_length``, 408, 413 and the protocol errors carry ``Connection:
+close`` and end the connection. A connection with no request in flight for ``SOCKET_TIMEOUT_S``
 is closed without a response, and so is one the client resets. A HEAD
 request gets the headers of its response without the body.
 
@@ -175,16 +178,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": "not_found"})
 
     def _read_body(self) -> bytes | None:
-        """The request body, or None once a 413 or 408 response is sent. Every
-        route reads it: left unread, it would be parsed as the next request
-        on this connection."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
+        """The request body, or None once a 400, 413 or 408 response is sent.
+        Every route reads it: left unread, it would be parsed as the next
+        request on this connection."""
+        text = self.headers.get("Content-Length", "0").strip(" \t")
+        # The unread body would be parsed as the next request, so the
+        # "Connection: close" header also ends this connection.
+        if not (text.isascii() and text.isdigit()):
+            self._send(400, {"error": "bad_content_length"}, {"Connection": "close"})
+            return None
+        length = int(text)
         if length > MAX_BODY_BYTES:
-            # The unread body would be parsed as the next request, so the
-            # "Connection: close" header also ends this connection.
             self._send(413, {"error": "body_too_large"}, {"Connection": "close"})
             return None
         try:

@@ -1,3 +1,5 @@
+import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -101,6 +103,15 @@ class TestDistinctRows:
         assert oracles.tensor_rel_error(g, gradient(theta)) <= 1e-12
         assert oracles.tensor_rel_error(hessian_dot(v), hessian(theta) @ v) <= 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(instance=repeated_rows(), loss=st.sampled_from(list(OBJECTIVES)))
+    def test_preconditioner_is_the_hessian_diagonal_at_zero(self, instance, loss):
+        docs, labels, n_features = instance
+        objective = OBJECTIVES[loss](csr(docs, n_features), labels, 0.7)
+        hessian = oracles.dense_linear_objective(docs, labels, n_features, loss, 0.7)[2]
+        expected = np.diag(hessian(np.zeros(n_features + 1)))
+        assert oracles.tensor_rel_error(objective.preconditioner(), expected) <= 1e-12
+
     @pytest.mark.parametrize("k", [2, 5])
     @pytest.mark.parametrize("seed", range(10))
     def test_rows_repeated_k_times_fit_the_same_weights(self, seed, k):
@@ -117,6 +128,34 @@ class TestDistinctRows:
         for a, b in pairs:
             assert oracles.tensor_rel_error(np.append(a.weights, a.bias),
                                             np.append(b.weights, b.bias)) <= 1e-5
+
+
+def one_token_rows(seed, n_features=20):
+    """Rows of one token each, as under the given-name mask: feature f stands
+    for 1 to 1000 rows (geometrically spaced), nearly all of one label."""
+    rng = np.random.default_rng(seed)
+    docs, labels = [], []
+    for f, n in enumerate(np.rint(np.geomspace(1, 1000, n_features)).astype(int)):
+        ones = int(rng.binomial(n, rng.choice([0.02, 0.98])))
+        docs += [{f: 1.0}] * n
+        labels += [1] * ones + [0] * (n - ones)
+    return csr(docs, n_features), labels
+
+
+class TestPreconditionedSolver:
+    @pytest.mark.parametrize("fit", [cl.fit_linear_svm, cl.fit_logistic_regression])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multiplicities_from_1_to_1000_converge_in_few_iterations(self, fit, seed):
+        meta = fit(*one_token_rows(seed)).train_meta
+        assert meta["converged"] is True and meta["n_iter"] <= 10
+
+    def test_unstored_column_without_regularization_stays_at_zero(self):
+        matrix = csr([{0: 1}, {0: 1}, {2: 1}, {2: 2}, {0: 1, 2: 1}, {0: 2}], 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = cl.fit_logistic_regression(matrix, [0, 1, 1, 0, 1, 0], l2=0.0)
+        assert np.all(np.isfinite(model.weights)) and math.isfinite(model.bias)
+        assert model.weights[1] == 0.0 and model.train_meta["converged"] is True
 
 
 class TestSolverMatchesNewtonOracle:
@@ -242,9 +281,10 @@ class TestLinearSvm:
         model = cl.fit_linear_svm(*svm_instance(seed=7))
         meta = model.train_meta
         assert meta["converged"] is True
-        assert set(meta) == {"c", "max_iter", "tol", "converged", "stop", "n_iter", "objective",
-                             "gradient_ratio"}
+        assert set(meta) == {"c", "max_iter", "tol", "converged", "stop", "n_iter", "cg_steps",
+                             "objective", "gradient_ratio"}
         assert meta["stop"] == "gradient" and meta["gradient_ratio"] <= meta["tol"]
+        assert meta["cg_steps"] >= meta["n_iter"]
         objective = cl.squared_hinge_objective(*svm_instance(seed=7), 1.0)
         theta = np.append(model.weights, model.bias)
         assert meta["objective"] == objective.at(theta)[0]

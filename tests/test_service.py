@@ -107,6 +107,22 @@ def test_bad_bodies(client, raw, error):
     assert (status, body) == (400, {"error": error})
 
 
+@pytest.mark.parametrize("length", ["-14", "abc", "1_4"])
+def test_content_length_that_is_not_digits_is_refused_unread(client, length):
+    status, headers, body = client.request("POST", "/predict", b'{"name": "Vy"}',
+                                           {"Content-Length": length})
+    assert (status, body) == (400, {"error": "bad_content_length"})
+    assert headers["Connection"] == "close"
+    assert client.post({"name": "Lê Minh"})[0] == 200
+
+
+def test_content_length_with_spaces_around_it_is_read(client):
+    status, headers, body = client.request("POST", "/predict", b'{"name": "Vy"}',
+                                           {"Content-Length": " 14\t"})
+    assert status == 200 and "Connection" not in headers
+    assert body["components"]["given"] == "vy"
+
+
 def test_oversized_body_refused_unread(client):
     conn = http.client.HTTPConnection("127.0.0.1", client.port, timeout=10)
     try:
@@ -184,6 +200,11 @@ BATCH_NAMES = ["Nguyễn Thị Lan", "  TRẦN văn nam ", " \t ", "Nguy\ud800n 
                "Phạm Hữu Đức Anh", "Vy", "Hoàng Xuân"]
 
 
+def length_raw(length: bytes) -> bytes:
+    """A 14-byte /predict body sent with the Content-Length header `length`."""
+    return b"POST /predict HTTP/1.1\r\nContent-Length: " + length + b'\r\n\r\n{"name": "Vy"}'
+
+
 def get_raw(path: str, version: str = "HTTP/1.1") -> bytes:
     return f"GET {path} {version}\r\nHost: x\r\n\r\n".encode("ascii")
 
@@ -203,6 +224,10 @@ ROUTES = [
     ("empty_name", post_raw(b'{"name": " "}'), 400, "empty_name", False),
     ("too_large", b"POST /predict HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n{}", 413,
      "body_too_large", True),
+    ("negative_length", length_raw(b"-14"), 400, "bad_content_length", True),
+    ("letters_length", length_raw(b"abc"), 400, "bad_content_length", True),
+    ("underscore_length", length_raw(b"1_4"), 400, "bad_content_length", True),
+    ("padded_length", length_raw(b" 14 "), 200, None, False),
     ("short_body", b"POST /predict HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", 408,
      "request_timeout", True),
     ("stalled_headers", b"GET /health HTTP/1.1\r\nHost: x\r\n", 408, "request_timeout", True),
