@@ -29,6 +29,13 @@ the input gradient of the distinct tokens through one one-hot product.
 so its working memory grows with the batch only by the id matrix, and a
 single name is a batch of one.
 
+The kernel computes in the dtype of the table it is given: every temporary,
+the labels and the results follow it, so float64 inputs run in float64 and
+float32 inputs in float32. `fit_lstm` fits in float32 and stores float64:
+fastText stores its vectors as float32, and the fit's time is in BLAS
+products, which float32 runs about twice as fast. A model's parameters and
+table are float64, and its scores are float64.
+
 `LstmModel` is the `lstm` kind of the model registry in `classical`: it has a
 `kind`, a `train_meta` (the per-epoch losses), `n_features` (the vocabulary
 size) and stored fields like every classical model, and `score(docs)` gives
@@ -65,7 +72,8 @@ def load_embeddings(path, tokens: Sequence[str], expected_dim: int):
     one token and its `dim` floats per line: the index in `tokens` of each
     of them the file holds a vector for, and those vectors as the rows of a
     (K, dim) matrix. Lines of other tokens are skipped unparsed; a token
-    given twice keeps its first vector."""
+    given twice keeps its first vector. Every component of a kept vector
+    must be finite in float32, the dtype `fit_lstm` fits in."""
     index_of = {tok: i for i, tok in enumerate(tokens)}
     found: dict[int, list[float]] = {}
     try:
@@ -74,35 +82,43 @@ def load_embeddings(path, tokens: Sequence[str], expected_dim: int):
         raise EmbeddingError(f"embedding file not found: {path}") from exc
     with fh:
         try:
-            count, dim = map(int, fh.readline().split())
-        except ValueError as exc:
-            raise EmbeddingError(f"{path}:1: malformed header line") from exc
-        if dim != expected_dim:
-            raise EmbeddingError(
-                f"{path}:1: header dimension {dim} does not match expected {expected_dim}"
-            )
-        n_lines = 0
-        for lineno, line in enumerate(fh, start=2):
-            token, sep, rest = line.rstrip("\n").partition(" ")
-            if not (token or sep):
-                continue
-            n_lines += 1
-            row = index_of.get(token)
-            if row is None:
-                continue
-            comps = rest.split(" ") if sep else []
-            if len(comps) != dim:
-                raise EmbeddingError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(comps)}"
-                )
+            header = fh.readline()
             try:
-                vec = [float(c) for c in comps]
+                count, dim = map(int, header.split())
             except ValueError as exc:
-                raise EmbeddingError(f"{path}:{lineno}: non-numeric component") from exc
-            if row in found:
-                warnings.warn(f"{path}:{lineno}: duplicate token {token!r}, keeping first")
-                continue
-            found[row] = vec
+                raise EmbeddingError(f"{path}:1: malformed header line") from exc
+            if dim != expected_dim:
+                raise EmbeddingError(
+                    f"{path}:1: header dimension {dim} does not match expected {expected_dim}"
+                )
+            n_lines = 0
+            for lineno, line in enumerate(fh, start=2):
+                token, sep, rest = line.rstrip("\n").partition(" ")
+                if not (token or sep):
+                    continue
+                n_lines += 1
+                row = index_of.get(token)
+                if row is None:
+                    continue
+                comps = rest.split(" ") if sep else []
+                if len(comps) != dim:
+                    raise EmbeddingError(
+                        f"{path}:{lineno}: expected {dim} components, got {len(comps)}"
+                    )
+                try:
+                    vec = [float(c) for c in comps]
+                except ValueError as exc:
+                    raise EmbeddingError(f"{path}:{lineno}: non-numeric component") from exc
+                with np.errstate(over="ignore"):
+                    if not np.isfinite(np.array(vec, dtype=np.float32)).all():
+                        raise EmbeddingError(f"{path}:{lineno}: non-finite component")
+                if row in found:
+                    warnings.warn(f"{path}:{lineno}: duplicate token {token!r}, keeping first")
+                    continue
+                found[row] = vec
+        except UnicodeDecodeError as exc:
+            raise EmbeddingError(
+                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     if count != n_lines:
         warnings.warn(f"{path}: header count {count} != {n_lines} vectors in the file")
     return (np.array(list(found), dtype=np.int64),
@@ -151,8 +167,9 @@ class LstmParams:
     def tensors(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "u": self.u, "b": self.b, "out_w": self.out_w, "out_b": self.out_b}
 
-    def copy(self) -> "LstmParams":
-        return LstmParams(**{name: arr.copy() for name, arr in self.tensors().items()})
+    def astype(self, dtype) -> "LstmParams":
+        """A copy with every tensor in `dtype`."""
+        return LstmParams(**{name: arr.astype(dtype) for name, arr in self.tensors().items()})
 
 
 def init_lstm_params(dim: int, hidden: int, seed: int = 0) -> LstmParams:
@@ -198,8 +215,11 @@ class LstmTrainConfig:
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, without overflow for large |z|: 1 / (1 + e^-z)
-    for z >= 0 and e^z / (1 + e^z) below."""
-    z = np.asarray(z, dtype=np.float64)
+    for z >= 0 and e^z / (1 + e^z) below. In float32 for float32 input,
+    in float64 for any other."""
+    z = np.asarray(z)
+    if z.dtype != np.float32:
+        z = z.astype(np.float64, copy=False)
     return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
@@ -240,7 +260,7 @@ def _forward(params: LstmParams, x_proj: np.ndarray, steps, caches: list | None 
     (no bias) of the distinct tokens. With `caches`, each step appends what
     the backward pass needs."""
     hid = params.hidden
-    h = c = np.zeros((0, hid))
+    h = c = np.zeros((0, hid), dtype=x_proj.dtype)
     for pos in steps:
         m = len(h)                      # rows with a state; the rest start at zero
         z = x_proj[pos]
@@ -263,7 +283,8 @@ def _forward(params: LstmParams, x_proj: np.ndarray, steps, caches: list | None 
 def _loss_and_grads(ids: np.ndarray, lengths: np.ndarray, y: np.ndarray,
                     table: np.ndarray, params: LstmParams):
     """Mean BCE over a group of token-id rows and its gradient for every
-    tensor of `params`; `table` holds the embedding row of each id."""
+    tensor of `params`; `table` holds the embedding row of each id, and the
+    results are in its dtype, which `y` and `params` share."""
     order, uniq, steps = _schedule(ids, lengths)
     x = table[uniq]
     caches: list = []
@@ -274,11 +295,11 @@ def _loss_and_grads(ids: np.ndarray, lengths: np.ndarray, y: np.ndarray,
     # BCE from logits: softplus(s) - y*s. A diverged fit overflows here;
     # the caller's finite-loss check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = float((np.logaddexp(0.0, logits) - y * logits).sum()) / total
+        loss = (np.logaddexp(0.0, logits) - y * logits).sum() / total
     dlogits = (sigmoid(logits) - y) / total
 
     hid = params.hidden
-    dz_all = np.empty((sum(map(len, steps)), 4 * hid))
+    dz_all = np.empty((sum(map(len, steps)), 4 * hid), dtype=x.dtype)
     grad_u = np.zeros_like(params.u)
     dh = np.outer(dlogits, params.out_w)
     dc = np.zeros_like(dh)
@@ -299,7 +320,7 @@ def _loss_and_grads(ids: np.ndarray, lengths: np.ndarray, y: np.ndarray,
             dh = dz[:m] @ params.u
             dc = dc[:m] * gf[:m]
     positions = np.concatenate(steps)
-    one_hot = (positions == np.arange(len(uniq))[:, None]).astype(np.float64)
+    one_hot = (positions == np.arange(len(uniq))[:, None]).astype(x.dtype)
     grads = {"w": (one_hot @ dz_all).T @ x, "u": grad_u, "b": dz_all.sum(axis=0),
              "out_w": h_last.T @ dlogits, "out_b": dlogits.sum()}
     return loss, grads
@@ -307,12 +328,12 @@ def _loss_and_grads(ids: np.ndarray, lengths: np.ndarray, y: np.ndarray,
 
 def batch_gradients(docs: TokenIds, labels, table: np.ndarray, params: LstmParams):
     """Mean BCE loss of the documents (not truncated) and its gradient for
-    every tensor of `params`, by name; `table` holds the embedding row of
-    each id."""
+    every tensor of `params`, by name, in the dtype of `table`, which holds
+    the embedding row of each id."""
     if not len(docs):
         raise TrainingError("empty batch")
     ids, lengths = _sequences(docs, None, EmptySequenceError, "sequence {} is empty")
-    return _loss_and_grads(ids, lengths, np.asarray(labels, dtype=np.float64), table, params)
+    return _loss_and_grads(ids, lengths, np.asarray(labels, dtype=table.dtype), table, params)
 
 
 @dataclass
@@ -329,38 +350,45 @@ def train_lstm(
     init: LstmParams | None = None,
 ) -> LstmTrainResult:
     """Mini-batch SGD with BPTT; the embedding `table`, one row per id,
-    stays frozen.
+    stays frozen. The fit runs in the table's dtype: the labels and a copy
+    of the parameters (`init`, or a seeded draw) are cast to it. Batch
+    losses are summed into the epoch losses as Python floats.
 
     Batch order reshuffles every epoch from cfg.seed; parameter init uses a
     seed derived from the same value, so training is a pure function of
-    (data order, table, config, initial params).
+    (data order, table, config, initial params). A batch loss, epoch loss
+    sum or updated tensor that is not finite raises `DivergenceError`.
     """
-    y = check_labels(len(docs), labels).astype(np.float64)
+    y = check_labels(len(docs), labels).astype(table.dtype)
     ids, lengths = _sequences(docs, cfg.max_seq_len, TrainingError, "sequence {} is empty")
 
     init_seed, shuffle_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-    params = init.copy() if init is not None else init_lstm_params(
-        table.shape[1], cfg.hidden, init_seed
-    )
+    if init is None:
+        init = init_lstm_params(table.shape[1], cfg.hidden, init_seed)
+    params = init.astype(table.dtype)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n = len(docs)
     epoch_losses: list[float] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
-        for batch_no, start in enumerate(range(0, n, cfg.batch_size), start=1):
-            rows = order[start:start + cfg.batch_size]
-            lens = lengths[rows]
-            group = ids[rows, ids.shape[1] - int(lens.max()):]
-            loss, grads = _loss_and_grads(group, lens, y[rows], table, params)
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"LSTM training diverged at epoch {epoch}, batch {batch_no}"
-                )
-            for name, arr in params.tensors().items():
-                arr -= cfg.learning_rate * grads[name]
-            loss_sum += loss * len(rows)
-        epoch_losses.append(loss_sum / n)
+    # A diverging fit overflows; the checks below report it as an error,
+    # not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = shuffle_rng.permutation(n)
+            loss_sum = 0.0
+            for batch_no, start in enumerate(range(0, n, cfg.batch_size), start=1):
+                rows = order[start:start + cfg.batch_size]
+                lens = lengths[rows]
+                group = ids[rows, ids.shape[1] - int(lens.max()):]
+                loss, grads = _loss_and_grads(group, lens, y[rows], table, params)
+                for name, arr in params.tensors().items():
+                    arr -= cfg.learning_rate * grads[name]
+                loss_sum += float(loss) * len(rows)
+                if not (math.isfinite(loss_sum)
+                        and all(np.isfinite(arr).all() for arr in params.tensors().values())):
+                    raise DivergenceError(
+                        f"LSTM training diverged at epoch {epoch}, batch {batch_no}"
+                    )
+            epoch_losses.append(loss_sum / n)
     return LstmTrainResult(params, epoch_losses)
 
 
@@ -391,7 +419,8 @@ class LstmModel:
     """A trained LSTM over a vocabulary of `n_features` tokens. It stores
     the pretrained vectors it was given (`vec_values[k]` for vocabulary index
     `vec_rows[k]`) and rebuilds its `embedding` table from them and
-    `cfg.seed` with `embedding_table`."""
+    `cfg.seed` with `embedding_table`. Its parameters and table are float64,
+    and so are its scores, whatever dtype it was fitted in."""
 
     kind: ClassVar[str] = "lstm"
     params: LstmParams
@@ -426,6 +455,12 @@ def fit_lstm(
     The embedding table holds the vectors that the file at `embedding_path`
     has for vocabulary tokens, and seeded draws for the other rows; `seed`
     also seeds parameter init and batch order.
+
+    The fit runs in float32, and the model stores its parameters as float64,
+    which holds every float32 value exactly. fastText stores its vectors as
+    float32, and the fit's time is in BLAS products, which float32 runs
+    about twice as fast. Only the float32 table is alive during the fit; the
+    model rebuilds its float64 table for scoring.
     """
     if embedding_dim < 1:
         raise TrainingError("embedding_dim must be >= 1")
@@ -434,7 +469,9 @@ def fit_lstm(
         vec_rows, vec_values = np.zeros(0, dtype=np.int64), np.zeros((0, embedding_dim))
     else:
         vec_rows, vec_values = load_embeddings(embedding_path, docs.tokens, embedding_dim)
-    table = embedding_table(len(docs.tokens), embedding_dim, seed, vec_rows, vec_values)
+    table = embedding_table(len(docs.tokens), embedding_dim, seed, vec_rows,
+                            vec_values).astype(np.float32)
     result = train_lstm(docs, labels, table, cfg)
-    return LstmModel(result.params, cfg, len(docs.tokens), vec_rows, vec_values,
-                     {"epoch_losses": result.epoch_losses}, table)
+    del table
+    return LstmModel(result.params.astype(np.float64), cfg, len(docs.tokens), vec_rows,
+                     vec_values, {"epoch_losses": result.epoch_losses})

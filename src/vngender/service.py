@@ -17,7 +17,9 @@ Every other response is ``{"error": code}``:
 - 400 ``bad_content_length``: a ``Content-Length`` that is not all ASCII
   digits once spaces and tabs around it are trimmed (``-14``, ``abc``,
   ``1_4``), refused unread.
-- 400 ``malformed_json``: the body is not UTF-8 JSON.
+- 400 ``malformed_json``: the body is not UTF-8 JSON, or JSON that
+  ``json.loads`` refuses: nested too deep for the parser, or an integer of
+  more digits than Python converts.
 - 400 ``invalid_name``: no string ``name``, a ``names`` that is not a list
   of strings, or a name holding a lone surrogate.
 - 400 ``empty_name``: the name is blank.
@@ -30,7 +32,9 @@ Every other response is ``{"error": code}``:
   arrive within ``SOCKET_TIMEOUT_S``.
 - 413 ``body_too_large``: a body over ``MAX_BODY_BYTES``, refused unread.
 - 422 ``prediction_failed``: the model refused the input.
-- 500 ``internal``: any other failure; the traceback goes to stderr.
+- 500 ``internal``: any other failure; the traceback goes to stderr. A
+  failure of the handler itself, outside scoring, also ends the
+  connection.
 - ``http.server``'s own protocol errors, named after their status: 400
   ``bad_request`` (a malformed request line), 414 ``request_uri_too_long``,
   431 ``request_header_fields_too_large`` (a header line over 64 KiB or more
@@ -136,11 +140,17 @@ class _Handler(BaseHTTPRequestHandler):
     def handle_one_request(self):
         """The base class's, except that a client which resets the connection,
         while its request is read or its response written, loses the
-        connection quietly instead of leaving a traceback on stderr."""
+        connection quietly instead of leaving a traceback on stderr. Any
+        other exception that escapes a `do_*` method is answered with a 500
+        that closes the connection, whose state is then unknown; its
+        traceback goes to stderr."""
         try:
             super().handle_one_request()
         except ConnectionError:
             self.close_connection = True
+        except Exception:
+            traceback.print_exc()
+            self._send(500, {"error": "internal"}, {"Connection": "close"})
 
     def parse_request(self) -> bool:
         """The base parser, with a 408 for headers that stop arriving."""
@@ -210,7 +220,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
             self._send(400, {"error": "malformed_json"})
             return
         bundle = self.server.bundle

@@ -122,6 +122,28 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingError, match=":2:"):
             lstm.load_embeddings(path, ("a",), 3)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39", "-3.5e38"])
+    def test_component_not_finite_in_float32_names_line(self, tmp_path, value):
+        path = write_vec(tmp_path, f"2 3\na 1 0 0\nb 0 {value} 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EmbeddingError, match=r":3: non-finite component$"):
+                lstm.load_embeddings(path, ("a", "b"), 3)
+
+    def test_largest_float32_component_is_kept(self, tmp_path):
+        path = write_vec(tmp_path, "1 2\na 3.4028234e38 -3.4028234e38\n")
+        _, values = lstm.load_embeddings(path, ("a",), 2)
+        assert values.tolist() == [[3.4028234e38, -3.4028234e38]]
+
+    @pytest.mark.parametrize("raw, byte", [(b"\xff 3\na 1 0 0\n", 0),
+                                           (b"1 3\na 1 0 0\nb\xc3 0 1 0\n", 13)],
+                             ids=["header", "token"])
+    def test_undecodable_bytes_are_named(self, tmp_path, raw, byte):
+        path = tmp_path / "vectors.vec"
+        path.write_bytes(raw)
+        with pytest.raises(EmbeddingError, match=rf": not UTF-8 text \(byte {byte}: "):
+            lstm.load_embeddings(path, ("a", "b"), 3)
+
     def test_duplicate_token_keeps_first_and_warns(self, tmp_path):
         path = write_vec(tmp_path, "2 2\na 1 0\na 0 1\n")
         with pytest.warns(UserWarning, match="duplicate"):
@@ -281,6 +303,14 @@ class TestForward:
         assert lstm.sigmoid(z.reshape(30, 67)).shape == (30, 67)
 
 
+    def test_sigmoid_stays_in_float32_and_widens_every_other_dtype(self):
+        z = np.linspace(-100.0, 100.0, 401)
+        narrow = lstm.sigmoid(z.astype(np.float32))
+        assert narrow.dtype == np.float32
+        assert np.abs(narrow - lstm.sigmoid(z)).max() <= 1e-7
+        for other in (z.astype(np.float16), np.arange(-3, 4), [0.5, 2.0], 1.0):
+            assert lstm.sigmoid(other).dtype == np.float64
+
 class TestGradients:
     @pytest.mark.parametrize("seed", range(3))
     def test_bptt_matches_central_differences(self, seed):
@@ -317,6 +347,32 @@ class TestGradients:
         assert set(grads) == set(want)
         for name, grad in want.items():
             assert np.abs(np.asarray(grads[name]) - grad).max() <= 1e-12, name
+
+    def test_float32_inputs_give_float32_loss_and_gradients(self):
+        docs = encode([["a", "b", "c"], ["d"], ["e", "a"], ["b", "b", "f", "a"]])
+        table = random_table(6, 3, seed=1).astype(np.float32)
+        params = lstm.init_lstm_params(3, 4, seed=2).astype(np.float32)
+        loss, grads = lstm.batch_gradients(docs, [1, 0, 1, 0], table, params)
+        assert loss.dtype == np.float32
+        assert {name: grad.dtype for name, grad in grads.items()} == dict.fromkeys(
+            params.tensors(), np.float32)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_float32_loss_and_gradients_match_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        dim, hidden = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        params = random_params(dim, hidden, rng)
+        seqs, labels = random_batch(rng)
+        docs = encode(seqs)
+        table = random_table(len(docs.tokens), dim, seed)
+        loss, grads = lstm.batch_gradients(docs, labels, table.astype(np.float32),
+                                           params.astype(np.float32))
+        want_loss, want = oracles.lstm_loss_and_grads(vectors_of(docs, table), labels,
+                                                      **params.tensors())
+        assert abs(loss - want_loss) <= 1e-4 * max(1.0, want_loss)
+        for name, grad in want.items():
+            assert oracles.tensor_rel_error(grads[name], grad) <= 1e-4, name
 
 
 class TestTraining:
@@ -469,13 +525,92 @@ class TestTraining:
     def test_fit_trains_on_its_embedding_table(self, monkeypatch):
         docs, labels = planted_docs(60, 0.9, 20)
         vocab = vocab_of(docs)
-        calls, train = [], lstm.train_lstm
-        monkeypatch.setattr(lstm, "train_lstm",
-                            lambda *args: calls.append(args) or train(*args))
+        calls, results, train = [], [], lstm.train_lstm
+
+        def recording_train(*args):
+            calls.append(args)
+            results.append(train(*args))
+            return results[-1]
+
+        monkeypatch.setattr(lstm, "train_lstm", recording_train)
         model = lstm.fit_lstm(over(docs, vocab), labels, seed=4, embedding_dim=5, hidden=3)
-        assert len(calls) == 1 and calls[0][2] is model.embedding
+        assert len(calls) == 1
+        table, (result,) = calls[0][2], results
+        assert table.dtype == np.float32
+        assert np.array_equal(table, model.embedding.astype(np.float32))
+        assert model.embedding.dtype == np.float64
         assert np.array_equal(model.embedding, random_table(len(vocab), 5, seed=4))
+        for name, arr in model.params.tensors().items():
+            assert arr.dtype == np.float64, name
+            assert result.params.tensors()[name].dtype == np.float32, name
+            assert np.array_equal(arr, result.params.tensors()[name]), name
+        assert model.train_meta == {"epoch_losses": result.epoch_losses}
         assert model.n_features == len(vocab)
+
+    def test_float32_fit_agrees_with_a_float64_fit(self):
+        docs, labels = planted_docs(300, 1.0, 23)
+        vocab = vocab_of(docs)
+        x = over(docs, vocab)
+        options = dict(batch_size=16, epochs=3, learning_rate=1.0, hidden=8)
+        model = lstm.fit_lstm(x, labels, seed=6, embedding_dim=10, **options)
+        table = random_table(len(vocab), 10, seed=6)
+        wide = lstm.train_lstm(x, labels, table, lstm.LstmTrainConfig(seed=6, **options))
+        assert np.abs(np.array(model.train_meta["epoch_losses"])
+                      - wide.epoch_losses).max() <= 1e-5
+        labels_32 = classical.predict(model, x)[0]
+        labels_64 = classical.predict(model_of(wide.params, table), x)[0]
+        assert np.array_equal(labels_32, labels_64)
+
+    @pytest.mark.parametrize("learning_rate", [1e307, 1e39])
+    def test_an_overflowing_fit_raises_without_a_numpy_warning(self, learning_rate):
+        docs, labels = planted_docs(400, 1.0, 24)
+        vocab = vocab_of(docs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match=r"epoch 1, batch 1$"):
+                lstm.fit_lstm(over(docs, vocab), labels, embedding_dim=8, hidden=4,
+                              epochs=1, learning_rate=learning_rate)
+
+    def test_an_overflowing_last_update_raises(self):
+        # One batch: its loss is finite, and only its update, the fit's
+        # last, overflows float32.
+        docs, labels = planted_docs(40, 1.0, 25)
+        x = encode(docs)
+        table = random_table(len(x.tokens), 4, seed=0).astype(np.float32)
+        cfg = lstm.LstmTrainConfig(batch_size=64, epochs=1, learning_rate=1e39, hidden=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match=r"epoch 1, batch 1$"):
+                lstm.train_lstm(x, labels, table, cfg)
+
+    @pytest.mark.parametrize("fault, where", [
+        ("loss", "epoch 1, batch 3"),          # a NaN batch loss
+        ("sum", "epoch 1, batch 2"),           # finite batch losses, an infinite sum
+        ("tensor", "epoch 2, batch 4"),        # the last update alone is infinite
+    ])
+    def test_every_non_finite_result_names_its_batch(self, monkeypatch, fault, where):
+        docs, labels = planted_docs(64, 1.0, 26)
+        x = encode(docs)
+        table = random_table(len(x.tokens), 4, seed=0)
+        cfg = lstm.LstmTrainConfig(batch_size=16, epochs=2, learning_rate=0.1, hidden=4)
+        calls, real = [], lstm._loss_and_grads
+
+        def faulty(*args):
+            loss, grads = real(*args)
+            calls.append(None)
+            if fault == "loss" and len(calls) == 3:
+                loss = np.nan
+            elif fault == "sum":
+                loss = 1e307
+            elif fault == "tensor" and len(calls) == 8:
+                grads["b"] = np.full_like(grads["b"], np.inf)
+            return loss, grads
+
+        monkeypatch.setattr(lstm, "_loss_and_grads", faulty)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match=where + "$"):
+                lstm.train_lstm(x, labels, table, cfg)
 
 
 class TestPredictLstm:

@@ -92,9 +92,19 @@ def test_unknown_path(client, method):
     assert (status, body) == (404, {"error": "not_found"})
 
 
+# Bodies under MAX_BODY_BYTES that `json.loads` refuses with a RecursionError
+# (nested too deep) or a ValueError (more digits than Python converts).
+DEEP_LIST = b'{"names": ' + b"[" * 30_000
+DEEP_OBJECT = b'{"a": ' * 6_000 + b"1" + b"}" * 6_000
+LONG_INTEGER = b'{"name": ' + b"9" * 5_000 + b"}"
+
+
 @pytest.mark.parametrize("raw, error", [
     (b'{"name": "Nguy', "malformed_json"),
     (b"\xff\xfe", "malformed_json"),
+    pytest.param(DEEP_LIST, "malformed_json", id="deep_list"),
+    pytest.param(DEEP_OBJECT, "malformed_json", id="deep_object"),
+    pytest.param(LONG_INTEGER, "malformed_json", id="long_integer"),
     (b'["Nguyen Lan"]', "invalid_name"),
     (b'{"name": 5}', "invalid_name"),
     (b'{"surname": "Lan"}', "invalid_name"),
@@ -181,6 +191,22 @@ def test_model_errors_are_json_and_keep_the_connection(bundle_paths, serve_bundl
     assert len(writes) == 3
 
 
+@pytest.mark.parametrize("method", ["GET", "POST"])
+def test_a_handler_failure_is_a_500_that_closes_the_connection(bundle_paths, serve_bundle,
+                                                              monkeypatch, capsys, method):
+    def failing_route(self):
+        raise RuntimeError("route table broken")
+
+    handler, writes, _ = recording_handler()
+    monkeypatch.setattr(handler, "_route", failing_route)
+    client = serve_bundle(bundle_paths["multinomial_nb", "full"], handler)
+    status, headers, body = exchange(client.port, post_raw(b"{}", "/health", method), method)
+    assert (status, json.loads(body)) == (500, {"error": "internal"})
+    assert headers["Connection"] == "close"
+    assert len(writes) == 1
+    assert "RuntimeError: route table broken" in capsys.readouterr().err
+
+
 def exchange(port: int, raw: bytes, method: str = "GET"):
     """(status, headers, body bytes) of the response to raw request bytes sent
     on a new connection."""
@@ -220,6 +246,9 @@ ROUTES = [
     ("post_health", post_raw(b"{}", "/health"), 405, "method_not_allowed", False),
     ("not_found", get_raw("/nowhere"), 404, "not_found", False),
     ("malformed_json", post_raw(b'{"name": "Nguy'), 400, "malformed_json", False),
+    ("deep_list", post_raw(DEEP_LIST), 400, "malformed_json", False),
+    ("deep_object", post_raw(DEEP_OBJECT), 400, "malformed_json", False),
+    ("long_integer", post_raw(LONG_INTEGER), 400, "malformed_json", False),
     ("names_not_strings", post_raw(b'{"names": ["Lan", 5]}'), 400, "invalid_name", False),
     ("empty_name", post_raw(b'{"name": " "}'), 400, "empty_name", False),
     ("too_large", b"POST /predict HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n{}", 413,
