@@ -66,6 +66,7 @@ from .names_core import (
     parse_mask,
     segment,
     select_components,
+    tokenize,
 )
 from .service import make_server, serve
 

@@ -76,15 +76,15 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     loaded = bundle_mod.load_model(_bundle_path(args))
-    records = data_io.load_dataset(args.data).records
-    results = bundle_mod.bundle_predict_many(loaded, [rec.full_name for rec in records])
-    y_true = [rec.gender for rec, r in zip(records, results) if isinstance(r, dict)]
+    dataset = data_io.load_dataset(args.data)
+    results = bundle_mod.bundle_predict_many(loaded, dataset.names)
+    scored = [isinstance(r, dict) for r in results]
     y_pred = [r["label"] for r in results if isinstance(r, dict)]
-    if not y_true:
+    if not y_pred:
         raise ToolkitError("no records could be scored with this bundle")
-    cm = evaluation.confusion(y_true, y_pred)
+    cm = evaluation.confusion(dataset.labels[scored], y_pred)
     sys.stdout.write(evaluation.format_metrics(evaluation.macro_metrics(cm), cm))
-    skipped = len(records) - len(y_true)
+    skipped = len(dataset) - len(y_pred)
     if skipped:
         sys.stdout.write(f"skipped\t{skipped}\n")
     return 0
@@ -159,8 +159,8 @@ def cmd_synth(args) -> int:
         data_io.save_dataset(dataset, args.out)
     else:
         sys.stdout.write("full_name,gender\n")
-        for rec in dataset.records:
-            sys.stdout.write(f"{rec.full_name},{rec.gender}\n")
+        for name, label in zip(dataset.names, dataset.labels.tolist()):
+            sys.stdout.write(f"{name},{label}\n")
     return 0
 
 

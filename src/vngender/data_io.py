@@ -1,14 +1,19 @@
-"""Labeled name datasets: CSV ingestion, descriptive statistics, synthetic corpora."""
+"""Labeled name datasets: CSV ingestion, descriptive statistics, synthetic corpora.
+
+A `Dataset` holds its rows as two columns, a list of names and an int64
+array of labels; every reader (the split, the encoder, the statistics, the
+CLI) takes the columns as they are.
+"""
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import names_core
+from . import featurize, names_core
 from .errors import DataError
 
 MALE = 1
@@ -36,20 +41,30 @@ class DatasetRecord:
     gender: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    records: list[DatasetRecord]
+    """Labeled names as two columns: `names[i]` has label `labels[i]`."""
+
+    names: list[str]
+    labels: np.ndarray  # int64, one per name
     source_tag: str = ""
     rejects: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.shape != (len(self.names),):
+            raise DataError(f"{len(self.names)} names but labels of shape {self.labels.shape}")
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.names)
+
+    @property
+    def records(self) -> tuple[DatasetRecord, ...]:
+        """The rows as records, built on each read."""
+        return tuple(map(DatasetRecord, self.names, self.labels.tolist()))
 
     def label_counts(self) -> dict[int, int]:
-        counts = {FEMALE: 0, MALE: 0}
-        for rec in self.records:
-            counts[rec.gender] += 1
-        return counts
+        return {label: int(np.count_nonzero(self.labels == label)) for label in (FEMALE, MALE)}
 
 
 @dataclass
@@ -66,44 +81,49 @@ class DatasetStats:
 _LABELS = {"0": FEMALE, "1": MALE}
 
 
-def _parse_label(text: str) -> int | None:
-    return _LABELS.get(text.strip())
-
-
 def load_dataset(path) -> Dataset:
     """Read a `full_name,gender` CSV; bad rows are rejected with diagnostics.
 
-    An optional header row is detected by its second field not parsing as 0/1.
-    Rows are read one at a time, so the file's rows are never all held at once.
+    The file is read and decoded as UTF-8 whole, and one leading byte-order
+    mark is dropped. An optional header row is detected by its second field
+    not parsing as 0/1.
     """
-    records: list[DatasetRecord] = []
-    rejects: list[str] = []
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue  # blank line
-                if len(row) != 2:
-                    rejects.append(f"row {lineno}: expected 2 fields, got {len(row)}")
-                    continue
-                label = _parse_label(row[1])
-                if label is None:
-                    if lineno > 1:
-                        rejects.append(f"row {lineno}: label not in {{0,1}}: {row[1]!r}")
-                    continue  # a first row is the header
-                name = row[0].strip()
-                if not name:
-                    rejects.append(f"row {lineno}: empty full name")
-                    continue
-                records.append(DatasetRecord(name, label))
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except FileNotFoundError as exc:
         raise DataError(f"dataset file not found: {path}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    names: list[str] = []
+    labels: list[int] = []
+    rejects: list[str] = []
+    lineno = 0
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row:
+                continue  # blank line
+            if len(row) != 2:
+                rejects.append(f"row {lineno}: expected 2 fields, got {len(row)}")
+                continue
+            label = _LABELS.get(row[1].strip())
+            if label is None:
+                if lineno > 1:
+                    rejects.append(f"row {lineno}: label not in {{0,1}}: {row[1]!r}")
+                continue  # a first row is the header
+            name = row[0].strip()
+            if not name:
+                rejects.append(f"row {lineno}: empty full name")
+                continue
+            names.append(name)
+            labels.append(label)
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {lineno + 1}: {exc}") from exc
 
-    if not records:
+    if not names:
         raise DataError(f"{path}: dataset contains no valid rows")
-    return Dataset(records, source_tag=str(path), rejects=rejects)
+    return Dataset(names, labels, source_tag=str(path), rejects=rejects)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -111,8 +131,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["full_name", "gender"])
-        for rec in dataset.records:
-            writer.writerow([rec.full_name, rec.gender])
+        writer.writerows(zip(dataset.names, dataset.labels.tolist()))
 
 
 def dataset_stats(dataset: Dataset, top_k: int = 10) -> DatasetStats:
@@ -122,37 +141,43 @@ def dataset_stats(dataset: Dataset, top_k: int = 10) -> DatasetStats:
     descending, then token ascending. Duplicate full names are kept, and the
     distinct-name count surfaces how many there are.
     """
-    if not dataset.records:
+    if not len(dataset):
         raise DataError("cannot compute statistics of an empty dataset")
     if top_k < 1:
         raise DataError("top_k must be >= 1")
+    if not np.isin(dataset.labels, (FEMALE, MALE)).all():
+        raise DataError("labels must be 0 or 1")
 
-    family = {FEMALE: Counter(), MALE: Counter()}
-    middle = {FEMALE: Counter(), MALE: Counter()}
-    given = {FEMALE: Counter(), MALE: Counter()}
-    seen: set[str] = set()
-    for rec in dataset.records:
-        comps = names_core.segment(names_core.normalize(rec.full_name))
-        seen.add(" ".join(comps.tokens()))
-        if comps.family:
-            family[rec.gender][comps.family] += 1
-        for tok in set(comps.middle):
-            middle[rec.gender][tok] += 1
-        given[rec.gender][comps.given] += 1
+    docs = featurize.encode(names_core.tokenize(dataset.names))
+    v = len(docs.tokens)
+    # Six tables, one per (component, gender); each distinct (record, table,
+    # token) key counts once, so a token counts once per record.
+    table = names_core.component_codes(np.bincount(docs.rows, minlength=len(dataset)))
+    table = 2 * table + dataset.labels[docs.rows]
+    keys = np.unique((docs.rows * 6 + table) * v + docs.ids)
+    counts = np.bincount(keys % (6 * v), minlength=6 * v).reshape(6, v)
 
-    def top(counter: Counter) -> list[tuple[str, int]]:
-        return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    def top(code: int) -> dict[int, list[tuple[str, int]]]:
+        """Per gender, the top_k tokens of one component by count
+        descending, then token ascending (ids follow token order)."""
+        ranked = {}
+        for gender in (FEMALE, MALE):
+            count = counts[2 * code + gender]
+            ids = np.flatnonzero(count)
+            ids = ids[np.lexsort((ids, -count[ids]))][:top_k].tolist()
+            ranked[gender] = [(docs.tokens[i], int(count[i])) for i in ids]
+        return ranked
 
-    counts = dataset.label_counts()
-    total = len(dataset.records)
+    by_label = dataset.label_counts()
+    total = len(dataset)
     return DatasetStats(
         total=total,
-        male_fraction=counts[MALE] / total,
-        female_fraction=counts[FEMALE] / total,
-        distinct_full_names=len(seen),
-        top_family_names={g: top(family[g]) for g in (FEMALE, MALE)},
-        top_middle_tokens={g: top(middle[g]) for g in (FEMALE, MALE)},
-        top_given_names={g: top(given[g]) for g in (FEMALE, MALE)},
+        male_fraction=by_label[MALE] / total,
+        female_fraction=by_label[FEMALE] / total,
+        distinct_full_names=len(set(map(" ".join, names_core.tokenize(dataset.names)))),
+        top_family_names=top(names_core.FAMILY),
+        top_middle_tokens=top(names_core.MIDDLE),
+        top_given_names=top(names_core.GIVEN),
     )
 
 
@@ -191,7 +216,8 @@ def generate_synthetic(n: int, fidelity: float, seed: int) -> Dataset:
         raise DataError("fidelity must lie in [0, 1]")
 
     rng = np.random.default_rng(seed)
-    records: list[DatasetRecord] = []
+    names: list[str] = []
+    labels: list[int] = []
     for _ in range(n):
         male = rng.random() < SYNTHETIC_MALE_SHARE
         follows_rule = rng.random() < fidelity
@@ -199,7 +225,7 @@ def generate_synthetic(n: int, fidelity: float, seed: int) -> Dataset:
         fam = FAMILY_POOL[rng.integers(len(FAMILY_POOL))]
         mid = pool[rng.integers(len(pool))]
         giv = GIVEN_POOL[rng.integers(len(GIVEN_POOL))]
-        full = " ".join(w.capitalize() for w in (fam, mid, giv))
-        records.append(DatasetRecord(full, MALE if male else FEMALE))
+        names.append(" ".join(w.capitalize() for w in (fam, mid, giv)))
+        labels.append(MALE if male else FEMALE)
     tag = f"synthetic(n={n},fidelity={fidelity},seed={seed})"
-    return Dataset(records, source_tag=tag)
+    return Dataset(names, labels, source_tag=tag)

@@ -5,18 +5,19 @@ The split is the paper's: per label, 70% train, 10% dev and the rest test,
 drawn from one seed. The fractions are fixed so that every command and every
 bundle's recorded metrics come from the same protocol; only the seed varies.
 
-An experiment encodes the dataset in one pass over its records, in file
-order: each name is normalized once and its tokens stream through
-`featurize.encode`, the one token encoder, and each token is tagged with its
-name component by position (`_encode_split`). The train, dev and test
-subsets are then index gathers over those arrays, in the order
-`_split_indices` draws, the same draw `stratified_split` uses to split the
-records themselves. A (mask, model) cell then keeps the entries of
-the mask's components, fits a vocabulary on train (under the `ModelSpec`'s
-vectorizer config, or the default one for a kind that reads tokens), and
-fits and scores the model under the fit contract of `classical`: train and
-test go through the same `classical.model_input` step, and the model fits
-on (x, labels) (`_run_cell`). `run_experiment` is one cell;
+An experiment reads the dataset's columns as they are: one
+`featurize.encode` call (the one token encoder) turns the tokens of every
+name, which `names_core.tokenize` normalizes and splits in file order, into
+ids, and each token is tagged with its name component by position
+(`_encode_split`). The train, dev and test subsets are then index gathers
+over those arrays, in the order `_split_indices` draws, the same draw
+`stratified_split` uses to split the columns themselves. A (mask, model)
+cell then keeps the entries of the mask's components, fits a vocabulary on
+train (under the `ModelSpec`'s vectorizer config, or the default one for a
+kind that reads tokens), and fits and scores the model under the fit
+contract of `classical`: train and test go through the same
+`classical.model_input` step, and the model fits on (x, labels)
+(`_run_cell`). `run_experiment` is one cell;
 `run_ablation` runs the seven masks x the given models on one encoded split.
 """
 
@@ -86,11 +87,10 @@ def _split_indices(labels: np.ndarray, spec: SplitSpec) -> list[np.ndarray]:
 
 def stratified_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """The train, dev and test subsets of `_split_indices`, as datasets."""
-    labels = np.array([rec.gender for rec in dataset.records], dtype=np.int64)
     train, dev, test = (
-        Dataset([dataset.records[i] for i in idx.tolist()],
+        Dataset([dataset.names[i] for i in idx.tolist()], dataset.labels[idx],
                 source_tag=f"{dataset.source_tag}:{name}")
-        for name, idx in zip(SUBSETS, _split_indices(labels, spec))
+        for name, idx in zip(SUBSETS, _split_indices(dataset.labels, spec))
     )
     return train, dev, test
 
@@ -229,18 +229,17 @@ class _EncodedSubset:
 def _encode_split(dataset: Dataset, split_spec: SplitSpec) -> dict[str, _EncodedSubset]:
     """Encode every record once, then gather the train, dev and test subsets.
 
-    One pass over the records in file order normalizes each name once,
-    splits it and streams its tokens through `featurize.encode`. The
-    component of each token comes from its position
+    `names_core.tokenize` normalizes and splits the names, and
+    `featurize.encode` encodes their tokens as they come, a chunk at a time.
+    The component of each token comes from its position
     (`names_core.component_codes`), and each subset gathers the entries of
     its records in `_split_indices` order.
     """
-    names = featurize.encode(names_core.normalize(rec.full_name).split()
-                             for rec in dataset.records)
+    names = featurize.encode(names_core.tokenize(dataset.names))
     lengths = np.bincount(names.rows, minlength=names.n_docs)
     ids, tokens = names.ids, names.tokens
     del names  # its rows are freed before the gathers, which set the peak memory
-    labels = np.array([rec.gender for rec in dataset.records], dtype=np.int64)
+    labels = dataset.labels
     parts = names_core.component_codes(lengths)
     starts = np.cumsum(lengths) - lengths
 

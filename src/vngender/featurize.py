@@ -4,7 +4,7 @@ the one check of training labels.
 Both work on integer token ids: `encode`, the one place token strings become
 ids, turns token lists into `TokenIds`, one flat entry per token occurrence,
 and `fit_vocabulary` and `transform` read those ids. The ablation encodes
-every name of its dataset once, streaming them through `encode`, and filters
+the tokens of every name of its dataset in one `encode` call, and filters
 the ids per component mask instead of re-tokenizing. Every model kind
 reads its documents through a fitted vocabulary: `columns` gives each entry's
 vocabulary index, with `len(vocab)` for an unseen token; `transform` counts
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain, count, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -139,27 +140,32 @@ def entry_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return pos
 
 
+# Documents per step of `encode`; only one step's token lists are held at once.
+ENCODE_CHUNK = 1024
+
+
 def encode(docs: Iterable[Sequence[str]]) -> TokenIds:
     """Token sequences as `TokenIds` over the sorted set of their tokens.
 
-    `docs` may be any iterable, a generator included, and is read once:
-    each token gets an id in order of first sight, and the ids are
-    renumbered over the sorted token universe at the end.
+    `docs` may be any iterable, a generator included, and is read once,
+    `ENCODE_CHUNK` documents at a time. Each chunk is flattened with
+    `chain.from_iterable`, the set of its new tokens gets the next ids, and
+    its ids are read through C-level `map`s, with no Python loop per token;
+    the ids are renumbered over the sorted token universe at the end.
     """
-    first_id: dict[str, int] = {}   # token -> id in order of first sight
-    ids, lengths = array("i"), array("i")
-    for doc in docs:
-        for tok in doc:
-            if tok not in first_id:
-                first_id[tok] = len(first_id)
-            ids.append(first_id[tok])
-        lengths.append(len(doc))
-    tokens = tuple(sorted(first_id))
-    rank = np.empty(len(tokens), dtype=np.int64)
-    rank[[first_id[tok] for tok in tokens]] = np.arange(len(tokens))
-    lengths = np.frombuffer(lengths, dtype=np.intc)
-    rows = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-    return TokenIds(rows, rank[np.frombuffer(ids, dtype=np.intc)], tokens, lengths.size)
+    docs = iter(docs)
+    index: dict[str, int] = {}   # token -> id, numbered chunk by chunk as tokens first occur
+    ids, lengths = array("q"), array("q")
+    while chunk := list(islice(docs, ENCODE_CHUNK)):
+        index.update(zip(set(chain.from_iterable(chunk)).difference(index), count(len(index))))
+        ids.extend(map(index.__getitem__, chain.from_iterable(chunk)))
+        lengths.extend(map(len, chunk))
+    tokens = tuple(sorted(index))
+    # The ids of the sorted tokens, inverted: id -> position in sorted order.
+    rank = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens)).argsort()
+    lengths = np.frombuffer(lengths, dtype=np.int64)
+    rows = np.arange(lengths.size, dtype=np.int64).repeat(lengths)
+    return TokenIds(rows, rank[np.frombuffer(ids, dtype=np.int64)], tokens, lengths.size)
 
 
 def fit_vocabulary(docs: TokenIds, cfg: VectorizerConfig) -> Vocabulary:

@@ -67,58 +67,70 @@ INIT_HALF_RANGE = 0.1
 SCORE_CHUNK = 256
 
 
+def _text_lines(fh, path):
+    """The lines of a binary file, decoded as UTF-8 one at a time and split
+    as text mode splits them, at "\n", "\r\n" or a lone "\r", with the line
+    end dropped. Undecodable bytes are reported by their offset in the file."""
+    offset = 0
+    for raw in fh:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EmbeddingError(
+                f"{path}: not UTF-8 text (byte {offset + exc.start}: {exc.reason})") from exc
+        offset += len(raw)
+        yield from text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+
+
 def load_embeddings(path, tokens: Sequence[str], expected_dim: int):
     """(rows, values) from a text vector file, a header "<count> <dim>" then
     one token and its `dim` floats per line: the index in `tokens` of each
     of them the file holds a vector for, and those vectors as the rows of a
     (K, dim) matrix. Lines of other tokens are skipped unparsed; a token
     given twice keeps its first vector. Every component of a kept vector
-    must be finite in float32, the dtype `fit_lstm` fits in."""
+    must be finite in float32, the dtype `fit_lstm` fits in. The file is
+    read one line at a time, so it is never held whole."""
     index_of = {tok: i for i, tok in enumerate(tokens)}
     found: dict[int, list[float]] = {}
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except FileNotFoundError as exc:
         raise EmbeddingError(f"embedding file not found: {path}") from exc
     with fh:
+        lines = _text_lines(fh, path)
         try:
-            header = fh.readline()
-            try:
-                count, dim = map(int, header.split())
-            except ValueError as exc:
-                raise EmbeddingError(f"{path}:1: malformed header line") from exc
-            if dim != expected_dim:
-                raise EmbeddingError(
-                    f"{path}:1: header dimension {dim} does not match expected {expected_dim}"
-                )
-            n_lines = 0
-            for lineno, line in enumerate(fh, start=2):
-                token, sep, rest = line.rstrip("\n").partition(" ")
-                if not (token or sep):
-                    continue
-                n_lines += 1
-                row = index_of.get(token)
-                if row is None:
-                    continue
-                comps = rest.split(" ") if sep else []
-                if len(comps) != dim:
-                    raise EmbeddingError(
-                        f"{path}:{lineno}: expected {dim} components, got {len(comps)}"
-                    )
-                try:
-                    vec = [float(c) for c in comps]
-                except ValueError as exc:
-                    raise EmbeddingError(f"{path}:{lineno}: non-numeric component") from exc
-                with np.errstate(over="ignore"):
-                    if not np.isfinite(np.array(vec, dtype=np.float32)).all():
-                        raise EmbeddingError(f"{path}:{lineno}: non-finite component")
-                if row in found:
-                    warnings.warn(f"{path}:{lineno}: duplicate token {token!r}, keeping first")
-                    continue
-                found[row] = vec
-        except UnicodeDecodeError as exc:
+            count, dim = map(int, next(lines, "").split())
+        except ValueError as exc:
+            raise EmbeddingError(f"{path}:1: malformed header line") from exc
+        if dim != expected_dim:
             raise EmbeddingError(
-                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+                f"{path}:1: header dimension {dim} does not match expected {expected_dim}"
+            )
+        n_lines = 0
+        for lineno, line in enumerate(lines, start=2):
+            token, sep, rest = line.partition(" ")
+            if not (token or sep):
+                continue
+            n_lines += 1
+            row = index_of.get(token)
+            if row is None:
+                continue
+            comps = rest.split(" ") if sep else []
+            if len(comps) != dim:
+                raise EmbeddingError(
+                    f"{path}:{lineno}: expected {dim} components, got {len(comps)}"
+                )
+            try:
+                vec = [float(c) for c in comps]
+            except ValueError as exc:
+                raise EmbeddingError(f"{path}:{lineno}: non-numeric component") from exc
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.array(vec, dtype=np.float32)).all():
+                    raise EmbeddingError(f"{path}:{lineno}: non-finite component")
+            if row in found:
+                warnings.warn(f"{path}:{lineno}: duplicate token {token!r}, keeping first")
+                continue
+            found[row] = vec
     if count != n_lines:
         warnings.warn(f"{path}: header count {count} != {n_lines} vectors in the file")
     return (np.array(list(found), dtype=np.int64),

@@ -1,15 +1,20 @@
 """Normalization and family / middle / given segmentation of Vietnamese full names.
 
 Vietnamese names put the family name first and the given name last; everything
-in between is the middle name. Segmentation here is strictly positional:
-`segment` splits one name, and `component_codes` gives the same rule for many
-names at once, as one code per token.
+in between is the middle name. `tokenize` normalizes and splits many names
+at once, and `normalize` is its batch of one. Segmentation here is strictly
+positional: `segment` splits one name, and `component_codes` gives the same
+rule for many names at once, as one code per token.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import unicodedata
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -80,21 +85,48 @@ def parse_mask(label: str) -> ComponentMask:
         ) from None
 
 
-def normalize(raw: str) -> str:
-    """Canonically compose, trim, collapse inner whitespace, and lowercase.
+# Names per step of `tokenize`; only one step's token strings exist at once.
+TOKENIZE_CHUNK = 1024
 
-    A name with a lone surrogate (an undecodable byte of a command-line
-    argument, or a JSON escape) raises `InvalidNameError`.
+_NFC = functools.partial(unicodedata.normalize, "NFC")
+
+
+def tokenize(raw_names: Iterable[str]) -> Iterator[list[str]]:
+    """The tokens of every raw name, in order: canonically composed (NFC),
+    lowercased and split at whitespace, which also trims it.
+
+    The names are read `TOKENIZE_CHUNK` at a time, each chunk through
+    C-level `map`s with no Python frame per name, and the token lists are
+    produced lazily, so a consumer that keeps only what it needs
+    (`featurize.encode`) never holds every name's tokens at once. A name
+    with a lone surrogate (an undecodable byte of a command-line argument,
+    or a JSON escape) raises `InvalidNameError`, and a name left with no
+    tokens `EmptyNameError`, when its chunk is reached; of several bad
+    names, the first one's error is raised.
     """
+    names = iter(raw_names)
+    chunks = iter(lambda: list(itertools.islice(names, TOKENIZE_CHUNK)), [])
+    return itertools.chain.from_iterable(map(_tokenize_chunk, chunks))
+
+
+def _tokenize_chunk(raw_names: list[str]) -> list[list[str]]:
+    tokens = list(map(str.split, map(str.lower, map(_NFC, raw_names))))
+    invalid = len(tokens)
     try:
-        raw.encode("utf-8")
-    except UnicodeEncodeError:
-        raise InvalidNameError("name is not valid Unicode text (lone surrogate)") from None
-    text = unicodedata.normalize("NFC", raw)
-    text = " ".join(text.split())
-    if not text:
+        "".join(raw_names).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # The name holding the first surrogate of the joined text.
+        invalid = bisect.bisect_right(list(itertools.accumulate(map(len, raw_names))), exc.start)
+    if [] in tokens[:invalid]:
         raise EmptyNameError("name is empty after trimming")
-    return text.lower()
+    if invalid < len(tokens):
+        raise InvalidNameError("name is not valid Unicode text (lone surrogate)")
+    return tokens
+
+
+def normalize(raw: str) -> str:
+    """One name's tokens (`tokenize` of a batch of one), joined by single spaces."""
+    return " ".join(_tokenize_chunk([raw])[0])
 
 
 def segment(normalized: str) -> NameComponents:

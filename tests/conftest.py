@@ -1,5 +1,7 @@
 import contextlib
+import gc
 import io
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +21,27 @@ def csr(docs, n_features=None) -> CsrMatrix:
     indices = [f for row in rows for f, _ in row]
     data = [v for row in rows for _, v in row]
     return CsrMatrix(indptr, indices, data, n_features)
+
+
+def python_frames(fn, *args):
+    """(fn(*args), the number of Python function frames the call entered).
+    The collector is off meanwhile: its callbacks would add frames."""
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        frames += event == "call"
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return result, frames
 
 
 class Prediction(NamedTuple):
@@ -61,12 +84,11 @@ def planted_docs(n, fidelity, seed, mask_label="mn+fin"):
     """Selected-component token docs plus labels from a synthetic corpus."""
     dataset = data_io.generate_synthetic(n, fidelity, seed)
     mask = names_core.parse_mask(mask_label)
-    docs, labels = [], []
-    for rec in dataset.records:
-        comps = names_core.segment(names_core.normalize(rec.full_name))
+    docs = []
+    for name in dataset.names:
+        comps = names_core.segment(names_core.normalize(name))
         docs.append(names_core.select_components(comps, mask))
-        labels.append(rec.gender)
-    return docs, labels
+    return docs, dataset.labels.tolist()
 
 
 @pytest.fixture(scope="session")
@@ -106,13 +128,12 @@ def names_csv(tmp_path_factory):
     family component."""
     dataset = data_io.generate_synthetic(600, 0.9, 23)
     rng = np.random.default_rng(23)
-    one_token = [
-        data_io.DatasetRecord(str(rng.choice(data_io.GIVEN_POOL)).capitalize(),
-                              int(rng.integers(0, 2)))
-        for _ in range(60)
-    ]
+    names, labels = dataset.names.copy(), dataset.labels.tolist()
+    for _ in range(60):
+        names.append(str(rng.choice(data_io.GIVEN_POOL)).capitalize())
+        labels.append(int(rng.integers(0, 2)))
     path = tmp_path_factory.mktemp("data") / "names.csv"
-    data_io.save_dataset(data_io.Dataset(dataset.records + one_token), path)
+    data_io.save_dataset(data_io.Dataset(names, labels), path)
     return path
 
 

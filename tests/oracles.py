@@ -5,15 +5,20 @@ central finite differences for gradients, a dense damped Newton method for the
 linear models, a gate-by-gate LSTM forward and backward pass, frozen from
 the LSTM's original per-gate layout, and the component ablation frozen from
 its token-list path (each cell splits and segments again, and fits a
-`Counter` vocabulary), and the token encoder frozen from its set-based form."""
+`Counter` vocabulary), the token encoder frozen from its set-based form, and
+the name normalizer, the CSV loader and the dataset statistics frozen from
+their one-name-at-a-time forms."""
 
+import csv
 import math
+import unicodedata
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from vngender import classical, evaluation, featurize, names_core
+from vngender.errors import DataError, EmptyNameError, InvalidNameError
 
 
 def multinomial_posterior(docs, labels, alpha, probe, n_features):
@@ -336,7 +341,7 @@ def select_subset(subset, mask):
     mask, each normalized, segmented and selected on its own."""
     docs, labels, skipped = [], [], 0
     for rec in subset.records:
-        comps = names_core.segment(names_core.normalize(rec.full_name))
+        comps = names_core.segment(normalize(rec.full_name))
         tokens = names_core.select_components(comps, mask)
         if not tokens:
             skipped += 1
@@ -395,3 +400,83 @@ def ablation_report(dataset, model_specs, split_spec):
                 model_labels.append(cell["model_label"])
     return evaluation.AblationReport([m.label for m in names_core.ALL_MASKS], model_labels,
                                      cells, skipped)
+
+
+def normalize(raw):
+    """Canonically compose, trim, collapse inner whitespace, and lowercase
+    one name; a lone surrogate raises `InvalidNameError`, and a name left
+    empty `EmptyNameError`."""
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidNameError("name is not valid Unicode text (lone surrogate)") from None
+    text = unicodedata.normalize("NFC", raw)
+    text = " ".join(text.split())
+    if not text:
+        raise EmptyNameError("name is empty after trimming")
+    return text.lower()
+
+
+LABELS = {"0": 0, "1": 1}
+
+
+def load_dataset(path):
+    """(names, labels, rejects) of a `full_name,gender` CSV, streamed through
+    a text-mode file object one row at a time."""
+    names, labels, rejects = [], [], []
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    rejects.append(f"row {lineno}: expected 2 fields, got {len(row)}")
+                    continue
+                label = LABELS.get(row[1].strip())
+                if label is None:
+                    if lineno > 1:
+                        rejects.append(f"row {lineno}: label not in {{0,1}}: {row[1]!r}")
+                    continue
+                name = row[0].strip()
+                if not name:
+                    rejects.append(f"row {lineno}: empty full name")
+                    continue
+                names.append(name)
+                labels.append(label)
+    except FileNotFoundError as exc:
+        raise DataError(f"dataset file not found: {path}") from exc
+    if not names:
+        raise DataError(f"{path}: dataset contains no valid rows")
+    return names, labels, rejects
+
+
+def dataset_stats(dataset, top_k):
+    """The `DatasetStats` of a dataset, one record at a time through
+    `normalize` and `segment`."""
+    family = {0: Counter(), 1: Counter()}
+    middle = {0: Counter(), 1: Counter()}
+    given = {0: Counter(), 1: Counter()}
+    seen = set()
+    for rec in dataset.records:
+        comps = names_core.segment(normalize(rec.full_name))
+        seen.add(" ".join(comps.tokens()))
+        if comps.family:
+            family[rec.gender][comps.family] += 1
+        for tok in set(comps.middle):
+            middle[rec.gender][tok] += 1
+        given[rec.gender][comps.given] += 1
+
+    def top(counter):
+        return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+
+    total = len(dataset.records)
+    males = sum(rec.gender for rec in dataset.records)
+    return {
+        "total": total,
+        "male_fraction": males / total,
+        "female_fraction": (total - males) / total,
+        "distinct_full_names": len(seen),
+        "top_family_names": {g: top(family[g]) for g in (0, 1)},
+        "top_middle_tokens": {g: top(middle[g]) for g in (0, 1)},
+        "top_given_names": {g: top(given[g]) for g in (0, 1)},
+    }

@@ -184,10 +184,9 @@ class TestCommands:
     def test_evaluate_skips_names_it_cannot_score(self, bundle_paths, monkeypatch, kind):
         # Blank, a lone surrogate, and a one-token name with no family
         # component under the "fan" mask.
-        records = [("Lê Minh", 1), ("  ", 0), ("Nguy\udcffn Lan", 0), ("Lan", 0),
-                   ("Trần Thị Mai", 0)]
-        monkeypatch.setattr(data_io, "load_dataset", lambda path: data_io.Dataset(
-            [data_io.DatasetRecord(name, gender) for name, gender in records]))
+        names = ["Lê Minh", "  ", "Nguy\udcffn Lan", "Lan", "Trần Thị Mai"]
+        monkeypatch.setattr(data_io, "load_dataset",
+                            lambda path: data_io.Dataset(names, [1, 0, 0, 0, 0]))
         code, out, _ = run_cli(["evaluate", "--model", bundle_paths[kind, "fan"],
                                 "--data", "names.csv"])
         assert code == 0
@@ -229,7 +228,7 @@ class TestCommands:
         assert len(out.splitlines()) == 41
         code, _, _ = run_cli(["synth", 40, 0.9, 7, "--out", tmp_path / "s.csv"])
         assert code == 0
-        assert [rec.full_name for rec in data_io.load_dataset(tmp_path / "s.csv").records] == [
+        assert data_io.load_dataset(tmp_path / "s.csv").names == [
             line.rsplit(",", 1)[0] for line in out.splitlines()[1:]
         ]
 

@@ -10,16 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from vngender import classical, data_io, evaluation as ev, featurize, names_core as nc
-from vngender.data_io import Dataset, DatasetRecord
+from vngender.data_io import Dataset
 from vngender.errors import EvaluationError, TrainingError
 from vngender.evaluation import ModelSpec, SplitSpec
 from vngender.featurize import VectorizerConfig
 
 
 def tiny_dataset(n_male, n_female):
-    records = [DatasetRecord(f"Lê Văn M{i}", 1) for i in range(n_male)]
-    records += [DatasetRecord(f"Lê Thị F{i}", 0) for i in range(n_female)]
-    return Dataset(records)
+    names = [f"Lê Văn M{i}" for i in range(n_male)] + [f"Lê Thị F{i}" for i in range(n_female)]
+    return Dataset(names, [1] * n_male + [0] * n_female)
 
 
 class TestStratifiedSplit:
@@ -48,24 +47,21 @@ class TestStratifiedSplit:
             assert dev.label_counts()[label] == c2 - c1
             assert test.label_counts()[label] == n - c2
         # partition: every record exactly once
-        names = sorted(r.full_name for r in ds.records)
-        out = sorted(
-            r.full_name for part in (train, dev, test) for r in part.records
-        )
-        assert names == out
+        assert sorted(ds.names) == sorted(train.names + dev.names + test.names)
 
     def test_same_seed_identical_output(self):
         ds = tiny_dataset(37, 23)
         a = ev.stratified_split(ds, SplitSpec(seed=9))
         b = ev.stratified_split(ds, SplitSpec(seed=9))
         for part_a, part_b in zip(a, b):
-            assert part_a.records == part_b.records
+            assert part_a.names == part_b.names
+            assert part_a.labels.tolist() == part_b.labels.tolist()
 
     def test_different_seed_different_order(self):
         ds = tiny_dataset(37, 23)
         a = ev.stratified_split(ds, SplitSpec(seed=9))
         b = ev.stratified_split(ds, SplitSpec(seed=10))
-        assert any(x.records != y.records for x, y in zip(a, b))
+        assert any(x.names != y.names for x, y in zip(a, b))
 
     def test_small_label_rejected(self):
         with pytest.raises(EvaluationError, match="label 0"):
@@ -73,7 +69,7 @@ class TestStratifiedSplit:
 
     def test_label_other_than_zero_or_one_rejected(self):
         ds = tiny_dataset(5, 5)
-        ds.records.append(DatasetRecord("Lê Văn Nam", 2))
+        ds = Dataset(ds.names + ["Lê Văn Nam"], [*ds.labels.tolist(), 2])
         for split in (ev.stratified_split, ev._encode_split):
             with pytest.raises(EvaluationError, match="labels must be 0 or 1"):
                 split(ds, SplitSpec())
@@ -203,16 +199,15 @@ class TestRunExperiment:
         train, _, test = ev.stratified_split(ds, SplitSpec(seed=2))
         majority = 1 if train.label_counts()[1] >= train.label_counts()[0] else 0
         baseline = ev.macro_metrics(
-            ev.confusion([rec.gender for rec in test.records], [majority] * len(test))
+            ev.confusion(test.labels, [majority] * len(test))
         )
         assert abs(result.metrics.macro_f1 - baseline.macro_f1) <= 0.02
 
     def test_skipped_records_are_counted(self):
-        records = [DatasetRecord(f"Lê Văn M{i}", 1) for i in range(15)]
-        records += [DatasetRecord(f"Lê Thị F{i}", 0) for i in range(15)]
+        names = [f"Lê Văn M{i}" for i in range(15)] + [f"Lê Thị F{i}" for i in range(15)]
         # two-token names have no middle component
-        records += [DatasetRecord(f"Trần N{i}", 1) for i in range(6)]
-        ds = Dataset(records)
+        names += [f"Trần N{i}" for i in range(6)]
+        ds = Dataset(names, [1] * 15 + [0] * 15 + [1] * 6)
         result = ev.run_experiment(
             ds, nc.parse_mask("mn"), ModelSpec("multinomial_nb", VectorizerConfig("count")),
             SplitSpec(seed=0),
@@ -346,14 +341,17 @@ class TestRunAblation:
 
             monkeypatch.setattr(module, name, counted)
 
+        count_calls(nc, "tokenize")
         count_calls(nc, "normalize")
         count_calls(nc, "segment")
         count_calls(ev, "stratified_split")
         count_calls(ev, "_split_indices")
+        count_calls(featurize, "encode")
         ev.run_ablation(ds, specs, SplitSpec(seed=6))
-        # One pass over the records: each name is normalized once and its
-        # components come from token positions, not from `segment`.
-        assert calls == {"normalize": len(ds), "_split_indices": 1}
+        # One batch: every name is normalized in one `tokenize` call, its
+        # tokens are encoded in one `encode` call, and its components come
+        # from token positions, not from `segment`.
+        assert calls == {"tokenize": 1, "encode": 1, "_split_indices": 1}
 
 
 # Names the encoded split must handle like per-record segmentation does.
@@ -384,10 +382,12 @@ def edge_case_dataset(seed: int) -> Dataset:
     """Synthetic three-token names plus each of `EDGE_NAMES` four times, all
     edge names with seeded random labels."""
     rng = np.random.default_rng(seed)
-    records = data_io.generate_synthetic(300, 0.85, seed).records
-    records += [DatasetRecord(name, int(rng.integers(0, 2))) for name in EDGE_NAMES * 4]
-    rng.shuffle(records)
-    return Dataset(records)
+    synthetic = data_io.generate_synthetic(300, 0.85, seed)
+    rows = list(zip(synthetic.names, synthetic.labels.tolist()))
+    rows += [(name, int(rng.integers(0, 2))) for name in EDGE_NAMES * 4]
+    rng.shuffle(rows)
+    names, labels = zip(*rows)
+    return Dataset(list(names), labels)
 
 
 NAME_TOKENS = st.sampled_from(["nguyễn", "Trần", "thị", "VĂN", "hiền", "Đức", "đức", "duc",
@@ -408,7 +408,8 @@ def raw_names(draw):
 def raw_datasets(draw):
     """At least three records of each label, in any order."""
     labels = [0] * draw(st.integers(3, 15)) + [1] * draw(st.integers(3, 15))
-    return Dataset([DatasetRecord(draw(raw_names()), y) for y in draw(st.permutations(labels))])
+    labels = draw(st.permutations(labels))
+    return Dataset([draw(raw_names()) for _ in labels], labels)
 
 
 class TestEncodedSplit:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from conftest import python_frames
 from vngender import featurize as fz
 from vngender.errors import FeaturizeError, TrainingError
 
@@ -210,16 +211,28 @@ class TestEncode:
         which = list(range(len(docs)))[::-2]
         assert encoded.docs(which) == [list(docs[r]) for r in which]
 
-    @given(st.lists(st.lists(SYLLABLES, max_size=7), max_size=12))
-    def test_one_pass_matches_set_based_oracle(self, docs):
+    @given(docs=st.lists(st.lists(SYLLABLES, max_size=7), max_size=12), chunk=st.integers(1, 5))
+    def test_one_pass_matches_set_based_oracle(self, docs, chunk):
         expected = oracles.set_encode(docs)
-        for got in (fz.encode(docs), fz.encode(list(doc) for doc in docs)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fz, "ENCODE_CHUNK", chunk)
+            encoded = [fz.encode(docs), fz.encode(list(doc) for doc in docs),
+                       fz.encode(tuple(map(tuple, docs)))]
+        for got in encoded:
             assert got.tokens == expected.tokens
             assert got.n_docs == expected.n_docs
             for name in ("rows", "ids"):
                 ours, theirs = getattr(got, name), getattr(expected, name)
                 assert ours.dtype == theirs.dtype
                 assert ours.tolist() == theirs.tolist()
+
+
+    def test_no_python_frame_per_token(self):
+        docs = [["nguyễn", "thị", "hiền"], ["lan"], [], ["trần", "văn", "văn", "nam"]]
+        few, few_frames = python_frames(fz.encode, docs)
+        many, many_frames = python_frames(fz.encode, docs * 500)
+        assert many.ids.tolist() == few.ids.tolist() * 500
+        assert many_frames == few_frames
 
 
 class TestColumns:

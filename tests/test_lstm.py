@@ -144,6 +144,25 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingError, match=rf": not UTF-8 text \(byte {byte}: "):
             lstm.load_embeddings(path, ("a", "b"), 3)
 
+    def test_undecodable_byte_past_the_first_chunk_is_named_by_its_file_offset(self, tmp_path):
+        head = "1000 3\n" + "".join(f"tok{i} 0.25 -0.5 1e-3\n" for i in range(1000))
+        head = head.encode("utf-8")
+        path = tmp_path / "vectors.vec"
+        path.write_bytes(head + b"a\xff 1 0 0\n")
+        with pytest.raises(EmbeddingError, match=rf": not UTF-8 text \(byte {len(head) + 1}: "):
+            lstm.load_embeddings(path, ("a", "b"), 3)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_lines_end_as_in_text_mode(self, tmp_path, end):
+        text = "3 2\na 1 0\n\nb 0 1\nc 1 1\n".replace("\n", end)
+        rows, values = lstm.load_embeddings(write_vec(tmp_path, text), ("a", "b", "c"), 2)
+        assert rows.tolist() == [0, 1, 2]
+        assert values.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        path = tmp_path / "bad.vec"
+        path.write_bytes(text.replace("c 1 1", "c 1").encode("utf-8"))
+        with pytest.raises(EmbeddingError, match=r"bad\.vec:5: expected 2 components, got 1$"):
+            lstm.load_embeddings(path, ("a", "b", "c"), 2)
+
     def test_duplicate_token_keeps_first_and_warns(self, tmp_path):
         path = write_vec(tmp_path, "2 2\na 1 0\na 0 1\n")
         with pytest.warns(UserWarning, match="duplicate"):

@@ -1,9 +1,12 @@
+import sys
 import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from conftest import python_frames
 from vngender import names_core as nc
 from vngender.errors import EmptyNameError, InvalidNameError, ToolkitError
 
@@ -38,6 +41,93 @@ class TestNormalize:
         except EmptyNameError:
             return
         assert nc.normalize(once) == once
+
+
+# Every character `str.split` splits at, and the pieces of names that
+# normalization changes: decomposed marks, a combining mark on its own, a
+# sigma that lowercases to a final form at the end of a word, and two lone
+# surrogates.
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+PIECES = ["Nguyễn", "thị", "ĐỨC", unicodedata.normalize("NFD", "Hiền"), "\u0301", "ΟΔΥΣΣΕΥΣ",
+          "Σ", "aΣ", "ß", "İ", "x", "\udcff", "\ud800"]
+
+
+@st.composite
+def raw_batch_names(draw):
+    """Pieces joined by runs of mixed Unicode whitespace; blank names too."""
+    pieces = draw(st.lists(st.sampled_from(PIECES), max_size=4))
+    gaps = st.text(st.sampled_from(WHITESPACE), max_size=3)
+    name = draw(gaps) + "".join(piece + draw(gaps) for piece in pieces)
+    return unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), name)
+
+
+def oracle_tokens(raw):
+    """`oracles.normalize(raw).split()`, or the type of the error it raises."""
+    try:
+        return oracles.normalize(raw).split()
+    except (EmptyNameError, InvalidNameError) as exc:
+        return type(exc)
+
+
+class TestTokenize:
+    @settings(max_examples=300)
+    @given(raw_batch_names())
+    def test_one_name_matches_the_oracle(self, raw):
+        expected = oracle_tokens(raw)
+        if isinstance(expected, list):
+            assert list(nc.tokenize([raw])) == [expected]
+            assert nc.normalize(raw) == " ".join(expected)
+        else:
+            for fn in (lambda raws: list(nc.tokenize(raws)), lambda raws: nc.normalize(raws[0])):
+                with pytest.raises(expected):
+                    fn([raw])
+
+    @settings(max_examples=150)
+    @given(raws=st.lists(raw_batch_names(), max_size=8), chunk=st.integers(1, 4))
+    def test_a_batch_matches_the_oracle_name_by_name(self, raws, chunk):
+        expected = [oracle_tokens(raw) for raw in raws]
+        errors = [e for e in expected if not isinstance(e, list)]
+        # Chunks of 1 to 4 names put bad names in every position of a chunk.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nc, "TOKENIZE_CHUNK", chunk)
+            if not errors:
+                assert list(nc.tokenize(raws)) == expected
+                assert list(nc.tokenize(iter(raws))) == expected
+                return
+            with pytest.raises(errors[0]) as raised:
+                list(nc.tokenize(raws))
+        assert type(raised.value) is errors[0]
+
+    @pytest.mark.parametrize("raws, error", [
+        (["Lan", " ", "\udcff"], EmptyNameError),
+        (["Lan", "\udcff", " "], InvalidNameError),
+        (["\ud800\udc00", "Lan"], InvalidNameError),  # a surrogate pair is not text either
+        (["Lan", "\u3000\u2028"], EmptyNameError),
+    ])
+    def test_the_first_bad_name_decides_the_error(self, raws, error):
+        with pytest.raises(error) as raised:
+            list(nc.tokenize(raws))
+        assert type(raised.value) is error
+
+    def test_an_empty_batch_has_no_tokens(self):
+        assert list(nc.tokenize([])) == []
+
+    def test_no_python_frame_per_name(self):
+        names = ["  Nguyễn Thị\tHiền ", unicodedata.normalize("NFD", "Trần Văn Nam")]
+        tokenize = lambda names: list(nc.tokenize(names))
+        few, few_frames = python_frames(tokenize, names)
+        many, many_frames = python_frames(tokenize, names * 500)
+        assert many == few * 500
+        assert many_frames == few_frames
+
+    def test_chunks_are_tokenized_as_they_are_read(self, monkeypatch):
+        monkeypatch.setattr(nc, "TOKENIZE_CHUNK", 2)
+        read = []
+        tokens = nc.tokenize(read.append(name) or name for name in ["a", "b c", " ", "d"])
+        assert next(tokens) == ["a"] and read == ["a", "b c"]
+        assert next(tokens) == ["b", "c"]
+        with pytest.raises(EmptyNameError):
+            next(tokens)
 
 
 class TestSegment:
