@@ -217,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("names", nargs="+")
     pr.set_defaults(func=cmd_predict)
 
-    sv = sub.add_parser("serve", help="serve predictions over HTTP")
+    serve_help = ("serve predictions over HTTP on every CPU: one worker process pinned to "
+                  "each CPU of the affinity set")
+    sv = sub.add_parser("serve", help=serve_help, description=serve_help)
     sv.add_argument("--model", default=None)
     sv.add_argument("--bind", default="127.0.0.1:8000")
     sv.set_defaults(func=cmd_serve)

@@ -49,15 +49,45 @@ request gets the headers of its response without the body.
 Each response leaves in one write on a socket with ``TCP_NODELAY`` set. Sent
 as separate writes, the body of a response would wait for the client's
 delayed ACK of the headers (Nagle's algorithm), about 40 ms per request.
+
+Processes: `serve` runs one worker process per CPU in the process's affinity
+set behind a dispatcher, the multi-process design of Flash (Pai, Druschel &
+Zwaenepoel, USENIX ATC 1999): under one interpreter lock, the threads of one
+process score one request at a time. The dispatcher is the process that
+loaded the bundle. It binds and listens, then forks the workers, so they
+share the model copy-on-write and never load it again; it has started no
+thread when it forks. Worker k is pinned to CPU k (``sched_setaffinity``):
+unpinned, the scheduler often ran two busy workers on one CPU, and they
+scored no faster than one process. The dispatcher only accepts. It hands
+each connection, round-robin, to a worker over that worker's ``AF_UNIX``
+``SOCK_SEQPACKET`` socketpair as an ``SCM_RIGHTS`` file descriptor
+(`socket.send_fds`). So two connections land on two workers: left to the
+kernel's accept race or to ``SO_REUSEPORT`` hashing, both can land on one.
+A worker is a `PredictionServer` without a listener of its own. It serves
+each socket it receives on a thread, as the in-process server of
+`make_server` does, so every response above is the same. A worker whose
+channel reads EOF exits, so none outlives a dispatcher killed by
+``SIGKILL``; a datagram channel would report no EOF. A worker that dies is
+dropped from the rotation with one line on stderr; the connections it held
+are lost. Once no worker is left, `serve` raises `ToolkitError`. ``SIGTERM``
+or ``SIGINT`` stops the dispatcher: it terminates and reaps every worker,
+closes the listener and returns. State kept in a worker, such as a future
+``/metrics`` counter, is that worker's own: each process counts only the
+requests it served.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import re
+import selectors
+import signal
+import socket
 import sys
 import traceback
+from dataclasses import dataclass
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -250,14 +280,139 @@ def make_server(bundle: ModelBundle, host: str = "127.0.0.1", port: int = 0) -> 
     return PredictionServer(bundle, host, port)
 
 
+@dataclass
+class _Worker:
+    pid: int
+    cpu: int
+    channel: socket.socket  # the dispatcher's end of the worker's socketpair
+
+
+def _work(server: PredictionServer, channel: socket.socket) -> None:
+    """Serve each connection the dispatcher sends on `channel`, on a thread
+    of its own, until the channel reads EOF."""
+    while True:
+        _, fds, _, _ = socket.recv_fds(channel, 1, 1)
+        if not fds:
+            return
+        conn = socket.socket(fileno=fds[0])
+        try:
+            address = conn.getpeername()
+        except OSError:  # the client has already gone
+            conn.close()
+            continue
+        server.process_request(conn, address)
+
+
+def _fork_worker(server: PredictionServer, cpu: int, inherited: list[socket.socket]) -> _Worker:
+    """Fork a worker pinned to `cpu`. The child closes the listener and the
+    `inherited` sockets, which belong to the dispatcher alone."""
+    ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.set_wakeup_fd(-1)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            # Ctrl-C reaches the whole process group; the dispatcher stops
+            # the workers itself.
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            for sock in [server.socket, ours, *inherited]:
+                sock.close()
+            os.sched_setaffinity(0, {cpu})
+            _work(server, theirs)
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    theirs.close()
+    return _Worker(pid, cpu, ours)
+
+
+def _reap(worker: _Worker) -> int:
+    """Close a worker's channel and wait for it; returns its wait status."""
+    worker.channel.close()
+    return os.waitpid(worker.pid, 0)[1]
+
+
+def _dispatch(server: PredictionServer, workers: list[_Worker], wake: socket.socket) -> None:
+    """Hand each accepted connection to the next worker until a signal byte
+    arrives on `wake`. A worker whose channel reads EOF has died: it is
+    dropped, and `ToolkitError` is raised once none is left."""
+
+    def drop(worker: _Worker) -> None:
+        selector.unregister(worker.channel)
+        workers.remove(worker)
+        code = os.waitstatus_to_exitcode(_reap(worker))
+        sys.stderr.write(f"worker {worker.pid} on CPU {worker.cpu} exited with code {code}; "
+                         f"{len(workers)} left\n")
+        if not workers:
+            raise ToolkitError("every worker process has exited")
+
+    turn = 0
+    with selectors.DefaultSelector() as selector:
+        selector.register(wake, selectors.EVENT_READ)
+        selector.register(server.socket, selectors.EVENT_READ)
+        for worker in workers:
+            selector.register(worker.channel, selectors.EVENT_READ, worker)
+        while True:
+            for key, _ in selector.select():
+                if key.fileobj is wake:
+                    return
+                if key.data is not None:
+                    # A worker never writes to its channel: it reads EOF.
+                    if key.data in workers:
+                        drop(key.data)
+                    continue
+                try:
+                    conn, _ = server.socket.accept()
+                except OSError:  # the client reset before it was accepted
+                    continue
+                with conn:
+                    while True:
+                        worker = workers[turn % len(workers)]
+                        turn += 1
+                        try:
+                            # One byte of data: an empty message would read
+                            # as EOF on the worker's side.
+                            socket.send_fds(worker.channel, [b"c"], [conn.fileno()])
+                            break
+                        except OSError:  # the worker has died
+                            drop(worker)
+
+
 def serve(bundle: ModelBundle, bind: str = "127.0.0.1:8000") -> None:
-    """Run the service until interrupted; says on stderr once it listens."""
+    """Serve on every CPU of the affinity set until SIGTERM or SIGINT (see
+    Processes in the module docstring); says on stderr where it listens once
+    its workers run. Call it from the main thread; Linux only."""
     host, _, port_text = bind.rpartition(":")
     if not (port_text.isascii() and port_text.isdigit() and int(port_text) <= 65535):
         raise ToolkitError(f"bind address {bind!r} is not HOST:PORT with a port in 0-65535")
+    if not hasattr(os, "sched_setaffinity"):
+        raise ToolkitError("serve needs Linux: os.sched_setaffinity is missing")
     server = make_server(bundle, host or "127.0.0.1", int(port_text))
-    sys.stderr.write(f"serving {bundle.model_id} on {bind}\n")
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
+    wake, wake_writer = socket.socketpair()
+    with server, wake, wake_writer:
+        wake_writer.setblocking(False)
+        previous_fd = signal.set_wakeup_fd(wake_writer.fileno())
+        previous = {signum: signal.signal(signum, lambda *_: None)
+                    for signum in (signal.SIGTERM, signal.SIGINT)}
+        workers: list[_Worker] = []
+        try:
+            for cpu in sorted(os.sched_getaffinity(0)):
+                workers.append(_fork_worker(server, cpu, [wake, wake_writer,
+                                                          *(w.channel for w in workers)]))
+            sys.stderr.write(f"serving {bundle.model_id} on "
+                             f"{server.server_address[0]}:{server.server_address[1]}\n")
+            sys.stderr.flush()
+            _dispatch(server, workers, wake)
+        finally:
+            for worker in workers:
+                os.kill(worker.pid, signal.SIGTERM)
+            for worker in workers:
+                _reap(worker)
+            signal.set_wakeup_fd(previous_fd)
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)

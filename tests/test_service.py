@@ -1,9 +1,16 @@
 import dataclasses
 import http.client
 import json
+import os
+import queue
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -406,3 +413,206 @@ def test_a_client_reset_closes_the_connection_quietly(client, monkeypatch, capsy
     assert closed.wait(10)
     assert capsys.readouterr().err == ""
     assert client.request("GET", "/health")[0] == 200
+
+
+# ---------------------------------------------------------------------------
+# `vngender serve`: the dispatcher and its worker processes, run as a child
+# process so that the test process never forks.
+# ---------------------------------------------------------------------------
+
+needs_workers = pytest.mark.skipif(
+    not (hasattr(os, "sched_getaffinity") and hasattr(socket, "send_fds")),
+    reason="serve's workers need os.sched_getaffinity and socket.send_fds")
+CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+def children(pid: int) -> list[int]:
+    return [int(c) for c in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+def running(pid: int) -> bool:
+    """Whether `pid` exists and has not exited (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class ServeProcess:
+    """`vngender serve --bind 127.0.0.1:0` as a child process in a session of
+    its own, with its stderr read line by line on a thread."""
+
+    def __init__(self, path, preexec_fn=None):
+        src = str(Path(service.__file__).parents[1])
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "vngender.cli", "serve", "--model", str(path),
+             "--bind", "127.0.0.1:0"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, start_new_session=True, preexec_fn=preexec_fn)
+        self.lines = queue.Queue()
+        self.reader = threading.Thread(target=self._read, daemon=True)
+        self.reader.start()
+        try:
+            self.serving = self.line()
+            self.port = int(self.serving.rsplit(":", 1)[1])
+            # The workers are forked before the serving line is written.
+            self.workers = children(self.proc.pid)
+        except BaseException:
+            self.close()
+            raise
+
+    def _read(self):
+        for line in self.proc.stderr:
+            self.lines.put(line)
+        self.lines.put(None)
+
+    def line(self, timeout: float = 30.0) -> str | None:
+        return self.lines.get(timeout=timeout)
+
+    def rest(self) -> str:
+        """The rest of stderr, once every process holding it has exited."""
+        self.reader.join(10)
+        assert not self.reader.is_alive()
+        return "".join(iter(self.lines.get_nowait, None))
+
+    def close(self):
+        if self.proc.poll() is None:
+            self.proc.kill()
+        self.proc.wait(10)
+        self.reader.join(10)
+        if self.reader.is_alive():  # a worker outlived the dispatcher
+            for pid in getattr(self, "workers", []):
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            self.reader.join(10)
+        self.proc.stderr.close()
+
+
+@pytest.fixture
+def serve_process():
+    """Start `vngender serve` children; yields a `start(path, preexec_fn=None)
+    -> ServeProcess`. A worker exits once its dispatcher is gone, so killing
+    the dispatchers stops every process started."""
+    started = []
+
+    def start(path, preexec_fn=None):
+        started.append(ServeProcess(path, preexec_fn))
+        return started[-1]
+
+    yield start
+    for served in started:
+        served.close()
+
+
+def health(port: int) -> int:
+    return Client(port).request("GET", "/health")[0]
+
+
+@needs_workers
+@pytest.mark.parametrize("stop", [
+    pytest.param(lambda pid: os.kill(pid, signal.SIGTERM), id="sigterm"),
+    # Ctrl-C sends SIGINT to the whole foreground process group.
+    pytest.param(lambda pid: os.killpg(pid, signal.SIGINT), id="ctrl_c"),
+])
+def test_a_stopped_server_exits_quietly_and_reaps_its_workers(bundle_paths, serve_process,
+                                                              stop):
+    path = bundle_paths["multinomial_nb", "full"]
+    served = serve_process(path)
+    model_id = bm.load_model(path).model_id
+    assert served.serving == f"serving {model_id} on 127.0.0.1:{served.port}\n"
+    assert health(served.port) == 200
+    # One worker pinned to each CPU of the affinity set.
+    assert sorted(os.sched_getaffinity(pid) for pid in served.workers) == [{c} for c in CPUS]
+    stop(served.proc.pid)
+    assert served.proc.wait(10) == 0
+    assert served.rest() == ""
+    assert not any(running(pid) for pid in served.workers)
+
+
+@needs_workers
+def test_workers_exit_when_the_dispatcher_is_killed(bundle_paths, serve_process):
+    served = serve_process(bundle_paths["multinomial_nb", "full"])
+    assert len(served.workers) == len(CPUS)
+    served.proc.kill()
+    served.proc.wait(10)
+    deadline = time.monotonic() + 2.0
+    while any(running(pid) for pid in served.workers) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not any(running(pid) for pid in served.workers)
+    assert served.rest() == ""
+
+
+def server_socket_owners(server_port: int, client_port: int, pids: list[int]) -> list[int]:
+    """The processes among `pids` that hold the server side of the loopback
+    TCP connection between the two ports."""
+    inodes = []
+    for row in Path("/proc/net/tcp").read_text().splitlines()[1:]:
+        fields = row.split()
+        ports = tuple(int(address.rsplit(":", 1)[1], 16) for address in fields[1:3])
+        if ports == (server_port, client_port):
+            inodes.append(fields[9])
+    assert len(inodes) == 1
+    target = f"socket:[{inodes[0]}]"
+    owners = []
+    for pid in pids:
+        for fd in os.listdir(f"/proc/{pid}/fd"):
+            try:
+                if os.readlink(f"/proc/{pid}/fd/{fd}") == target:
+                    owners.append(pid)
+            except FileNotFoundError:  # closed while listed
+                pass
+    return owners
+
+
+@needs_workers
+@pytest.mark.skipif(len(CPUS) < 2, reason="needs two CPUs in the affinity set")
+def test_two_connections_are_served_by_two_workers(bundle_paths, serve_process):
+    path = bundle_paths["random_forest", "full"]
+    served = serve_process(path)
+    loaded = bm.load_model(path)
+    names = [name for name in BATCH_NAMES if name.strip() and "\ud800" not in name]
+    conns = [http.client.HTTPConnection("127.0.0.1", served.port, timeout=10) for _ in range(2)]
+    try:
+        for conn in conns:
+            conn.connect()
+        for i in range(50):
+            for j, conn in enumerate(conns):
+                name = names[(2 * i + j) % len(names)]
+                conn.request("POST", "/predict", json.dumps({"name": name}).encode("utf-8"))
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read()) == bm.bundle_predict(loaded, name)
+        owners = [server_socket_owners(served.port, conn.sock.getsockname()[1],
+                                       [served.proc.pid, *served.workers]) for conn in conns]
+    finally:
+        for conn in conns:
+            conn.close()
+    assert len(owners[0]) == len(owners[1]) == 1
+    assert owners[0][0] != owners[1][0]
+    assert {owners[0][0], owners[1][0]} <= set(served.workers)
+
+
+@needs_workers
+def test_one_cpu_runs_one_worker(bundle_paths, serve_process):
+    cpu = CPUS[-1]
+    path = bundle_paths["multinomial_nb", "full"]
+    served = serve_process(path, lambda: os.sched_setaffinity(0, {cpu}))
+    assert len(served.workers) == 1
+    assert os.sched_getaffinity(served.workers[0]) == {cpu}
+    status, _, body = Client(served.port).request("GET", "/health")
+    assert (status, body) == (200, {"status": "ok", "model_id": bm.load_model(path).model_id})
+
+
+@needs_workers
+def test_a_dead_worker_leaves_the_rotation(bundle_paths, serve_process):
+    served = serve_process(bundle_paths["multinomial_nb", "full"])
+    for left, pid in reversed(list(enumerate(served.workers))):
+        os.kill(pid, signal.SIGKILL)
+        line = served.line()
+        assert line.startswith(f"worker {pid} on CPU ") and line.endswith(f"; {left} left\n")
+        if left:
+            # Every connection now goes to the workers still running.
+            assert [health(served.port) for _ in range(2 * left)] == [200] * (2 * left)
+    assert served.proc.wait(10) == 1
+    assert served.rest() == "error: every worker process has exited\n"
