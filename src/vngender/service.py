@@ -368,7 +368,7 @@ def _dispatch(server: PredictionServer, workers: list[_Worker], wake: socket.soc
                     continue
                 try:
                     conn, _ = server.socket.accept()
-                except OSError:  # the client reset before it was accepted
+                except OSError:  # as in socketserver, a failed accept skips one client
                     continue
                 with conn:
                     while True:
@@ -379,7 +379,7 @@ def _dispatch(server: PredictionServer, workers: list[_Worker], wake: socket.soc
                             # as EOF on the worker's side.
                             socket.send_fds(worker.channel, [b"c"], [conn.fileno()])
                             break
-                        except OSError:  # the worker has died
+                        except ConnectionError:  # the worker has died
                             drop(worker)
 
 
