@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_predict)
 
     serve_help = ("serve predictions over HTTP on every CPU: one worker process pinned to "
-                  "each CPU of the affinity set")
+                  "each CPU of the affinity set (taskset limits it; a cgroup CPU quota does not)")
     sv = sub.add_parser("serve", help=serve_help, description=serve_help)
     sv.add_argument("--model", default=None)
     sv.add_argument("--bind", default="127.0.0.1:8000")

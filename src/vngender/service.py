@@ -51,29 +51,31 @@ as separate writes, the body of a response would wait for the client's
 delayed ACK of the headers (Nagle's algorithm), about 40 ms per request.
 
 Processes: `serve` runs one worker process per CPU in the process's affinity
-set behind a dispatcher, the multi-process design of Flash (Pai, Druschel &
-Zwaenepoel, USENIX ATC 1999): under one interpreter lock, the threads of one
-process score one request at a time. The dispatcher is the process that
-loaded the bundle. It binds and listens, then forks the workers, so they
-share the model copy-on-write and never load it again; it has started no
-thread when it forks. Worker k is pinned to CPU k (``sched_setaffinity``):
-unpinned, the scheduler often ran two busy workers on one CPU, and they
-scored no faster than one process. The dispatcher only accepts. It hands
-each connection, round-robin, to a worker over that worker's ``AF_UNIX``
-``SOCK_SEQPACKET`` socketpair as an ``SCM_RIGHTS`` file descriptor
-(`socket.send_fds`). So two connections land on two workers: left to the
-kernel's accept race or to ``SO_REUSEPORT`` hashing, both can land on one.
-A worker is a `PredictionServer` without a listener of its own. It serves
-each socket it receives on a thread, as the in-process server of
-`make_server` does, so every response above is the same. A worker whose
-channel reads EOF exits, so none outlives a dispatcher killed by
-``SIGKILL``; a datagram channel would report no EOF. A worker that dies is
-dropped from the rotation with one line on stderr; the connections it held
-are lost. Once no worker is left, `serve` raises `ToolkitError`. ``SIGTERM``
-or ``SIGINT`` stops the dispatcher: it terminates and reaps every worker,
-closes the listener and returns. State kept in a worker, such as a future
-``/metrics`` counter, is that worker's own: each process counts only the
-requests it served.
+set, the multi-process design of Flash (Pai, Druschel & Zwaenepoel, USENIX
+ATC 1999): under one interpreter lock, the threads of one process score one
+request at a time. The process that loaded the bundle binds and listens,
+then forks the workers, so they share the model copy-on-write and never load
+it again; it has started no thread when it forks. Worker k is pinned to CPU
+k (``sched_setaffinity``): unpinned, the scheduler often ran two busy
+workers on one CPU, and they scored no faster than one process. The
+worker count is the size of the affinity set: a cgroup CPU quota does not
+lower it, ``taskset`` does. Every worker accepts from the shared,
+non-blocking listener and serves each connection on a thread, as the
+in-process server of `make_server` does, so every response above is the
+same. Which worker takes a connection is the kernel's race: two
+connections can land on one worker, and then share one CPU for as long as
+they stay open. A worker whose descriptor table is full (``RLIMIT_NOFILE``)
+leaves new connections to the others, or in the listen queue until one of
+its own closes. Each worker holds one end of an ``AF_UNIX``
+``SOCK_SEQPACKET`` socketpair whose other end only the parent holds, and
+exits when it reads EOF there, so none outlives a parent killed by
+``SIGKILL``; a datagram channel would report no EOF. The parent watches
+those channels: a worker that dies is reaped with one line on stderr, and
+the connections it held are lost. Once no worker is left, `serve` raises
+`ToolkitError`. ``SIGTERM`` or ``SIGINT`` stops the parent: it terminates
+and reaps every worker, closes the listener and returns. State kept in a
+worker, such as a future ``/metrics`` counter, is that worker's own: each
+process counts only the requests it served.
 """
 
 from __future__ import annotations
@@ -284,28 +286,29 @@ def make_server(bundle: ModelBundle, host: str = "127.0.0.1", port: int = 0) -> 
 class _Worker:
     pid: int
     cpu: int
-    channel: socket.socket  # the dispatcher's end of the worker's socketpair
+    channel: socket.socket  # the parent's end of the worker's socketpair
 
 
 def _work(server: PredictionServer, channel: socket.socket) -> None:
-    """Serve each connection the dispatcher sends on `channel`, on a thread
-    of its own, until the channel reads EOF."""
-    while True:
-        _, fds, _, _ = socket.recv_fds(channel, 1, 1)
-        if not fds:
-            return
-        conn = socket.socket(fileno=fds[0])
-        try:
-            address = conn.getpeername()
-        except OSError:  # the client has already gone
-            conn.close()
-            continue
-        server.process_request(conn, address)
+    """Accept connections on the shared listener and serve each on a thread
+    of its own, until `channel` reads EOF."""
+    with selectors.DefaultSelector() as selector:
+        selector.register(server.socket, selectors.EVENT_READ)
+        selector.register(channel, selectors.EVENT_READ)
+        while True:
+            for key, _ in selector.select():
+                if key.fileobj is channel:  # the parent never writes: EOF
+                    return
+                try:
+                    conn, address = server.socket.accept()
+                except OSError:  # another worker took it, or no descriptor is free
+                    continue
+                server.process_request(conn, address)
 
 
 def _fork_worker(server: PredictionServer, cpu: int, inherited: list[socket.socket]) -> _Worker:
-    """Fork a worker pinned to `cpu`. The child closes the listener and the
-    `inherited` sockets, which belong to the dispatcher alone."""
+    """Fork a worker pinned to `cpu`. The child closes the `inherited`
+    sockets, which belong to the parent alone."""
     ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
     sys.stdout.flush()
     sys.stderr.flush()
@@ -315,12 +318,11 @@ def _fork_worker(server: PredictionServer, cpu: int, inherited: list[socket.sock
         try:
             signal.set_wakeup_fd(-1)
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            # Ctrl-C reaches the whole process group; the dispatcher stops
-            # the workers itself.
+            # Ctrl-C reaches the whole process group; the parent stops the
+            # workers itself.
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            for sock in [server.socket, ours, *inherited]:
+            for sock in [ours, *inherited]:
                 sock.close()
-            os.sched_setaffinity(0, {cpu})
             _work(server, theirs)
             code = 0
         except Exception:
@@ -328,6 +330,9 @@ def _fork_worker(server: PredictionServer, cpu: int, inherited: list[socket.sock
         finally:
             os._exit(code)
     theirs.close()
+    # Pinned by the parent, so every worker is pinned once `serve` says it
+    # is serving.
+    os.sched_setaffinity(pid, {cpu})
     return _Worker(pid, cpu, ours)
 
 
@@ -337,50 +342,26 @@ def _reap(worker: _Worker) -> int:
     return os.waitpid(worker.pid, 0)[1]
 
 
-def _dispatch(server: PredictionServer, workers: list[_Worker], wake: socket.socket) -> None:
-    """Hand each accepted connection to the next worker until a signal byte
-    arrives on `wake`. A worker whose channel reads EOF has died: it is
-    dropped, and `ToolkitError` is raised once none is left."""
-
-    def drop(worker: _Worker) -> None:
-        selector.unregister(worker.channel)
-        workers.remove(worker)
-        code = os.waitstatus_to_exitcode(_reap(worker))
-        sys.stderr.write(f"worker {worker.pid} on CPU {worker.cpu} exited with code {code}; "
-                         f"{len(workers)} left\n")
-        if not workers:
-            raise ToolkitError("every worker process has exited")
-
-    turn = 0
+def _supervise(workers: list[_Worker], wake: socket.socket) -> None:
+    """Wait until a signal byte arrives on `wake`. A worker whose channel
+    reads EOF has died: it is dropped, and `ToolkitError` is raised once
+    none is left."""
     with selectors.DefaultSelector() as selector:
         selector.register(wake, selectors.EVENT_READ)
-        selector.register(server.socket, selectors.EVENT_READ)
         for worker in workers:
             selector.register(worker.channel, selectors.EVENT_READ, worker)
         while True:
             for key, _ in selector.select():
                 if key.fileobj is wake:
                     return
-                if key.data is not None:
-                    # A worker never writes to its channel: it reads EOF.
-                    if key.data in workers:
-                        drop(key.data)
-                    continue
-                try:
-                    conn, _ = server.socket.accept()
-                except OSError:  # as in socketserver, a failed accept skips one client
-                    continue
-                with conn:
-                    while True:
-                        worker = workers[turn % len(workers)]
-                        turn += 1
-                        try:
-                            # One byte of data: an empty message would read
-                            # as EOF on the worker's side.
-                            socket.send_fds(worker.channel, [b"c"], [conn.fileno()])
-                            break
-                        except ConnectionError:  # the worker has died
-                            drop(worker)
+                worker = key.data
+                selector.unregister(worker.channel)
+                workers.remove(worker)
+                code = os.waitstatus_to_exitcode(_reap(worker))
+                sys.stderr.write(f"worker {worker.pid} on CPU {worker.cpu} exited with code "
+                                 f"{code}; {len(workers)} left\n")
+                if not workers:
+                    raise ToolkitError("every worker process has exited")
 
 
 def serve(bundle: ModelBundle, bind: str = "127.0.0.1:8000") -> None:
@@ -393,6 +374,9 @@ def serve(bundle: ModelBundle, bind: str = "127.0.0.1:8000") -> None:
     if not hasattr(os, "sched_setaffinity"):
         raise ToolkitError("serve needs Linux: os.sched_setaffinity is missing")
     server = make_server(bundle, host or "127.0.0.1", int(port_text))
+    # Every worker waits on the listener; those that lose the race for a
+    # connection must not block in accept.
+    server.socket.setblocking(False)
     wake, wake_writer = socket.socketpair()
     with server, wake, wake_writer:
         wake_writer.setblocking(False)
@@ -407,7 +391,7 @@ def serve(bundle: ModelBundle, bind: str = "127.0.0.1:8000") -> None:
             sys.stderr.write(f"serving {bundle.model_id} on "
                              f"{server.server_address[0]}:{server.server_address[1]}\n")
             sys.stderr.flush()
-            _dispatch(server, workers, wake)
+            _supervise(workers, wake)
         finally:
             for worker in workers:
                 os.kill(worker.pid, signal.SIGTERM)

@@ -3,6 +3,8 @@ import http.client
 import json
 import os
 import queue
+import resource
+import selectors
 import signal
 import socket
 import struct
@@ -416,13 +418,12 @@ def test_a_client_reset_closes_the_connection_quietly(client, monkeypatch, capsy
 
 
 # ---------------------------------------------------------------------------
-# `vngender serve`: the dispatcher and its worker processes, run as a child
+# `vngender serve`: the parent process and its workers, run as a child
 # process so that the test process never forks.
 # ---------------------------------------------------------------------------
 
 needs_workers = pytest.mark.skipif(
-    not (hasattr(os, "sched_getaffinity") and hasattr(socket, "send_fds")),
-    reason="serve's workers need os.sched_getaffinity and socket.send_fds")
+    not hasattr(os, "sched_getaffinity"), reason="serve's workers need os.sched_getaffinity")
 CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 
 
@@ -481,7 +482,7 @@ class ServeProcess:
             self.proc.kill()
         self.proc.wait(10)
         self.reader.join(10)
-        if self.reader.is_alive():  # a worker outlived the dispatcher
+        if self.reader.is_alive():  # a worker outlived the parent
             for pid in getattr(self, "workers", []):
                 if running(pid):
                     os.kill(pid, signal.SIGKILL)
@@ -492,8 +493,8 @@ class ServeProcess:
 @pytest.fixture
 def serve_process():
     """Start `vngender serve` children; yields a `start(path, preexec_fn=None)
-    -> ServeProcess`. A worker exits once its dispatcher is gone, so killing
-    the dispatchers stops every process started."""
+    -> ServeProcess`. A worker exits once its parent is gone, so killing
+    the parents stops every process started."""
     started = []
 
     def start(path, preexec_fn=None):
@@ -531,9 +532,12 @@ def test_a_stopped_server_exits_quietly_and_reaps_its_workers(bundle_paths, serv
 
 
 @needs_workers
-def test_workers_exit_when_the_dispatcher_is_killed(bundle_paths, serve_process):
+def test_workers_exit_when_the_parent_is_killed(bundle_paths, serve_process):
     served = serve_process(bundle_paths["multinomial_nb", "full"])
     assert len(served.workers) == len(CPUS)
+    # Each connection wakes every worker, and those that lose the race for
+    # it must be back waiting on their channels too.
+    assert [health(served.port) for _ in range(4)] == [200] * 4
     served.proc.kill()
     served.proc.wait(10)
     deadline = time.monotonic() + 2.0
@@ -567,30 +571,37 @@ def server_socket_owners(server_port: int, client_port: int, pids: list[int]) ->
 
 @needs_workers
 @pytest.mark.skipif(len(CPUS) < 2, reason="needs two CPUs in the affinity set")
-def test_two_connections_are_served_by_two_workers(bundle_paths, serve_process):
+def test_two_workers_serve_two_connections(bundle_paths, serve_process):
     path = bundle_paths["random_forest", "full"]
     served = serve_process(path)
     loaded = bm.load_model(path)
     names = [name for name in BATCH_NAMES if name.strip() and "\ud800" not in name]
-    conns = [http.client.HTTPConnection("127.0.0.1", served.port, timeout=10) for _ in range(2)]
+    # Which worker accepts a connection is the kernel's race: connect until
+    # two connections are held by two workers.
+    conns, held = [], {}
     try:
-        for conn in conns:
-            conn.connect()
+        while len(held) < 2:
+            assert len(conns) < 100
+            conns.append(http.client.HTTPConnection("127.0.0.1", served.port, timeout=10))
+            conns[-1].connect()
+            client_port = conns[-1].sock.getsockname()[1]
+            deadline = time.monotonic() + 10.0
+            while not (owners := server_socket_owners(served.port, client_port, served.workers)):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            held.setdefault(owners[0], conns[-1])
         for i in range(50):
-            for j, conn in enumerate(conns):
+            for j, conn in enumerate(held.values()):
                 name = names[(2 * i + j) % len(names)]
                 conn.request("POST", "/predict", json.dumps({"name": name}).encode("utf-8"))
                 response = conn.getresponse()
                 assert response.status == 200
                 assert json.loads(response.read()) == bm.bundle_predict(loaded, name)
-        owners = [server_socket_owners(served.port, conn.sock.getsockname()[1],
-                                       [served.proc.pid, *served.workers]) for conn in conns]
+        assert [server_socket_owners(served.port, conn.sock.getsockname()[1], served.workers)
+                for conn in held.values()] == [[pid] for pid in held]
     finally:
         for conn in conns:
             conn.close()
-    assert len(owners[0]) == len(owners[1]) == 1
-    assert owners[0][0] != owners[1][0]
-    assert {owners[0][0], owners[1][0]} <= set(served.workers)
 
 
 @needs_workers
@@ -604,8 +615,53 @@ def test_one_cpu_runs_one_worker(bundle_paths, serve_process):
     assert (status, body) == (200, {"status": "ok", "model_id": bm.load_model(path).model_id})
 
 
+
 @needs_workers
-def test_a_dead_worker_leaves_the_rotation(bundle_paths, serve_process):
+def test_a_full_descriptor_table_delays_connections_until_one_closes(bundle_paths,
+                                                                     serve_process):
+    cpu, limit = CPUS[0], 64
+
+    def confine():
+        os.sched_setaffinity(0, {cpu})
+        resource.setrlimit(resource.RLIMIT_NOFILE,
+                           (limit, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+
+    served = serve_process(bundle_paths["multinomial_nb", "full"], confine)
+    fds = f"/proc/{served.workers[0]}/fd"
+    idle = []
+    try:
+        # Fill the worker's descriptor table with idle connections, one at a
+        # time: each is accepted before the table is counted again.
+        while len(os.listdir(fds)) < limit:
+            assert len(idle) < limit
+            idle.append(socket.create_connection(("127.0.0.1", served.port), timeout=10))
+            client_port = idle[-1].getsockname()[1]
+            deadline = time.monotonic() + 10.0
+            while not server_socket_owners(served.port, client_port, served.workers):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        late = socket.create_connection(("127.0.0.1", served.port), timeout=10)
+        with late, late.makefile("rb") as reader:
+            late.sendall(get_raw("/health"))
+            # Its descriptor table full, the worker leaves the connection in
+            # the listen queue...
+            with selectors.DefaultSelector() as selector:
+                selector.register(late, selectors.EVENT_READ)
+                assert not selector.select(0.3)
+            # ...and accepts it once an idle connection closes.
+            for sock in idle:
+                sock.close()
+            assert reader.readline().split()[1] == b"200"
+    finally:
+        for sock in idle:
+            sock.close()
+    assert served.proc.poll() is None
+    assert children(served.proc.pid) == served.workers
+    assert served.lines.empty()
+
+
+@needs_workers
+def test_a_dead_worker_is_reaped_and_the_rest_serve(bundle_paths, serve_process):
     served = serve_process(bundle_paths["multinomial_nb", "full"])
     for left, pid in reversed(list(enumerate(served.workers))):
         os.kill(pid, signal.SIGKILL)
