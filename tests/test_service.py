@@ -640,6 +640,9 @@ def test_a_full_descriptor_table_delays_connections_until_one_closes(bundle_path
             while not server_socket_owners(served.port, client_port, served.workers):
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
+        # More idle connections than the table holds, then a request.
+        idle += [socket.create_connection(("127.0.0.1", served.port), timeout=10)
+                 for _ in range(3)]
         late = socket.create_connection(("127.0.0.1", served.port), timeout=10)
         with late, late.makefile("rb") as reader:
             late.sendall(get_raw("/health"))
