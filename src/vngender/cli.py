@@ -205,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True)
     ev.set_defaults(func=cmd_evaluate)
 
-    ab = sub.add_parser("ablate", help="run the 7-way component ablation")
+    ablate_help = ("run the 7-way component ablation on every CPU: one process per CPU of "
+                   "the affinity set takes cells from a shared queue (taskset limits it)")
+    ab = sub.add_parser("ablate", help=ablate_help, description=ablate_help)
     ab.add_argument("--data", required=True)
     ab.add_argument("--models", default="linear_svm:count,bernoulli_nb:tfidf")
     ab.add_argument("--seed", type=int, default=0)

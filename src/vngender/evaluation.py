@@ -19,11 +19,38 @@ contract of `classical`: train and test go through the same
 `classical.model_input` step, and the model fits on (x, labels)
 (`_run_cell`). `run_experiment` is one cell;
 `run_ablation` runs the seven masks x the given models on one encoded split.
+
+Processes: the cells of `run_ablation` share only the read-only encoded
+split, and each is a pure function of it, so they run on every CPU of the
+process's affinity set (`_run_cells`). A pipe is filled with one fixed-width
+record per cell index and closed for writing, the way GNU make's jobserver
+hands out tokens. The process then forks one worker for each CPU beyond the
+first, at most one fewer than there are cells, and every process, itself
+included, reads one record at a time and runs that cell until the pipe is
+empty. Each worker pickles its results, or the exception of a cell that
+failed, to a pipe of its own and leaves with `os._exit`; the parent reads
+them all, reaps every worker and puts the results back in cell order, so
+the report does not depend on which process ran which cell. If cells
+failed, the error of the lowest failing index is raised, as a serial loop
+raises its first one; a process whose cell fails empties the queue, so no
+later cell starts. A worker that exits without returning its cells is a
+`ToolkitError` that names its exit status. No worker is forked, and the
+process runs every cell itself, where the affinity set has one CPU, where
+`os.fork` or `os.sched_getaffinity` is missing, or while another thread is
+alive, which a forked child would not have. Workers are not pinned to a
+CPU. A worker's memory and any timing it records stay in the worker: the
+parent's peak RSS does not count them.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import struct
+import threading
+import traceback
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,7 +58,7 @@ import numpy as np
 
 from . import classical, featurize, names_core
 from .data_io import Dataset
-from .errors import EvaluationError
+from .errors import EvaluationError, ToolkitError
 from .featurize import TokenIds, VectorizerConfig, Vocabulary
 from .names_core import ALL_MASKS, ComponentMask
 
@@ -309,30 +336,140 @@ class AblationReport:
     skipped: dict[str, int]   # per mask, summed over subsets
 
 
+_RECORD = struct.Struct("<I")  # one cell index in the queue
+# 512 bytes of records, the least PIPE_BUF that POSIX allows: one write puts
+# a whole queue in an empty pipe without blocking.
+_QUEUE_CELLS = 128
+
+
+def _worker_count(n_cells: int) -> int:
+    """Processes to fork besides this one for `n_cells` cells: one per CPU
+    of the affinity set beyond the first, and none where fork is missing or
+    would copy a process with other threads alive."""
+    if (not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+            or threading.active_count() > 1):
+        return 0
+    return min(len(os.sched_getaffinity(0)), n_cells) - 1
+
+
+def _take_cells(queue: int, split: dict[str, _EncodedSubset],
+                cells: Sequence[tuple[ComponentMask, ModelSpec]]) -> dict:
+    """Run the cells whose indices this process reads from `queue` until it
+    is empty: {index: (model label, metrics, records skipped)}. A cell that
+    fails is stored as its exception and empties the queue, so that no
+    process starts a later cell."""
+    results: dict = {}
+    while record := os.read(queue, _RECORD.size):
+        (index,) = _RECORD.unpack(record)
+        try:
+            result = _run_cell(split, *cells[index])
+        except Exception as exc:
+            results[index] = exc
+            while os.read(queue, _QUEUE_CELLS * _RECORD.size):
+                pass
+            break
+        results[index] = (result.model_label, result.metrics, sum(result.skipped.values()))
+    return results
+
+
+def _work(queue: int, out: int, split: dict[str, _EncodedSubset],
+          cells: Sequence[tuple[ComponentMask, ModelSpec]]) -> None:
+    """A forked worker: take cells from `queue`, pickle the results to the
+    pipe `out` and leave without returning to the caller's frames."""
+    status = 1
+    try:
+        with open(out, "wb", closefd=False) as fh:
+            pickle.dump(_take_cells(queue, split, cells), fh)
+        status = 0
+    except Exception:  # the parent reports the exit status; this says why
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def _run_queue(split: dict[str, _EncodedSubset],
+               cells: Sequence[tuple[ComponentMask, ModelSpec]],
+               indices: range) -> dict:
+    """The results of the cells of `indices`, run on this process and its
+    forked workers (see Processes in the module docstring)."""
+    queue, fill = os.pipe()
+    try:
+        os.write(fill, b"".join(_RECORD.pack(index) for index in indices))
+    finally:
+        os.close(fill)
+    workers: dict[int, int] = {}  # pid -> read end of the worker's result pipe
+    try:
+        for _ in range(_worker_count(len(indices))):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _work(queue, write_end, split, cells)
+            os.close(write_end)
+            workers[pid] = read_end
+        results = _take_cells(queue, split, cells)
+        lost = []
+        for pid in list(workers):
+            with open(workers[pid], "rb", closefd=False) as fh:
+                payload = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(workers.pop(pid))
+            if code:
+                lost.append(f"{pid} (killed by signal {-code})" if code < 0
+                            else f"{pid} (exit status {code})")
+                continue
+            results.update(pickle.loads(payload))
+        if lost:
+            raise ToolkitError(f"ablation worker process {', '.join(lost)} "
+                               "returned no results")
+        return results
+    finally:
+        os.close(queue)
+        for pid, read_end in workers.items():  # left only after an exception
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+
+
+def _run_cells(split: dict[str, _EncodedSubset],
+               cells: Sequence[tuple[ComponentMask, ModelSpec]]) -> list[tuple]:
+    """(model label, metrics, records skipped) of every (mask, spec) cell,
+    in cell order; the cells run on every CPU of the affinity set, a queue
+    of at most `_QUEUE_CELLS` cells at a time. Raises the error of the
+    lowest failing cell."""
+    results: dict = {}
+    for start in range(0, len(cells), _QUEUE_CELLS):
+        indices = range(start, min(start + _QUEUE_CELLS, len(cells)))
+        results.update(_run_queue(split, cells, indices))
+        failed = [index for index, r in results.items() if isinstance(r, Exception)]
+        if failed:
+            raise results[min(failed)]
+    return [results[index] for index in range(len(cells))]
+
+
 def run_ablation(
     dataset: Dataset,
     specs: Sequence[ModelSpec],
     split_spec: SplitSpec,
 ) -> AblationReport:
     """All seven masks x the given models on one split that is segmented and
-    encoded once; each cell is the `run_experiment` of its mask and model."""
+    encoded once; each cell is the `run_experiment` of its mask and model,
+    and the cells run on every CPU of the affinity set (see Processes in
+    the module docstring)."""
     split = _encode_split(dataset, split_spec)
-    cells: dict[tuple[str, str], MacroMetrics] = {}
-    skipped: dict[str, int] = {}
-    model_labels: list[str] = []
-    for mask in ALL_MASKS:
-        for spec in specs:
-            result = _run_cell(split, mask, spec)
-            cells[(mask.label, result.model_label)] = result.metrics
-            skipped[mask.label] = sum(result.skipped.values())
-            if result.model_label not in model_labels:
-                model_labels.append(result.model_label)
-    return AblationReport(
-        mask_labels=[m.label for m in ALL_MASKS],
-        model_labels=model_labels,
-        cells=cells,
-        skipped=skipped,
-    )
+    cells = [(mask, spec) for mask in ALL_MASKS for spec in specs]
+    report = AblationReport(mask_labels=[m.label for m in ALL_MASKS], model_labels=[],
+                            cells={}, skipped={})
+    for (mask, _), (model_label, metrics, skipped) in zip(cells, _run_cells(split, cells)):
+        report.cells[(mask.label, model_label)] = metrics
+        report.skipped[mask.label] = skipped
+        if model_label not in report.model_labels:
+            report.model_labels.append(model_label)
+    return report
 
 
 # ---------------------------------------------------------------------------

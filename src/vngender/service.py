@@ -66,7 +66,9 @@ same. Which worker takes a connection is the kernel's race: two
 connections can land on one worker, and then share one CPU for as long as
 they stay open. A worker whose descriptor table is full (``RLIMIT_NOFILE``)
 leaves new connections to the others, or in the listen queue until one of
-its own closes. Each worker holds one end of an ``AF_UNIX``
+its own closes; it tries the listener again every ``ACCEPT_BACKOFF_S``
+meanwhile, rather than spinning on a listener that stays readable. Each
+worker holds one end of an ``AF_UNIX``
 ``SOCK_SEQPACKET`` socketpair whose other end only the parent holds, and
 exits when it reads EOF there, so none outlives a parent killed by
 ``SIGKILL``; a datagram channel would report no EOF. The parent watches
@@ -80,6 +82,7 @@ process counts only the requests it served.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -101,6 +104,8 @@ MAX_BODY_BYTES = 64 * 1024
 # Seconds a connection may wait on the client; a stalled client then loses
 # its connection instead of holding a server thread forever.
 SOCKET_TIMEOUT_S = 30.0
+# How long a worker with a full descriptor table leaves the listener alone.
+ACCEPT_BACKOFF_S = 0.05
 # Errors that say what is wrong with the name, by their `error` code.
 _NAME_ERRORS = (
     (InvalidNameError, "invalid_name"),
@@ -301,7 +306,14 @@ def _work(server: PredictionServer, channel: socket.socket) -> None:
                     return
                 try:
                     conn, address = server.socket.accept()
-                except OSError:  # another worker took it, or no descriptor is free
+                except OSError as exc:  # another worker took it, or no descriptor is free
+                    if exc.errno in (errno.EMFILE, errno.ENFILE):
+                        # The listener stays readable until a descriptor is
+                        # free: wait on the channel alone instead of spinning.
+                        selector.unregister(server.socket)
+                        if selector.select(ACCEPT_BACKOFF_S):
+                            return
+                        selector.register(server.socket, selectors.EVENT_READ)
                     continue
                 server.process_request(conn, address)
 

@@ -1,5 +1,11 @@
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import unicodedata
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from vngender import classical, data_io, evaluation as ev, featurize, names_core as nc
 from vngender.data_io import Dataset
-from vngender.errors import EvaluationError, TrainingError
+from vngender.errors import EvaluationError, ToolkitError, TrainingError
 from vngender.evaluation import ModelSpec, SplitSpec
 from vngender.featurize import VectorizerConfig
 
@@ -352,6 +358,155 @@ class TestRunAblation:
         # tokens are encoded in one `encode` call, and its components come
         # from token positions, not from `segment`.
         assert calls == {"tokenize": 1, "encode": 1, "_split_indices": 1}
+
+
+def one_token_dataset() -> Dataset:
+    """One-token names: the masks without a given name (`fan`, `mn` and
+    `fan+mn`) leave no training record."""
+    return Dataset([f"M{i}" for i in range(12)] + [f"F{i}" for i in range(12)],
+                   [1] * 12 + [0] * 12)
+
+
+class TestAblationProcesses:
+    """`run_ablation` on the CPUs of a patched affinity set: the parent
+    forks one worker per CPU beyond the first."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the affinity set's size; returns the list of forks made."""
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+
+        def set_cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            return forks
+
+        return set_cpus
+
+    def parent_takes_no_cell(self, monkeypatch):
+        """Leave every cell to the workers."""
+        parent, take_cells = os.getpid(), ev._take_cells
+        monkeypatch.setattr(ev, "_take_cells",
+                            lambda *args: {} if os.getpid() == parent else take_cells(*args))
+
+    def test_one_and_four_cpus_write_the_same_report(self, cpus, report_and_dataset):
+        _, ds, specs = report_and_dataset
+        reports = {}
+        for n in (1, 4):
+            forks = cpus(n)
+            forks.clear()
+            reports[n] = json.dumps(ev.ablation_to_dict(ev.run_ablation(ds, specs, SplitSpec(6))))
+            assert len(forks) == n - 1
+        assert reports[1] == reports[4]
+
+    def test_queues_of_a_few_cells_write_the_same_report(self, cpus, report_and_dataset,
+                                                         monkeypatch):
+        report, ds, specs = report_and_dataset
+        forks = cpus(4)
+        monkeypatch.setattr(ev, "_QUEUE_CELLS", 3)
+        assert ev.run_ablation(ds, specs, SplitSpec(6)) == report
+        # Four queues of 3 cells with 2 workers each, and one of 2 cells with 1.
+        assert len(forks) == 4 * 2 + 1
+
+    def test_a_cell_error_in_a_worker_reaches_the_caller(self, cpus, monkeypatch):
+        ds = one_token_dataset()
+        specs = [ModelSpec("multinomial_nb", VectorizerConfig("count"))]
+        cpus(1)
+        with pytest.raises(EvaluationError) as serial:
+            ev.run_ablation(ds, specs, SplitSpec(0))
+        assert str(serial.value) == "no usable training records under mask 'fan'"
+        forks = cpus(4)
+        self.parent_takes_no_cell(monkeypatch)
+        run_cell = ev._run_cell
+
+        def slow(*args):
+            time.sleep(0.2)  # so that each worker takes a cell before one fails
+            return run_cell(*args)
+
+        monkeypatch.setattr(ev, "_run_cell", slow)
+        # Cells 0 (`fan`) and 1 (`mn`) fail, each in a worker of its own;
+        # the lower one is raised.
+        with pytest.raises(EvaluationError) as parallel:
+            ev.run_ablation(ds, specs, SplitSpec(0))
+        assert len(forks) == 3
+        assert str(parallel.value) == str(serial.value)
+
+    def test_a_worker_that_dies_is_an_error_naming_its_status(self, cpus, monkeypatch,
+                                                              report_and_dataset):
+        _, ds, specs = report_and_dataset
+        forks = cpus(2)
+        parent, run_cell = os.getpid(), ev._run_cell
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run_cell(*args)
+
+        monkeypatch.setattr(ev, "_run_cell", dies_in_a_worker)
+        self.parent_takes_no_cell(monkeypatch)
+        with pytest.raises(ToolkitError, match=r"ablation worker process \d+ \(exit status 3\)"):
+            ev.run_ablation(ds, specs, SplitSpec(6))
+        assert len(forks) == 1
+
+    def test_no_fork_while_another_thread_runs(self, cpus, report_and_dataset):
+        report, ds, specs = report_and_dataset
+        forks = cpus(4)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert ev.run_ablation(ds, specs, SplitSpec(6)) == report
+        finally:
+            done.set()
+            thread.join()
+        assert forks == []
+
+    def test_sigint_leaves_no_worker_running(self, tmp_path):
+        # In a child interpreter: its workers log their pids and then hang
+        # in their first cell, and the test interrupts the parent.
+        script = f"""
+import os, sys, time
+sys.path.insert(0, {os.path.dirname(os.path.dirname(ev.__file__))!r})
+from vngender import data_io, evaluation as ev
+from vngender.evaluation import ModelSpec, SplitSpec
+from vngender.featurize import VectorizerConfig
+os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+parent = os.getpid()
+
+def hang(*args):
+    if os.getpid() != parent:
+        with open({str(tmp_path / "pids")!r}, "a") as fh:
+            fh.write(f"{{os.getpid()}}\\n")
+    time.sleep(60)
+
+ev._run_cell = hang
+ev.run_ablation(data_io.generate_synthetic(100, 0.9, 1),
+                [ModelSpec("multinomial_nb", VectorizerConfig("count"))], SplitSpec(0))
+"""
+        proc = subprocess.Popen([sys.executable, "-c", script], stderr=subprocess.PIPE)
+        pids_file = tmp_path / "pids"
+        deadline = time.monotonic() + 30
+        while not (pids_file.exists() and len(pids_file.read_text().split()) == 2):
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == -signal.SIGINT and err.decode().endswith("KeyboardInterrupt\n")
+        for pid in map(int, pids_file.read_text().split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 # Names the encoded split must handle like per-record segmentation does.

@@ -616,6 +616,14 @@ def test_one_cpu_runs_one_worker(bundle_paths, serve_process):
 
 
 
+def cpu_seconds(pid: int) -> float:
+    """The user and system CPU time of process `pid` (`/proc/<pid>/stat`)."""
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rpartition(")")[2].split()
+    # utime and stime are fields 14 and 15; the rest starts at field 3.
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
 @needs_workers
 def test_a_full_descriptor_table_delays_connections_until_one_closes(bundle_paths,
                                                                      serve_process):
@@ -647,10 +655,14 @@ def test_a_full_descriptor_table_delays_connections_until_one_closes(bundle_path
         with late, late.makefile("rb") as reader:
             late.sendall(get_raw("/health"))
             # Its descriptor table full, the worker leaves the connection in
-            # the listen queue...
+            # the listen queue, without spinning on the listener...
+            used = cpu_seconds(served.workers[0])
+            waited = time.monotonic()
             with selectors.DefaultSelector() as selector:
                 selector.register(late, selectors.EVENT_READ)
                 assert not selector.select(0.3)
+            waited = time.monotonic() - waited
+            assert cpu_seconds(served.workers[0]) - used < waited / 10
             # ...and accepts it once an idle connection closes.
             for sock in idle:
                 sock.close()
