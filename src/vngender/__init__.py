@@ -61,11 +61,9 @@ from .lstm import (
 from .names_core import (
     ALL_MASKS,
     ComponentMask,
-    NameComponents,
     normalize,
     parse_mask,
     segment,
-    select_components,
     tokenize,
 )
 from .service import make_server, serve

@@ -20,11 +20,13 @@ vocabulary's size. A bundle needs no other file: the LSTM stores the
 pretrained vectors of its vocabulary and rebuilds its embedding table from
 them and its seed when it is built.
 
-Scoring has one path: `bundle_predict_many` normalizes and segments each raw
-name, keeps the bundle's components, encodes every scorable name at once,
-turns them into the kind's `classical.model_input` as training did, and
-scores them in one `classical.predict` call. `bundle_predict` is a batch of
-one.
+Scoring has one path: `bundle_predict_many` tokenizes its whole batch in one
+`names_core.tokenize_batch` call, splits each name's tokens with
+`names_core.segment` and keeps the bundle's components, encodes every
+scorable name at once, turns them into the kind's `classical.model_input` as
+training did, and scores them in one `classical.predict` call. Each
+response's components are the lists `segment` gave. `bundle_predict` is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import struct
 import time
@@ -46,13 +49,11 @@ from .errors import (
     BundleError,
     BundleFormatError,
     BundleVersionError,
-    EmptyNameError,
     EmptySequenceError,
-    InvalidNameError,
     ToolkitError,
 )
 from .featurize import VectorizerConfig, Vocabulary
-from .names_core import ComponentMask, NameComponents
+from .names_core import ComponentMask
 
 MAGIC = b"VNGBUNDL"
 FORMAT_VERSION = 5
@@ -279,59 +280,48 @@ def load_model(path) -> ModelBundle:
         raise BundleFormatError(f"cannot decode bundle: {type(exc).__name__}: {exc}") from exc
 
 
-def _select_tokens(bundle: ModelBundle, raw_name: str) -> tuple[NameComponents, list[str]]:
-    """Segment a raw name and keep the bundle's components.
-
-    Raises `EmptyNameError` for a blank name, `InvalidNameError` for one
-    that is not valid text, and `EmptySequenceError` when the mask selects
-    no tokens; training skips such records, so every kind refuses to score
-    them.
-    """
-    comps = names_core.segment(names_core.normalize(raw_name))
-    tokens = names_core.select_components(comps, bundle.component_mask)
-    if not tokens:
-        raise EmptySequenceError(
-            f"mask {bundle.component_mask.label!r} selects no tokens of {raw_name!r}"
-        )
-    return comps, tokens
-
-
-def _response(bundle: ModelBundle, comps: NameComponents, label, score) -> dict:
-    """The wire-format response for one scored name."""
-    label = int(label)
-    return {
-        "label": label,
-        "gender": "male" if label == 1 else "female",
-        "score": float(score),
-        "components": {
-            "family": comps.family,
-            "middle": list(comps.middle),
-            "given": comps.given,
-        },
-        "model_id": bundle.model_id,
-    }
-
-
 def bundle_predict_many(bundle: ModelBundle, raw_names: list[str]) -> list[dict | ToolkitError]:
     """The wire-format response of each name, with every scorable name
-    scored in one `classical.predict` call. A name that cannot be
-    scored gets the `EmptyNameError`, `InvalidNameError` or
-    `EmptySequenceError` it raised in its place."""
-    selected: list = []
-    for raw_name in raw_names:
-        try:
-            selected.append(_select_tokens(bundle, raw_name))
-        except (EmptyNameError, InvalidNameError, EmptySequenceError) as exc:
-            selected.append(exc)
-    valid = [item for item in selected if not isinstance(item, ToolkitError)]
-    if not valid:
-        return selected
-    docs = featurize.encode([tokens for _, tokens in valid])
-    x = classical.model_input(bundle.model_kind, docs, bundle.vocabulary, bundle.vectorizer_cfg)
+    scored in one `classical.predict` call.
+
+    A name that cannot be scored gets its error in its place:
+    `InvalidNameError` or `EmptyNameError` from `names_core.tokenize_batch`,
+    or `EmptySequenceError` when the bundle's mask keeps none of its tokens.
+    Training skips such records, so every kind refuses to score them.
+    """
+    token_lists, errors = names_core.tokenize_batch(raw_names)
+    mask = bundle.component_mask
+    kept_parts = (mask.use_family, mask.use_middle, mask.use_given)
+    scored, docs = [], []  # (index, components) and the kept tokens of each scorable name
+    for i, tokens in enumerate(token_lists):
+        if i in errors:
+            continue
+        parts = names_core.segment(tokens)
+        kept = sum(itertools.compress(parts, kept_parts), [])
+        if kept:
+            scored.append((i, parts))
+            docs.append(kept)
+        else:
+            errors[i] = EmptySequenceError(
+                f"mask {mask.label!r} selects no tokens of {raw_names[i]!r}"
+            )
+    results: list = list(map(errors.get, range(len(token_lists))))
+    if not docs:
+        return results
+    x = classical.model_input(bundle.model_kind, featurize.encode(docs), bundle.vocabulary,
+                              bundle.vectorizer_cfg)
     labels, scores = classical.predict(bundle.model, x)
-    responses = iter(_response(bundle, comps, label, score)
-                     for (comps, _), label, score in zip(valid, labels, scores))
-    return [item if isinstance(item, ToolkitError) else next(responses) for item in selected]
+    for (i, (family, middle, given)), label, score in zip(scored, labels.tolist(),
+                                                          scores.tolist()):
+        results[i] = {
+            "label": label,
+            "gender": "male" if label == 1 else "female",
+            "score": score,
+            "components": {"family": family[0] if family else None, "middle": middle,
+                           "given": given[0]},
+            "model_id": bundle.model_id,
+        }
+    return results
 
 
 def bundle_predict(bundle: ModelBundle, raw_name: str) -> dict:

@@ -247,12 +247,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except KeyboardInterrupt:
+        # Ctrl-C before a command installs its own handling (`serve` does,
+        # once its bundle is loaded) ends the run quietly, as a shell expects.
+        return 130
 
 
 if __name__ == "__main__":

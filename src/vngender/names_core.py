@@ -1,39 +1,27 @@
 """Normalization and family / middle / given segmentation of Vietnamese full names.
 
 Vietnamese names put the family name first and the given name last; everything
-in between is the middle name. `tokenize` normalizes and splits many names
-at once, and `normalize` is its batch of one. Segmentation here is strictly
-positional: `segment` splits one name, and `component_codes` gives the same
-rule for many names at once, as one code per token.
+in between is the middle name. `tokenize_batch` is the one way a raw name
+becomes tokens: it normalizes and splits a batch of names at once and gives
+each bad name's error by index. `tokenize` reads a corpus through it chunk
+by chunk, and `normalize` is its batch of one. Segmentation here is strictly
+positional: `segment` splits one name's tokens, and `component_codes` gives
+the same rule for many names at once, as one code per token.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
+import operator
+import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import EmptyNameError, InvalidNameError, ToolkitError
-
-
-@dataclass(frozen=True)
-class NameComponents:
-    """A normalized full name split into its positional components."""
-
-    family: str | None
-    middle: tuple[str, ...]
-    given: str
-
-    def tokens(self) -> list[str]:
-        out = [self.family] if self.family else []
-        out.extend(self.middle)
-        out.append(self.given)
-        return out
 
 
 @dataclass(frozen=True)
@@ -89,20 +77,44 @@ def parse_mask(label: str) -> ComponentMask:
 TOKENIZE_CHUNK = 1024
 
 _NFC = functools.partial(unicodedata.normalize, "NFC")
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def tokenize_batch(raw_names: Sequence[str]) -> tuple[list[list[str]], dict[int, ToolkitError]]:
+    """The tokens of every raw name, canonically composed (NFC), lowercased
+    and split at whitespace, which also trims it; and, by index, the error of
+    every name that has no usable tokens.
+
+    A name with a lone surrogate (an undecodable byte of a command-line
+    argument, or a JSON escape) gets `InvalidNameError`, and a name left
+    with no tokens `EmptyNameError`; no name gets both. Every name goes
+    through C-level `map`s with no Python frame of its own, and only a bad
+    name costs a step of a Python loop, so a batch takes time linear in its
+    size however many of its names are bad.
+    """
+    tokens = list(map(str.split, map(str.lower, map(_NFC, raw_names))))
+    errors: dict[int, ToolkitError] = {}
+    # Each check first asks the whole batch in one call, the cheapest way
+    # when every name is good, and only then looks for the bad names.
+    if not all(tokens):
+        for i in itertools.compress(itertools.count(), map(operator.not_, tokens)):
+            errors[i] = EmptyNameError("name is empty after trimming")
+    try:
+        "".join(raw_names).encode("utf-8")
+    except UnicodeEncodeError:
+        for i in itertools.compress(itertools.count(), map(_LONE_SURROGATE.search, raw_names)):
+            errors[i] = InvalidNameError("name is not valid Unicode text (lone surrogate)")
+    return tokens, errors
 
 
 def tokenize(raw_names: Iterable[str]) -> Iterator[list[str]]:
-    """The tokens of every raw name, in order: canonically composed (NFC),
-    lowercased and split at whitespace, which also trims it.
+    """The tokens of every raw name, in order, as `tokenize_batch` gives them.
 
-    The names are read `TOKENIZE_CHUNK` at a time, each chunk through
-    C-level `map`s with no Python frame per name, and the token lists are
+    The names are read `TOKENIZE_CHUNK` at a time and the token lists are
     produced lazily, so a consumer that keeps only what it needs
-    (`featurize.encode`) never holds every name's tokens at once. A name
-    with a lone surrogate (an undecodable byte of a command-line argument,
-    or a JSON escape) raises `InvalidNameError`, and a name left with no
-    tokens `EmptyNameError`, when its chunk is reached; of several bad
-    names, the first one's error is raised.
+    (`featurize.encode`) never holds every name's tokens at once. A bad
+    name's error is raised when its chunk is reached; of several bad names,
+    the first one's error is raised.
     """
     names = iter(raw_names)
     chunks = iter(lambda: list(itertools.islice(names, TOKENIZE_CHUNK)), [])
@@ -110,36 +122,25 @@ def tokenize(raw_names: Iterable[str]) -> Iterator[list[str]]:
 
 
 def _tokenize_chunk(raw_names: list[str]) -> list[list[str]]:
-    tokens = list(map(str.split, map(str.lower, map(_NFC, raw_names))))
-    invalid = len(tokens)
-    try:
-        "".join(raw_names).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        # The name holding the first surrogate of the joined text.
-        invalid = bisect.bisect_right(list(itertools.accumulate(map(len, raw_names))), exc.start)
-    if [] in tokens[:invalid]:
-        raise EmptyNameError("name is empty after trimming")
-    if invalid < len(tokens):
-        raise InvalidNameError("name is not valid Unicode text (lone surrogate)")
+    tokens, errors = tokenize_batch(raw_names)
+    if errors:
+        raise errors[min(errors)]
     return tokens
 
 
 def normalize(raw: str) -> str:
-    """One name's tokens (`tokenize` of a batch of one), joined by single spaces."""
+    """One name's tokens (`tokenize_batch` of a batch of one), joined by
+    single spaces; a bad name raises its error."""
     return " ".join(_tokenize_chunk([raw])[0])
 
 
-def segment(normalized: str) -> NameComponents:
-    """Split a normalized name: first token family, last given, rest middle.
+def segment(tokens: list[str]) -> tuple[list[str], list[str], list[str]]:
+    """(family, middle, given) of one name's tokens: the first token is the
+    family name, the last the given name, and the rest the middle name.
 
-    Single-token names have only a given name; two-token names have no middle.
+    A one-token name has only a given name, and a two-token name no middle.
     """
-    tokens = normalized.split()
-    if not tokens:
-        raise EmptyNameError("cannot segment an empty name")
-    if len(tokens) == 1:
-        return NameComponents(None, (), tokens[0])
-    return NameComponents(tokens[0], tuple(tokens[1:-1]), tokens[-1])
+    return tokens[:1] if len(tokens) > 1 else [], tokens[1:-1], tokens[-1:]
 
 
 # Component code of a token; a mask keeps the codes of its components.
@@ -158,19 +159,3 @@ def component_codes(lengths: np.ndarray) -> np.ndarray:
     codes[ends[several] - lengths[several]] = FAMILY
     codes[ends[lengths >= 1] - 1] = GIVEN
     return codes
-
-
-def select_components(components: NameComponents, mask: ComponentMask) -> list[str]:
-    """Tokens of the selected components, in original order.
-
-    May be empty (e.g. a family-only mask on a single-token name); callers
-    decide whether to skip or score such records.
-    """
-    out: list[str] = []
-    if mask.use_family and components.family:
-        out.append(components.family)
-    if mask.use_middle:
-        out.extend(components.middle)
-    if mask.use_given:
-        out.append(components.given)
-    return out

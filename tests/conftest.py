@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import oracles
 from vngender import classical, cli, data_io, names_core
 from vngender.featurize import CsrMatrix
 
@@ -86,8 +87,8 @@ def planted_docs(n, fidelity, seed, mask_label="mn+fin"):
     mask = names_core.parse_mask(mask_label)
     docs = []
     for name in dataset.names:
-        comps = names_core.segment(names_core.normalize(name))
-        docs.append(names_core.select_components(comps, mask))
+        comps = oracles.segment(oracles.normalize(name))
+        docs.append(oracles.select_components(comps, mask))
     return docs, dataset.labels.tolist()
 
 

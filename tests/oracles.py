@@ -6,19 +6,20 @@ linear models, a gate-by-gate LSTM forward and backward pass, frozen from
 the LSTM's original per-gate layout, and the component ablation frozen from
 its token-list path (each cell splits and segments again, and fits a
 `Counter` vocabulary), the token encoder frozen from its set-based form, and
-the name normalizer, the CSV loader and the dataset statistics frozen from
-their one-name-at-a-time forms."""
+the name normalizer, segmentation, component selection, the CSV loader and
+the dataset statistics frozen from their one-name-at-a-time forms."""
 
 import csv
 import math
 import unicodedata
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from vngender import classical, evaluation, featurize, names_core
-from vngender.errors import DataError, EmptyNameError, InvalidNameError
+from vngender.errors import DataError, EmptyNameError, EmptySequenceError, InvalidNameError
 
 
 def multinomial_posterior(docs, labels, alpha, probe, n_features):
@@ -341,8 +342,8 @@ def select_subset(subset, mask):
     mask, each normalized, segmented and selected on its own."""
     docs, labels, skipped = [], [], 0
     for rec in subset.records:
-        comps = names_core.segment(normalize(rec.full_name))
-        tokens = names_core.select_components(comps, mask)
+        comps = segment(normalize(rec.full_name))
+        tokens = select_components(comps, mask)
         if not tokens:
             skipped += 1
             continue
@@ -417,6 +418,56 @@ def normalize(raw):
     return text.lower()
 
 
+@dataclass(frozen=True)
+class NameComponents:
+    """A normalized full name split into its positional components."""
+
+    family: str | None
+    middle: tuple[str, ...]
+    given: str
+
+    def tokens(self) -> list[str]:
+        out = [self.family] if self.family else []
+        out.extend(self.middle)
+        out.append(self.given)
+        return out
+
+
+def segment(normalized):
+    """Split a normalized name: first token family, last given, rest middle.
+
+    Single-token names have only a given name; two-token names have no middle.
+    """
+    tokens = normalized.split()
+    if not tokens:
+        raise EmptyNameError("cannot segment an empty name")
+    if len(tokens) == 1:
+        return NameComponents(None, (), tokens[0])
+    return NameComponents(tokens[0], tuple(tokens[1:-1]), tokens[-1])
+
+
+def select_components(components, mask):
+    """Tokens of the selected components, in original order; may be empty."""
+    out = []
+    if mask.use_family and components.family:
+        out.append(components.family)
+    if mask.use_middle:
+        out.extend(components.middle)
+    if mask.use_given:
+        out.append(components.given)
+    return out
+
+
+def name_components(raw, mask):
+    """The `components` of the response a bundle under `mask` gives one raw
+    name, or the error it raises: `normalize`'s, or `EmptySequenceError`
+    when the mask selects none of its tokens."""
+    comps = segment(normalize(raw))
+    if not select_components(comps, mask):
+        raise EmptySequenceError(f"mask {mask.label!r} selects no tokens of {raw!r}")
+    return {"family": comps.family, "middle": list(comps.middle), "given": comps.given}
+
+
 LABELS = {"0": 0, "1": 1}
 
 
@@ -458,7 +509,7 @@ def dataset_stats(dataset, top_k):
     given = {0: Counter(), 1: Counter()}
     seen = set()
     for rec in dataset.records:
-        comps = names_core.segment(normalize(rec.full_name))
+        comps = segment(normalize(rec.full_name))
         seen.add(" ".join(comps.tokens()))
         if comps.family:
             family[rec.gender][comps.family] += 1

@@ -2,12 +2,14 @@ import hashlib
 import io
 import json
 import struct
+import unicodedata
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
 from conftest import BUNDLES, FAST_OPTIONS, SPLIT_SEED, run_cli
 from vngender import bundle as bm
 from vngender import classical, data_io, evaluation, lstm
@@ -16,6 +18,7 @@ from vngender.errors import (
     BundleFormatError,
     BundleVersionError,
     EmptySequenceError,
+    ToolkitError,
 )
 
 PROBE_NAMES = ["Nguyễn Thị Lan", "Trần Văn Nam", "Lê Minh", "Phạm Hữu Đức Anh", "Vy"]
@@ -139,6 +142,55 @@ class TestEmptyComponents:
             assert skipped == [f"skipped\t{stored['skipped']['test']}"]
         else:
             assert skipped == []
+
+
+# Tokens of the fixture corpus's names, and one no bundle has seen.
+NAME_TOKENS = ["Nguyễn", "Trần", "Lê", "Thị", "Văn", "Hữu", "Lan", "Nam", "Minh", "Hiền", "Zyx"]
+GAPS = st.sampled_from([" ", "  ", "\t", "\u3000", " \n "])
+
+
+@st.composite
+def raw_names(draw):
+    """A name a client may send: one to four tokens in any case, joined and
+    padded by runs of whitespace, composed or decomposed; a blank; or a lone
+    surrogate, alone or inside a name."""
+    shape = draw(st.sampled_from(["name", "blank", "surrogate"]))
+    if shape == "blank":
+        return draw(st.sampled_from(["", " ", "\t\n", "\u3000"]))
+    tokens = draw(st.lists(st.sampled_from(NAME_TOKENS), min_size=1, max_size=4))
+    tokens = [draw(st.sampled_from([t, t.lower(), t.upper()])) for t in tokens]
+    if shape == "surrogate":
+        surrogate = draw(st.sampled_from(["\ud800", "\udcff"]))
+        if draw(st.booleans()):
+            tokens = [surrogate]
+        else:
+            at = draw(st.integers(0, len(tokens) - 1))
+            tokens[at] = draw(st.sampled_from(["", tokens[at]])) + surrogate
+    name = draw(st.sampled_from(["", " "])) + "".join(t + draw(GAPS) for t in tokens)
+    return unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), name)
+
+
+@pytest.fixture(scope="module", params=["full", "fan"])
+def nb_bundle(request, bundle_paths):
+    return bm.load_model(bundle_paths["multinomial_nb", request.param])
+
+
+class TestBatchScoring:
+    @settings(max_examples=80, deadline=None)
+    @given(raws=st.lists(raw_names(), max_size=10))
+    def test_each_name_scores_alone_and_as_the_oracle_says(self, nb_bundle, raws):
+        results = bm.bundle_predict_many(nb_bundle, raws)
+        assert len(results) == len(raws)
+        for raw, result in zip(raws, results):
+            (alone,) = bm.bundle_predict_many(nb_bundle, [raw])
+            try:
+                components = oracles.name_components(raw, nb_bundle.component_mask)
+            except ToolkitError as exc:
+                for got in (result, alone):
+                    assert (type(got), str(got)) == (type(exc), str(exc))
+            else:
+                assert result == alone
+                assert result["components"] == components
 
 
 class TestMalformedBundles:

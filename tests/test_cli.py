@@ -297,6 +297,14 @@ class TestErrors:
                                  "--hidden", 0, "--out", out])
         assert "hidden" in err and not out.exists()
 
+    def test_interrupt_during_the_bundle_load_exits_quietly(self, bundle_paths, monkeypatch):
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bm, "load_model", interrupted)
+        assert run_cli(["serve", "--model", bundle_paths["multinomial_nb", "full"],
+                        "--bind", "127.0.0.1:0"]) == (130, "", "")
+
     def test_non_utf8_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"full_name,gender\nNguy\xffn Lan,0\n")

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from vngender import data_io, names_core
+from vngender import data_io
 from vngender.data_io import Dataset, DatasetRecord
 from vngender.errors import DataError
 
 
 def planted_gender(full_name: str) -> int | None:
     """Gender the planted rule assigns to a generated name, by middle token."""
-    comps = names_core.segment(names_core.normalize(full_name))
+    comps = oracles.segment(oracles.normalize(full_name))
     if not comps.middle:
         return None
     tok = comps.middle[0]

@@ -130,70 +130,61 @@ class TestTokenize:
             next(tokens)
 
 
+class TestTokenizeBatch:
+    @settings(max_examples=150)
+    @given(st.lists(raw_batch_names(), max_size=8))
+    def test_each_name_matches_the_oracle(self, raws):
+        tokens, errors = nc.tokenize_batch(raws)
+        assert len(tokens) == len(raws)
+        for i, raw in enumerate(raws):
+            expected = oracle_tokens(raw)
+            if isinstance(expected, list):
+                assert i not in errors and tokens[i] == expected
+            else:
+                assert type(errors[i]) is expected
+        assert set(errors) <= set(range(len(raws)))
+
+    def test_every_bad_name_gets_its_own_error(self):
+        tokens, errors = nc.tokenize_batch(["\udcff", "Lan", " ", "a \ud800", "", "Lê Minh"])
+        assert {i: (type(e), str(e)) for i, e in errors.items()} == {
+            0: (InvalidNameError, "name is not valid Unicode text (lone surrogate)"),
+            2: (EmptyNameError, "name is empty after trimming"),
+            3: (InvalidNameError, "name is not valid Unicode text (lone surrogate)"),
+            4: (EmptyNameError, "name is empty after trimming"),
+        }
+        assert (tokens[1], tokens[5]) == (["lan"], ["lê", "minh"])
+        assert errors[0] is not errors[3]
+
+
 class TestSegment:
     def test_three_tokens(self):
-        comps = nc.segment("nguyễn thị hiền")
-        assert comps == nc.NameComponents("nguyễn", ("thị",), "hiền")
+        assert nc.segment(["nguyễn", "thị", "hiền"]) == (["nguyễn"], ["thị"], ["hiền"])
 
     def test_single_token_is_given(self):
-        assert nc.segment("hiền") == nc.NameComponents(None, (), "hiền")
+        assert nc.segment(["hiền"]) == ([], [], ["hiền"])
 
     def test_two_tokens_have_no_middle(self):
-        assert nc.segment("trần nam") == nc.NameComponents("trần", (), "nam")
+        assert nc.segment(["trần", "nam"]) == (["trần"], [], ["nam"])
 
     def test_interior_tokens_are_middle(self):
-        comps = nc.segment("nguyễn văn minh đức")
-        assert comps.family == "nguyễn"
-        assert comps.middle == ("văn", "minh")
-        assert comps.given == "đức"
+        assert nc.segment(["nguyễn", "văn", "minh", "đức"]) == (
+            ["nguyễn"], ["văn", "minh"], ["đức"])
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptyNameError):
-            nc.segment("")
+    def test_no_tokens_have_no_components(self):
+        assert nc.segment([]) == ([], [], [])
 
     @given(NAMES)
-    def test_full_mask_reassembles_tokens(self, name):
-        normalized = nc.normalize(name)
-        comps = nc.segment(normalized)
-        full = nc.select_components(comps, nc.parse_mask("full"))
-        assert full == normalized.split()
-
-
-class TestSelectComponents:
-    COMPS = nc.NameComponents("nguyễn", ("thị",), "hiền")
-
-    def test_middle_plus_given(self):
-        assert nc.select_components(self.COMPS, nc.parse_mask("mn+fin")) == ["thị", "hiền"]
-
-    def test_family_only(self):
-        assert nc.select_components(self.COMPS, nc.parse_mask("fan")) == ["nguyễn"]
-
-    def test_full_is_identity(self):
-        assert nc.select_components(self.COMPS, nc.parse_mask("full")) == [
-            "nguyễn", "thị", "hiền",
-        ]
-
-    def test_absent_family_contributes_nothing(self):
-        single = nc.segment("hiền")
-        assert nc.select_components(single, nc.parse_mask("fan")) == []
-        assert nc.select_components(single, nc.parse_mask("fan+fin")) == ["hiền"]
+    def test_components_reassemble_the_tokens(self, name):
+        tokens = nc.normalize(name).split()
+        family, middle, given = nc.segment(tokens)
+        assert family + middle + given == tokens
 
     @given(NAMES)
-    def test_token_counts_add_up(self, name):
-        comps = nc.segment(nc.normalize(name))
-        counts = {
-            "fan": 1 if comps.family else 0,
-            "mn": len(comps.middle),
-            "fin": 1,
-        }
-        for mask in nc.ALL_MASKS:
-            selected = nc.select_components(comps, mask)
-            expected = (
-                (counts["fan"] if mask.use_family else 0)
-                + (counts["mn"] if mask.use_middle else 0)
-                + (counts["fin"] if mask.use_given else 0)
-            )
-            assert len(selected) == expected
+    def test_matches_the_oracle(self, name):
+        comps = oracles.segment(oracles.normalize(name))
+        family, middle, given = nc.segment(nc.normalize(name).split())
+        assert family == ([comps.family] if comps.family else [])
+        assert (middle, given) == (list(comps.middle), [comps.given])
 
 
 class TestMasks:
@@ -216,13 +207,13 @@ class TestMasks:
 
 
 class TestComponentCodes:
-    @given(st.lists(st.integers(1, 10), max_size=12))
+    @given(st.lists(st.integers(0, 10), max_size=12))
     def test_codes_follow_segment(self, lengths):
         expected = []
         for n in lengths:
-            comps = nc.segment(" ".join(f"t{i}" for i in range(n)))
-            expected += [nc.FAMILY] * (comps.family is not None)
-            expected += [nc.MIDDLE] * len(comps.middle) + [nc.GIVEN]
+            family, middle, given = nc.segment([f"t{i}" for i in range(n)])
+            expected += [nc.FAMILY] * len(family) + [nc.MIDDLE] * len(middle)
+            expected += [nc.GIVEN] * len(given)
         codes = nc.component_codes(np.array(lengths, dtype=np.int32))
         assert codes.dtype == np.int8
         assert codes.tolist() == expected

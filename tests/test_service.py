@@ -371,6 +371,19 @@ def test_batch_element_errors(bundle_paths, serve_bundle):
     assert client.post({"names": []}) == (200, {"results": []})
 
 
+def test_a_batch_of_bad_names_takes_linear_time(client):
+    body = json.dumps({"names": ["\ud800"] * 6000}).encode("utf-8")
+    assert len(body) < service.MAX_BODY_BYTES
+    start = time.perf_counter()
+    status, _, answer = client.request("POST", "/predict", body,
+                                       {"Content-Type": "application/json"})
+    elapsed = time.perf_counter() - start
+    assert (status, answer) == (200, {"results": [{"error": "invalid_name"}] * 6000})
+    # About 40 ms in one pass over the batch; a rescan after each bad name
+    # takes over a second.
+    assert elapsed < 0.5
+
+
 @pytest.mark.parametrize("names", ["Lan", None, [["Lan"]], {"0": "Lan"}])
 def test_batch_names_must_be_a_list_of_strings(client, names):
     assert client.post({"names": names}) == (400, {"error": "invalid_name"})
