@@ -25,38 +25,37 @@ split, and each is a pure function of it, so they run on every CPU of the
 process's affinity set (`_run_cells`). A pipe is filled with one fixed-width
 record per cell index and closed for writing, the way GNU make's jobserver
 hands out tokens. The process then forks one worker for each CPU beyond the
-first, at most one fewer than there are cells, and every process, itself
-included, reads one record at a time and runs that cell until the pipe is
-empty. Each worker pickles its results, or the exception of a cell that
-failed, to a pipe of its own and leaves with `os._exit`; the parent reads
-them all, reaps every worker and puts the results back in cell order, so
-the report does not depend on which process ran which cell. If cells
-failed, the error of the lowest failing index is raised, as a serial loop
-raises its first one; a process whose cell fails empties the queue, so no
-later cell starts. A worker that exits without returning its cells is a
-`ToolkitError` that names its exit status. No worker is forked, and the
-process runs every cell itself, where the affinity set has one CPU, where
-`os.fork` or `os.sched_getaffinity` is missing, or while another thread is
-alive, which a forked child would not have. Workers are not pinned to a
-CPU. A worker's memory and any timing it records stay in the worker: the
-parent's peak RSS does not count them.
+first, at most one fewer than there are cells, through `procs`, which
+states how workers are forked, return their results and are stopped and
+reaped. Every process, this one included, reads one record at a time and
+runs that cell until the pipe is empty; each worker returns its results,
+or the exception of a cell that failed, and the parent puts them back in
+cell order, so the report does not depend on which process ran which cell.
+If cells failed, the error of the lowest failing index is raised, as a
+serial loop raises its first one; a process whose cell fails empties the
+queue, so no later cell starts. A worker that exits without returning its
+cells is a `ToolkitError` that names its exit status; on any error, or
+Ctrl-C, every worker not yet reaped is killed and reaped. No worker is
+forked, and the process runs every cell itself, where the affinity set has
+one CPU, where fork or ``sched_getaffinity`` is missing, or while another
+thread is alive, which a forked child would not have. Workers are not
+pinned to a CPU. A worker's memory and any timing it records stay in the
+worker: the parent's peak RSS does not count them.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import pickle
 import signal
 import struct
 import threading
-import traceback
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import classical, featurize, names_core
+from . import classical, featurize, names_core, procs
 from .data_io import Dataset
 from .errors import EvaluationError, ToolkitError
 from .featurize import TokenIds, VectorizerConfig, Vocabulary
@@ -372,21 +371,6 @@ def _take_cells(queue: int, split: dict[str, _EncodedSubset],
     return results
 
 
-def _work(queue: int, out: int, split: dict[str, _EncodedSubset],
-          cells: Sequence[tuple[ComponentMask, ModelSpec]]) -> None:
-    """A forked worker: take cells from `queue`, pickle the results to the
-    pipe `out` and leave without returning to the caller's frames."""
-    status = 1
-    try:
-        with open(out, "wb", closefd=False) as fh:
-            pickle.dump(_take_cells(queue, split, cells), fh)
-        status = 0
-    except Exception:  # the parent reports the exit status; this says why
-        traceback.print_exc()
-    finally:
-        os._exit(status)
-
-
 def _run_queue(split: dict[str, _EncodedSubset],
                cells: Sequence[tuple[ComponentMask, ModelSpec]],
                indices: range) -> dict:
@@ -397,42 +381,29 @@ def _run_queue(split: dict[str, _EncodedSubset],
         os.write(fill, b"".join(_RECORD.pack(index) for index in indices))
     finally:
         os.close(fill)
-    workers: dict[int, int] = {}  # pid -> read end of the worker's result pipe
+    workers: list = []  # (pid, channel) of each worker not yet reaped
     try:
         for _ in range(_worker_count(len(indices))):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                _work(queue, write_end, split, cells)
-            os.close(write_end)
-            workers[pid] = read_end
+            workers.append(procs.fork(lambda _: _take_cells(queue, split, cells),
+                                      close=[channel for _, channel in workers]))
         results = _take_cells(queue, split, cells)
         lost = []
-        for pid in list(workers):
-            with open(workers[pid], "rb", closefd=False) as fh:
-                payload = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(workers.pop(pid))
+        while workers:
+            pid, channel = workers[0]
+            returned, code = procs.join(pid, channel)
+            del workers[0]  # reaped: off the kill list
             if code:
                 lost.append(f"{pid} (killed by signal {-code})" if code < 0
                             else f"{pid} (exit status {code})")
                 continue
-            results.update(pickle.loads(payload))
+            results.update(returned)
         if lost:
             raise ToolkitError(f"ablation worker process {', '.join(lost)} "
                                "returned no results")
         return results
     finally:
         os.close(queue)
-        for pid, read_end in workers.items():  # left only after an exception
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_end)
+        procs.stop(workers, signal.SIGKILL)
 
 
 def _run_cells(split: dict[str, _EncodedSubset],

@@ -54,26 +54,24 @@ Processes: `serve` runs one worker process per CPU in the process's affinity
 set, the multi-process design of Flash (Pai, Druschel & Zwaenepoel, USENIX
 ATC 1999): under one interpreter lock, the threads of one process score one
 request at a time. The process that loaded the bundle binds and listens,
-then forks the workers, so they share the model copy-on-write and never load
-it again; it has started no thread when it forks. Worker k is pinned to CPU
-k (``sched_setaffinity``): unpinned, the scheduler often ran two busy
-workers on one CPU, and they scored no faster than one process. The
-worker count is the size of the affinity set: a cgroup CPU quota does not
-lower it, ``taskset`` does. Every worker accepts from the shared,
-non-blocking listener and serves each connection on a thread, as the
-in-process server of `make_server` does, so every response above is the
-same. Which worker takes a connection is the kernel's race: two
-connections can land on one worker, and then share one CPU for as long as
-they stay open. A worker whose descriptor table is full (``RLIMIT_NOFILE``)
-leaves new connections to the others, or in the listen queue until one of
-its own closes; it tries the listener again every ``ACCEPT_BACKOFF_S``
-meanwhile, rather than spinning on a listener that stays readable. Each
-worker holds one end of an ``AF_UNIX``
-``SOCK_SEQPACKET`` socketpair whose other end only the parent holds, and
-exits when it reads EOF there, so none outlives a parent killed by
-``SIGKILL``; a datagram channel would report no EOF. The parent watches
-those channels: a worker that dies is reaped with one line on stderr, and
-the connections it held are lost. Once no worker is left, `serve` raises
+then forks the workers through `procs`, which states how they are forked,
+signalled, stopped and reaped; they share the model copy-on-write and never
+load it again, and the parent has started no thread when it forks. Worker k
+is pinned to CPU k: unpinned, the scheduler often ran two busy workers on
+one CPU, and they scored no faster than one process. The worker count is
+the size of the affinity set: a cgroup CPU quota does not lower it,
+``taskset`` does. Every worker accepts from the shared, non-blocking
+listener and serves each connection on a thread, as the in-process server
+of `make_server` does, so every response above is the same. Which worker
+takes a connection is the kernel's race: two connections can land on one
+worker, and then share one CPU for as long as they stay open. A worker
+whose descriptor table is full (``RLIMIT_NOFILE``) leaves new connections
+to the others, or in the listen queue until one of its own closes; it tries
+the listener again every ``ACCEPT_BACKOFF_S`` meanwhile, rather than
+spinning on a listener that stays readable. A worker serves until its
+channel reads EOF, so none outlives its parent. The parent watches the
+channels: a worker that dies is reaped with one line on stderr, and the
+connections it held are lost. Once no worker is left, `serve` raises
 `ToolkitError`. ``SIGTERM`` or ``SIGINT`` stops the parent: it terminates
 and reaps every worker, closes the listener and returns. State kept in a
 worker, such as a future ``/metrics`` counter, is that worker's own: each
@@ -92,10 +90,10 @@ import signal
 import socket
 import sys
 import traceback
-from dataclasses import dataclass
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from . import procs
 from .bundle import ModelBundle, bundle_predict, bundle_predict_many
 from .errors import EmptyNameError, EmptySequenceError, InvalidNameError, ToolkitError
 
@@ -287,13 +285,6 @@ def make_server(bundle: ModelBundle, host: str = "127.0.0.1", port: int = 0) -> 
     return PredictionServer(bundle, host, port)
 
 
-@dataclass
-class _Worker:
-    pid: int
-    cpu: int
-    channel: socket.socket  # the parent's end of the worker's socketpair
-
-
 def _work(server: PredictionServer, channel: socket.socket) -> None:
     """Accept connections on the shared listener and serve each on a thread
     of its own, until `channel` reads EOF."""
@@ -318,59 +309,24 @@ def _work(server: PredictionServer, channel: socket.socket) -> None:
                 server.process_request(conn, address)
 
 
-def _fork_worker(server: PredictionServer, cpu: int, inherited: list[socket.socket]) -> _Worker:
-    """Fork a worker pinned to `cpu`. The child closes the `inherited`
-    sockets, which belong to the parent alone."""
-    ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            signal.set_wakeup_fd(-1)
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            # Ctrl-C reaches the whole process group; the parent stops the
-            # workers itself.
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            for sock in [ours, *inherited]:
-                sock.close()
-            _work(server, theirs)
-            code = 0
-        except Exception:
-            traceback.print_exc()
-        finally:
-            os._exit(code)
-    theirs.close()
-    # Pinned by the parent, so every worker is pinned once `serve` says it
-    # is serving.
-    os.sched_setaffinity(pid, {cpu})
-    return _Worker(pid, cpu, ours)
-
-
-def _reap(worker: _Worker) -> int:
-    """Close a worker's channel and wait for it; returns its wait status."""
-    worker.channel.close()
-    return os.waitpid(worker.pid, 0)[1]
-
-
-def _supervise(workers: list[_Worker], wake: socket.socket) -> None:
+def _supervise(workers: dict[int, tuple[int, socket.socket]], wake: socket.socket) -> None:
     """Wait until a signal byte arrives on `wake`. A worker whose channel
-    reads EOF has died: it is dropped, and `ToolkitError` is raised once
-    none is left."""
+    reads EOF has died: it is reaped and dropped from `workers`, its
+    (pid, channel) by CPU, and `ToolkitError` is raised once none is left."""
     with selectors.DefaultSelector() as selector:
         selector.register(wake, selectors.EVENT_READ)
-        for worker in workers:
-            selector.register(worker.channel, selectors.EVENT_READ, worker)
+        for cpu, (_, channel) in workers.items():
+            selector.register(channel, selectors.EVENT_READ, cpu)
         while True:
             for key, _ in selector.select():
                 if key.fileobj is wake:
                     return
-                worker = key.data
-                selector.unregister(worker.channel)
-                workers.remove(worker)
-                code = os.waitstatus_to_exitcode(_reap(worker))
-                sys.stderr.write(f"worker {worker.pid} on CPU {worker.cpu} exited with code "
+                cpu = key.data
+                pid, channel = workers[cpu]
+                selector.unregister(channel)
+                code = procs.join(pid, channel)[1]
+                del workers[cpu]  # reaped: off the kill list
+                sys.stderr.write(f"worker {pid} on CPU {cpu} exited with code "
                                  f"{code}; {len(workers)} left\n")
                 if not workers:
                     raise ToolkitError("every worker process has exited")
@@ -395,20 +351,17 @@ def serve(bundle: ModelBundle, bind: str = "127.0.0.1:8000") -> None:
         previous_fd = signal.set_wakeup_fd(wake_writer.fileno())
         previous = {signum: signal.signal(signum, lambda *_: None)
                     for signum in (signal.SIGTERM, signal.SIGINT)}
-        workers: list[_Worker] = []
+        workers: dict[int, tuple[int, socket.socket]] = {}
         try:
             for cpu in sorted(os.sched_getaffinity(0)):
-                workers.append(_fork_worker(server, cpu, [wake, wake_writer,
-                                                          *(w.channel for w in workers)]))
+                workers[cpu] = procs.fork(lambda channel: _work(server, channel), cpu,
+                                          [wake, wake_writer, *(c for _, c in workers.values())])
             sys.stderr.write(f"serving {bundle.model_id} on "
                              f"{server.server_address[0]}:{server.server_address[1]}\n")
             sys.stderr.flush()
             _supervise(workers, wake)
         finally:
-            for worker in workers:
-                os.kill(worker.pid, signal.SIGTERM)
-            for worker in workers:
-                _reap(worker)
+            procs.stop(workers.values(), signal.SIGTERM)
             signal.set_wakeup_fd(previous_fd)
             for signum, handler in previous.items():
                 signal.signal(signum, handler)

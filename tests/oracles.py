@@ -156,13 +156,14 @@ def masked_sigmoid(z):
     return out
 
 
-def lstm_loss_and_grads(sequences, labels, w, u, b, out_w, out_b):
+def lstm_loss_and_grads(sequences, labels, w, u, b, out_w, out_b, scores=False):
     """Mean BCE of an LSTM classifier over sequences of input vectors, and
     its gradients, computed gate by gate: each group of equal-length
     sequences runs on its own, with four input and four recurrent products
     per step forward and eight backward. Parameters and gradients are in
     the stacked layout (gate rows in i, f, o, c order); gradients are
-    returned by tensor name."""
+    returned by tensor name. With `scores`, a third value holds each
+    sequence's P(label 1), in input order."""
     hdim = out_w.shape[0]
     gate = lambda arr, k: arr[k * hdim:(k + 1) * hdim]
     w_i, w_f, w_o, w_c = (gate(w, k) for k in range(4))
@@ -178,6 +179,7 @@ def lstm_loss_and_grads(sequences, labels, w, u, b, out_w, out_b):
     for i, seq in enumerate(sequences):
         groups.setdefault(len(seq), []).append(i)
     loss_sum = 0.0
+    probs = np.empty(total)
     for members in groups.values():
         x_steps = [np.stack([sequences[i][t] for i in members], axis=1)
                    for t in range(len(sequences[members[0]]))]
@@ -196,7 +198,8 @@ def lstm_loss_and_grads(sequences, labels, w, u, b, out_w, out_b):
         logits = out_w @ h + out_b
         y_grp = y[members]
         loss_sum += float((np.logaddexp(0.0, logits) - y_grp * logits).sum())
-        dlogits = (masked_sigmoid(logits) - y_grp) / total
+        probs[members] = masked_sigmoid(logits)
+        dlogits = (probs[members] - y_grp) / total
         g_out_w += h @ dlogits
         g_out_b += dlogits.sum()
         dh = np.outer(out_w, dlogits)
@@ -214,7 +217,7 @@ def lstm_loss_and_grads(sequences, labels, w, u, b, out_w, out_b):
             dc = dc * gf
     grads = {"w": np.concatenate(gw), "u": np.concatenate(gu), "b": np.concatenate(gb),
              "out_w": g_out_w, "out_b": np.asarray(g_out_b)}
-    return loss_sum / total, grads
+    return (loss_sum / total, grads, probs) if scores else (loss_sum / total, grads)
 
 
 def dense_linear_objective(rows, labels, n_features, loss, strength):

@@ -508,6 +508,58 @@ ev.run_ablation(data_io.generate_synthetic(100, 0.9, 1),
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    def test_ctrl_c_while_the_parent_waits_on_its_workers_reaps_them(self, tmp_path):
+        # In a child interpreter, in a session of its own: the parent takes
+        # no cell and waits on its workers, which hang in their first cell;
+        # Ctrl-C reaches the whole process group. The parent reports what
+        # `waitpid` finds once `run_ablation` has raised.
+        script = f"""
+import os, sys, time
+sys.path.insert(0, {os.path.dirname(os.path.dirname(ev.__file__))!r})
+from vngender import data_io, evaluation as ev
+from vngender.evaluation import ModelSpec, SplitSpec
+from vngender.featurize import VectorizerConfig
+os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+parent, take_cells = os.getpid(), ev._take_cells
+ev._take_cells = lambda *args: {{}} if os.getpid() == parent else take_cells(*args)
+
+def hang(*args):
+    with open({str(tmp_path / "pids")!r}, "a") as fh:
+        fh.write(f"{{os.getpid()}}\\n")
+    time.sleep(60)
+
+ev._run_cell = hang
+try:
+    ev.run_ablation(data_io.generate_synthetic(100, 0.9, 1),
+                    [ModelSpec("multinomial_nb", VectorizerConfig("count"))], SplitSpec(0))
+except KeyboardInterrupt:
+    try:
+        print(os.waitpid(-1, os.WNOHANG))
+    except ChildProcessError:
+        print("no child")
+"""
+        out, err = tmp_path / "out", tmp_path / "err"
+        with open(out, "wb") as out_fh, open(err, "wb") as err_fh:
+            proc = subprocess.Popen([sys.executable, "-c", script], stdout=out_fh,
+                                    stderr=err_fh, start_new_session=True)
+        pids_file = tmp_path / "pids"
+        try:
+            deadline = time.monotonic() + 30
+            while not (pids_file.exists() and len(pids_file.read_text().split()) == 2):
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.02)
+            time.sleep(0.2)  # the parent is in its wait on the first worker
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(30) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            try:  # a worker left running would hang for a minute
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert (out.read_text(), err.read_text()) == ("no child\n", "")
+
 
 # Names the encoded split must handle like per-record segmentation does.
 EDGE_NAMES = (

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import planted_docs
@@ -378,6 +378,8 @@ class TestGradients:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 100_000))
+    @example(seed=1353)  # out_b's rows cancel to 1e-5: 1.4e-4 relative error
+    @example(seed=4614)
     def test_float32_loss_and_gradients_match_the_oracle(self, seed):
         rng = np.random.default_rng(seed)
         dim, hidden = int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -387,11 +389,32 @@ class TestGradients:
         table = random_table(len(docs.tokens), dim, seed)
         loss, grads = lstm.batch_gradients(docs, labels, table.astype(np.float32),
                                            params.astype(np.float32))
-        want_loss, want = oracles.lstm_loss_and_grads(vectors_of(docs, table), labels,
-                                                      **params.tensors())
+        want_loss, want, probs = oracles.lstm_loss_and_grads(
+            vectors_of(docs, table), labels, **params.tensors(), scores=True)
         assert abs(loss - want_loss) <= 1e-4 * max(1.0, want_loss)
         for name, grad in want.items():
-            assert oracles.tensor_rel_error(grads[name], grad) <= 1e-4, name
+            if name != "out_b":
+                assert oracles.tensor_rel_error(grads[name], grad) <= 1e-4, name
+        # out_b's gradient sums one term per row, t_i = (p_i - y_i) / n, over
+        # n <= 12 rows, and the terms can cancel to far below their size, so
+        # a relative bound fails on some draws. Its float32 error, to first
+        # order in the unit roundoff u = 2^-24, is bounded instead by
+        # C * u * sum_i M_i / n, with M_i = max(p_i, 1 - p_i) >= |t_i| * n
+        # (the rounding of p_i scales with p_i, not with p_i - y_i, which
+        # is tiny for a row scored near its label). C = 32 is the sum of:
+        #   11  summing n <= 12 terms in any order (gamma_{n-1}; Higham,
+        #       Accuracy and Stability of Numerical Algorithms, 2002, 4.2);
+        #    2  p_i - y_i (exact, or within u * M_i) and the division by n;
+        #   10  the float32 logistic function: two exps of at most 2 ulp
+        #       (4u) each, one addition and one division;
+        #    9  the float32 error d_i of the logit, which moves p_i by at
+        #       most p_i (1 - p_i) |d_i| <= M_i |d_i| / 2: a budget of
+        #       |d_i| <= 18u. It has no useful a-priori bound (up to eight
+        #       recurrent steps of N(0, 1) weights); measured, the whole
+        #       float32 error of p_i stayed within 6.8u * M_i, and the error
+        #       of out_b within 2.3u * sum_i M_i / n, over seeds 0-5,999.
+        bound = 32 * 2.0 ** -24 * float(np.maximum(probs, 1.0 - probs).sum()) / len(probs)
+        assert abs(float(grads["out_b"]) - float(want["out_b"])) <= bound
 
 
 class TestTraining:
