@@ -778,17 +778,14 @@ def model_input(kind: str, docs: TokenIds, vocabulary: Vocabulary,
 
 def predict(model, x) -> tuple[np.ndarray, np.ndarray]:
     """(labels, scores) for every row of `x`, the `model_input` of the
-    model's kind; ties at the threshold get label 1."""
+    model's kind; ties at the threshold get label 1. Documents over another
+    vocabulary, or a matrix wider than the model's, raise `PredictionError`."""
     if isinstance(x, TokenIds) and len(x.tokens) != model.n_features:
         raise PredictionError(f"documents over {len(x.tokens)} tokens for a model "
                               f"with a vocabulary of {model.n_features}")
-    if isinstance(x, CsrMatrix) and x.indices.size and (
-        int(x.indices.max()) >= model.n_features
-    ):
-        raise PredictionError(
-            f"feature index {int(x.indices.max())} out of range for a model "
-            f"with {model.n_features} features"
-        )
+    if isinstance(x, CsrMatrix) and x.n_features > model.n_features:
+        raise PredictionError(f"a matrix of {x.n_features} features for a model "
+                              f"with {model.n_features} features")
     scores = model.score(x)
     labels = (scores >= MODEL_KINDS[model.kind].threshold).astype(np.int64)
     return labels, scores

@@ -92,7 +92,7 @@ def cmd_evaluate(args) -> int:
 
 def _parse_model_list(text: str, seed: int) -> list[ModelSpec]:
     """`kind[:vectorizer]` items, each fitted with `seed`; a kind that reads
-    tokens takes no vectorizer, and no report label may repeat."""
+    tokens takes no vectorizer."""
     specs: list[ModelSpec] = []
     for item in text.split(","):
         item = item.strip()
@@ -104,8 +104,6 @@ def _parse_model_list(text: str, seed: int) -> list[ModelSpec]:
         reads_tokens = classical.MODEL_KINDS[kind].reads_tokens
         vcfg = None if reads_tokens and not mode else _vectorizer_config(mode or "count")
         spec = ModelSpec(kind, vcfg, seed)  # rejects a vectorizer for a kind that reads tokens
-        if spec.label in (s.label for s in specs):
-            raise ToolkitError(f"--models names {spec.label} twice")
         specs.append(spec)
     if not specs:
         raise ToolkitError("--models selected no models")

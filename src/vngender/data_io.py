@@ -43,7 +43,8 @@ class DatasetRecord:
 
 @dataclass(eq=False)
 class Dataset:
-    """Labeled names as two columns: `names[i]` has label `labels[i]`."""
+    """Labeled names as two columns: `names[i]` has label `labels[i]`, 0 or
+    1; any other label raises `DataError`."""
 
     names: list[str]
     labels: np.ndarray  # int64, one per name
@@ -51,9 +52,12 @@ class Dataset:
     rejects: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.shape != (len(self.names),):
-            raise DataError(f"{len(self.names)} names but labels of shape {self.labels.shape}")
+        labels = np.asarray(self.labels)
+        if labels.shape != (len(self.names),):
+            raise DataError(f"{len(self.names)} names but labels of shape {labels.shape}")
+        if not np.isin(labels, (FEMALE, MALE)).all():
+            raise DataError("labels must be 0 or 1")
+        self.labels = labels.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -145,8 +149,6 @@ def dataset_stats(dataset: Dataset, top_k: int = 10) -> DatasetStats:
         raise DataError("cannot compute statistics of an empty dataset")
     if top_k < 1:
         raise DataError("top_k must be >= 1")
-    if not np.isin(dataset.labels, (FEMALE, MALE)).all():
-        raise DataError("labels must be 0 or 1")
 
     docs = featurize.encode(names_core.tokenize(dataset.names))
     v = len(docs.tokens)

@@ -22,15 +22,16 @@ contract of `classical`: train and test go through the same
 
 Processes: the cells of `run_ablation` share only the read-only encoded
 split, and each is a pure function of it, so they run on every CPU of the
-process's affinity set (`_run_cells`). A pipe is filled with one fixed-width
-record per cell index and closed for writing, the way GNU make's jobserver
-hands out tokens. The process then forks one worker for each CPU beyond the
-first, at most one fewer than there are cells, through `procs`, which
-states how workers are forked, return their results and are stopped and
-reaped. Every process, this one included, reads one record at a time and
-runs that cell until the pipe is empty; each worker returns its results,
-or the exception of a cell that failed, and the parent puts them back in
-cell order, so the report does not depend on which process ran which cell.
+process's affinity set (`_run_cells`). A pipe is filled, in one write, with
+one fixed-width record per cell index and closed for writing, the way GNU
+make's jobserver hands out tokens. The process then forks one worker for
+each CPU beyond the first, at most one fewer than there are cells, through
+`procs`, which states how workers are forked, return their results and
+are stopped and reaped. Every process, this one included, reads one record
+at a time and runs that cell until the pipe is empty; each worker returns
+its results, or the exception of a cell that failed, and the parent puts
+them back in cell order, so the report does not depend on which process ran
+which cell.
 If cells failed, the error of the lowest failing index is raised, as a
 serial loop raises its first one; a process whose cell fails empties the
 queue, so no later cell starts. A worker that exits without returning its
@@ -81,15 +82,14 @@ def _cut(n: int, frac: float) -> int:
 
 
 def _split_indices(labels: np.ndarray, spec: SplitSpec) -> list[np.ndarray]:
-    """The train, dev and test record indices of records with `labels`.
+    """The train, dev and test record indices of records with `labels`,
+    each 0 or 1 (as a `Dataset` holds them).
 
     Each label's indices are shuffled with a seed of their own and cut at
     floor(n*TRAIN_FRAC) and floor(n*(TRAIN_FRAC+DEV_FRAC)); the per-label
     pieces are merged across labels and each merged subset is reshuffled
     with its own derived seed.
     """
-    if not np.isin(labels, (0, 1)).all():
-        raise EvaluationError("labels must be 0 or 1")
     seeds = np.random.SeedSequence(spec.seed).spawn(5)
     by_label = [np.flatnonzero(labels == label) for label in (0, 1)]
     for label, idx in enumerate(by_label):
@@ -336,9 +336,6 @@ class AblationReport:
 
 
 _RECORD = struct.Struct("<I")  # one cell index in the queue
-# 512 bytes of records, the least PIPE_BUF that POSIX allows: one write puts
-# a whole queue in an empty pipe without blocking.
-_QUEUE_CELLS = 128
 
 
 def _worker_count(n_cells: int) -> int:
@@ -354,7 +351,7 @@ def _worker_count(n_cells: int) -> int:
 def _take_cells(queue: int, split: dict[str, _EncodedSubset],
                 cells: Sequence[tuple[ComponentMask, ModelSpec]]) -> dict:
     """Run the cells whose indices this process reads from `queue` until it
-    is empty: {index: (model label, metrics, records skipped)}. A cell that
+    is empty: {index: (metrics, records skipped)}. A cell that
     fails is stored as its exception and empties the queue, so that no
     process starts a later cell."""
     results: dict = {}
@@ -364,26 +361,30 @@ def _take_cells(queue: int, split: dict[str, _EncodedSubset],
             result = _run_cell(split, *cells[index])
         except Exception as exc:
             results[index] = exc
-            while os.read(queue, _QUEUE_CELLS * _RECORD.size):
+            while os.read(queue, len(cells) * _RECORD.size):
                 pass
             break
-        results[index] = (result.model_label, result.metrics, sum(result.skipped.values()))
+        results[index] = (result.metrics, sum(result.skipped.values()))
     return results
 
 
-def _run_queue(split: dict[str, _EncodedSubset],
-               cells: Sequence[tuple[ComponentMask, ModelSpec]],
-               indices: range) -> dict:
-    """The results of the cells of `indices`, run on this process and its
-    forked workers (see Processes in the module docstring)."""
+def _run_cells(split: dict[str, _EncodedSubset],
+               cells: Sequence[tuple[ComponentMask, ModelSpec]]) -> list[tuple]:
+    """(metrics, records skipped) of every (mask, spec) cell, in cell order,
+    run on this process and its forked workers (see Processes in the module
+    docstring). Raises the error of the lowest failing cell."""
+    # Report labels are unique, so there are at most 7 masks x 13 labels
+    # (6 matrix kinds x 2 vectorizers, plus the LSTM): 91 records, 364
+    # bytes. That is under 512, the least PIPE_BUF that POSIX allows, so
+    # one write puts the whole queue in the empty pipe without blocking.
     queue, fill = os.pipe()
     try:
-        os.write(fill, b"".join(_RECORD.pack(index) for index in indices))
+        os.write(fill, b"".join(_RECORD.pack(index) for index in range(len(cells))))
     finally:
         os.close(fill)
     workers: list = []  # (pid, channel) of each worker not yet reaped
     try:
-        for _ in range(_worker_count(len(indices))):
+        for _ in range(_worker_count(len(cells))):
             workers.append(procs.fork(lambda _: _take_cells(queue, split, cells),
                                       close=[channel for _, channel in workers]))
         results = _take_cells(queue, split, cells)
@@ -400,25 +401,12 @@ def _run_queue(split: dict[str, _EncodedSubset],
         if lost:
             raise ToolkitError(f"ablation worker process {', '.join(lost)} "
                                "returned no results")
-        return results
     finally:
         os.close(queue)
         procs.stop(workers, signal.SIGKILL)
-
-
-def _run_cells(split: dict[str, _EncodedSubset],
-               cells: Sequence[tuple[ComponentMask, ModelSpec]]) -> list[tuple]:
-    """(model label, metrics, records skipped) of every (mask, spec) cell,
-    in cell order; the cells run on every CPU of the affinity set, a queue
-    of at most `_QUEUE_CELLS` cells at a time. Raises the error of the
-    lowest failing cell."""
-    results: dict = {}
-    for start in range(0, len(cells), _QUEUE_CELLS):
-        indices = range(start, min(start + _QUEUE_CELLS, len(cells)))
-        results.update(_run_queue(split, cells, indices))
-        failed = [index for index, r in results.items() if isinstance(r, Exception)]
-        if failed:
-            raise results[min(failed)]
+    failed = [index for index, r in results.items() if isinstance(r, Exception)]
+    if failed:
+        raise results[min(failed)]
     return [results[index] for index in range(len(cells))]
 
 
@@ -430,16 +418,19 @@ def run_ablation(
     """All seven masks x the given models on one split that is segmented and
     encoded once; each cell is the `run_experiment` of its mask and model,
     and the cells run on every CPU of the affinity set (see Processes in
-    the module docstring)."""
+    the module docstring). Two specs with the same report label raise
+    `EvaluationError`."""
+    labels = [spec.label for spec in specs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise EvaluationError(f"model {label} is given twice")
     split = _encode_split(dataset, split_spec)
     cells = [(mask, spec) for mask in ALL_MASKS for spec in specs]
-    report = AblationReport(mask_labels=[m.label for m in ALL_MASKS], model_labels=[],
+    report = AblationReport(mask_labels=[m.label for m in ALL_MASKS], model_labels=labels,
                             cells={}, skipped={})
-    for (mask, _), (model_label, metrics, skipped) in zip(cells, _run_cells(split, cells)):
-        report.cells[(mask.label, model_label)] = metrics
+    for (mask, spec), (metrics, skipped) in zip(cells, _run_cells(split, cells)):
+        report.cells[(mask.label, spec.label)] = metrics
         report.skipped[mask.label] = skipped
-        if model_label not in report.model_labels:
-            report.model_labels.append(model_label)
     return report
 
 

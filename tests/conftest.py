@@ -18,10 +18,26 @@ def csr(docs, n_features=None) -> CsrMatrix:
     rows = [sorted((int(f), float(v)) for f, v in dict(d).items() if v) for d in docs]
     if n_features is None:
         n_features = 1 + max((f for row in rows for f, _ in row), default=0)
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    indices = [f for row in rows for f, _ in row]
-    data = [v for row in rows for _, v in row]
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    indices = np.array([f for row in rows for f, _ in row], dtype=np.int64)
+    data = np.array([v for row in rows for _, v in row], dtype=np.float64)
     return CsrMatrix(indptr, indices, data, n_features)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checked_csr():
+    """Every `CsrMatrix` built while the suite runs, in forked ablation
+    workers too, must hold the invariant its builders promise:
+    `oracles.check_csr` runs after each construction."""
+    post_init = CsrMatrix.__post_init__
+
+    def checked(self):
+        post_init(self)
+        oracles.check_csr(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CsrMatrix, "__post_init__", checked)
+        yield
 
 
 def python_frames(fn, *args):

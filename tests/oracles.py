@@ -7,7 +7,9 @@ the LSTM's original per-gate layout, and the component ablation frozen from
 its token-list path (each cell splits and segments again, and fits a
 `Counter` vocabulary), the token encoder frozen from its set-based form, and
 the name normalizer, segmentation, component selection, the CSV loader and
-the dataset statistics frozen from their one-name-at-a-time forms."""
+the dataset statistics frozen from their one-name-at-a-time forms. Also
+`check_csr`, the invariant every `CsrMatrix` holds by construction, which
+the suite checks on every matrix it builds (`conftest.checked_csr`)."""
 
 import csv
 import math
@@ -338,6 +340,27 @@ def token_transform(docs, vocab, cfg):
     indptr = np.zeros(len(docs) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row_ids, minlength=len(docs)), out=indptr[1:])
     return featurize.CsrMatrix(indptr, indices, data, v)
+
+
+def check_csr(m):
+    """Raise AssertionError unless `m` holds the `CsrMatrix` invariant:
+    int64 `indptr` starting at 0 and never decreasing, int64 `indices` and
+    float64 `data` of its last entry's size, and per row columns strictly
+    increasing in [0, n_features) with non-zero values."""
+    if not (m.indptr.dtype == m.indices.dtype == np.int64 and m.data.dtype == np.float64):
+        raise AssertionError("CSR arrays must be int64, int64 and float64")
+    sizes = np.diff(m.indptr)
+    if m.indptr[:1].tolist() != [0] or (sizes < 0).any():
+        raise AssertionError("indptr must start at 0 and not decrease")
+    if not m.indptr[-1] == m.indices.size == m.data.size:
+        raise AssertionError("indptr, indices and data sizes disagree")
+    if ((m.indices < 0) | (m.indices >= m.n_features)).any():
+        raise AssertionError(f"feature index out of range (n_features={m.n_features})")
+    same_row = np.diff(np.repeat(np.arange(sizes.size), sizes)) == 0
+    if (np.diff(m.indices)[same_row] <= 0).any():
+        raise AssertionError("row columns must strictly increase")
+    if (m.data == 0).any():
+        raise AssertionError("stored zero")
 
 
 def select_subset(subset, mask):

@@ -170,6 +170,11 @@ class TestDataset:
         with pytest.raises(DataError, match="2 names but labels of shape"):
             Dataset(["Lan", "Mai"], [0])
 
+    def test_labels_other_than_zero_or_one_error(self):
+        for bad in (2, -1, 0.5):
+            with pytest.raises(DataError, match="^labels must be 0 or 1$"):
+                Dataset(["Lê Thị Mai", "Lan"], [0, bad])
+
     def test_label_counts(self):
         assert Dataset(["a", "b", "c"], [1, 0, 1]).label_counts() == {0: 1, 1: 2}
 
@@ -232,10 +237,6 @@ class TestDatasetStats:
     def test_empty_dataset_errors(self):
         with pytest.raises(DataError):
             data_io.dataset_stats(Dataset([], []))
-
-    def test_labels_other_than_zero_or_one_error(self):
-        with pytest.raises(DataError, match="labels must be 0 or 1"):
-            data_io.dataset_stats(Dataset(["Lê Thị Mai", "Lan"], [0, 2]))
 
     def test_bad_top_k_errors(self):
         ds = Dataset(["Lê Thị Mai"], [0])

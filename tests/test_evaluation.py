@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from vngender import classical, data_io, evaluation as ev, featurize, names_core as nc
 from vngender.data_io import Dataset
-from vngender.errors import EvaluationError, ToolkitError, TrainingError
+from vngender.errors import DataError, EvaluationError, ToolkitError, TrainingError
 from vngender.evaluation import ModelSpec, SplitSpec
 from vngender.featurize import VectorizerConfig
 
@@ -75,10 +75,8 @@ class TestStratifiedSplit:
 
     def test_label_other_than_zero_or_one_rejected(self):
         ds = tiny_dataset(5, 5)
-        ds = Dataset(ds.names + ["Lê Văn Nam"], [*ds.labels.tolist(), 2])
-        for split in (ev.stratified_split, ev._encode_split):
-            with pytest.raises(EvaluationError, match="labels must be 0 or 1"):
-                split(ds, SplitSpec())
+        with pytest.raises(DataError, match="^labels must be 0 or 1$"):
+            Dataset(ds.names + ["Lê Văn Nam"], [*ds.labels.tolist(), 2])
 
 
 class TestConfusion:
@@ -326,6 +324,14 @@ class TestRunAblation:
                 assert report.cells[(mask.label, result.model_label)] == result.metrics
         assert len(report.cells) == 14
 
+    def test_two_specs_with_one_label_rejected(self, report_and_dataset, monkeypatch):
+        _, ds, _ = report_and_dataset
+        specs = [ModelSpec("linear_svm", VectorizerConfig("count"), options={"c": 1.0}),
+                 ModelSpec("linear_svm", VectorizerConfig("count"), options={"c": 1e-5})]
+        monkeypatch.setattr(ev, "_encode_split", None)  # rejected before any encoding
+        with pytest.raises(EvaluationError, match=r"^model linear_svm\+count is given twice$"):
+            ev.run_ablation(ds, specs, SplitSpec(6))
+
     def test_report_formats(self, report_and_dataset):
         report, *_ = report_and_dataset
         text = ev.format_ablation(report)
@@ -411,14 +417,24 @@ class TestAblationProcesses:
             assert len(forks) == n - 1
         assert reports[1] == reports[4]
 
-    def test_queues_of_a_few_cells_write_the_same_report(self, cpus, report_and_dataset,
-                                                         monkeypatch):
-        report, ds, specs = report_and_dataset
-        forks = cpus(4)
-        monkeypatch.setattr(ev, "_QUEUE_CELLS", 3)
-        assert ev.run_ablation(ds, specs, SplitSpec(6)) == report
-        # Four queues of 3 cells with 2 workers each, and one of 2 cells with 1.
-        assert len(forks) == 4 * 2 + 1
+    def test_a_broken_matrix_built_in_a_worker_fails_the_run(self, cpus, monkeypatch,
+                                                             report_and_dataset):
+        """The suite's `CsrMatrix` check runs in forked workers too."""
+        _, ds, specs = report_and_dataset
+        forks = cpus(2)
+        transform = featurize.transform
+
+        def stores_a_zero(*args):
+            m = transform(*args)
+            data = m.data.copy()
+            data[:1] = 0.0
+            return featurize.CsrMatrix(m.indptr, m.indices, data, m.n_features)
+
+        monkeypatch.setattr(featurize, "transform", stores_a_zero)
+        self.parent_takes_no_cell(monkeypatch)
+        with pytest.raises(AssertionError, match="^stored zero$"):
+            ev.run_ablation(ds, specs, SplitSpec(6))
+        assert len(forks) == 1
 
     def test_a_cell_error_in_a_worker_reaches_the_caller(self, cpus, monkeypatch):
         ds = one_token_dataset()

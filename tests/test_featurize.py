@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import python_frames
+from conftest import csr, python_frames
 from vngender import featurize as fz
 from vngender.errors import FeaturizeError, TrainingError
 
@@ -278,25 +278,55 @@ class TestTokenListOracle:
 
 
 class TestCsrMatrix:
+    """A matrix is not checked when built; `oracles.check_csr`, which the
+    suite runs on every matrix it builds, rejects each broken invariant."""
+
+    @staticmethod
+    def rejected(m, message):
+        with pytest.raises(AssertionError, match=message):
+            oracles.check_csr(m)
+
     def test_out_of_range_feature_rejected(self):
-        with pytest.raises(FeaturizeError, match="out of range"):
-            fz.CsrMatrix([0, 1], [3], [1.0], 3)
+        m = csr([{1: 1.0}], 3)
+        m.indices[0] = 3
+        self.rejected(m, "out of range")
+        m.indices[0] = -1
+        self.rejected(m, "out of range")
 
     def test_unsorted_row_rejected(self):
-        with pytest.raises(FeaturizeError, match="strictly increasing"):
-            fz.CsrMatrix([0, 2], [2, 1], [1.0, 1.0], 3)
+        m = csr([{1: 1.0, 2: 1.0}], 3)
+        m.indices[:] = [2, 1]
+        self.rejected(m, "strictly increase")
+        m.indices[:] = [1, 1]
+        self.rejected(m, "strictly increase")
 
     def test_stored_zero_rejected(self):
-        with pytest.raises(FeaturizeError, match="non-zero"):
-            fz.CsrMatrix([0, 1], [1], [0.0], 3)
+        m = csr([{1: 1.0}], 3)
+        m.data[0] = 0.0
+        self.rejected(m, "stored zero")
 
     def test_inconsistent_indptr_rejected(self):
-        with pytest.raises(FeaturizeError):
-            fz.CsrMatrix([0, 2], [1], [1.0], 3)
+        m = csr([{1: 1.0}, {2: 1.0}], 3)
+        m.indptr[-1] = 3
+        self.rejected(m, "sizes disagree")
+        m.indptr[:] = [0, 2, 1]
+        self.rejected(m, "not decrease")
+
+    def test_other_dtypes_rejected(self):
+        m = csr([{1: 1.0}], 3)
+        m.data = m.data.astype(np.float32)
+        self.rejected(m, "float64")
+
+    def test_a_later_row_may_restart_its_columns(self):
+        oracles.check_csr(csr([{2: 1.0}, {0: 1.0, 1: 2.0}, {}], 3))
+
+    def test_every_matrix_built_is_checked(self):
+        with pytest.raises(AssertionError, match="strictly increase"):
+            fz.CsrMatrix(np.array([0, 2]), np.array([2, 1]), np.ones(2), 3)
 
     def test_row_sums_match_alone_and_in_batch(self):
-        m = fz.CsrMatrix([0, 2, 2, 5], [0, 3, 1, 2, 3], [0.1, 0.2, 0.3, 0.4, 0.5], 4)
-        alone = fz.CsrMatrix([0, 3], [1, 2, 3], [0.3, 0.4, 0.5], 4)
+        m = csr([{0: 0.1, 3: 0.2}, {}, {1: 0.3, 2: 0.4, 3: 0.5}], 4)
+        alone = csr([{1: 0.3, 2: 0.4, 3: 0.5}], 4)
         assert m.row_sums(m.data)[2] == alone.row_sums(alone.data)[0]
         assert m.row_sums(m.data)[1] == 0.0
 

@@ -316,8 +316,28 @@ class TestPredictDispatch:
     def test_out_of_range_feature_rejected(self):
         matrix, labels = csr([{0: 1}, {1: 1}], 2), [1, 0]
         model = cl.fit_multinomial_nb(matrix, labels)
-        with pytest.raises(PredictionError, match="out of range"):
+        with pytest.raises(PredictionError,
+                           match="^a matrix of 6 features for a model with 2 features$"):
             predict_row(model, {5: 1})
+
+    @pytest.mark.parametrize("kind", list(cl.MODEL_KINDS))
+    def test_one_width_rule(self, kind):
+        """Input built on the model's own vocabulary scores; documents over
+        another vocabulary, or a wider matrix, raise `PredictionError`."""
+        names = [["an", "thị"], ["văn", "nam"], ["mai", "thị"], ["đức", "nam"]]
+        docs = fz.encode(names)
+        labels = [0, 1, 0, 1]
+        vocab = fz.fit_vocabulary(docs, fz.VectorizerConfig())
+        cfg = None if cl.MODEL_KINDS[kind].reads_tokens else fz.VectorizerConfig()
+        options = {"lstm": {"hidden": 2, "embedding_dim": 3, "epochs": 1},
+                   "random_forest": {"n_trees": 2}}.get(kind, {})
+        model = cl.train_classifier(kind, cl.model_input(kind, docs, vocab, cfg), labels,
+                                    **options)
+        assert cl.predict(model, cl.model_input(kind, docs, vocab, cfg))[0].shape == (4,)
+        wider = fz.fit_vocabulary(fz.encode([*names, ["lan"]]), fz.VectorizerConfig())
+        other = cl.model_input(kind, fz.encode([["an", "thị"]]), wider, cfg)
+        with pytest.raises(PredictionError):
+            cl.predict(model, other)
 
     def test_train_classifier_dispatch(self):
         matrix, labels = csr([{0: 2}, {1: 1}, {0: 1}, {1: 2}], 2), [1, 0, 1, 0]
