@@ -29,7 +29,7 @@ model has `n_features`, the size of the vocabulary it reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -409,16 +409,55 @@ def fit_linear_svm(x: CsrMatrix, labels, c: float = 1.0) -> LinearSvmModel:
 # ---------------------------------------------------------------------------
 
 _NODE_ARRAYS = ("feature", "threshold", "left", "right", "p1", "n")
+# Rows per pass of `_TreeEnsemble.leaves`; bounds the memory one call uses.
+TREE_CHUNK = 256
+
+
+@dataclass(frozen=True)
+class _FeatureIndex:
+    """The inner nodes of a tree ensemble, indexed by feature.
+
+    Inner node k (the k-th inner node in node order) lies in tree `tree[k]`,
+    and its left subtree holds the leaves of rank `lo[k]` to `hi[k] - 1`.
+    `order` lists the inner nodes by (feature, threshold), and `keys[j]` is
+    feature * (D + 1) + the rank of the threshold of node `order[j]` among
+    the D `distinct` thresholds (NaN last). So the nodes of feature f whose
+    threshold is <= v are those at positions `searchsorted(keys, f * (D + 1))`
+    up to `searchsorted(keys, f * (D + 1) + searchsorted(distinct, v,
+    "right"))`. `zero_side` lists the inner nodes with threshold <= 0, which
+    send right a row that does not store their feature, and `zero_feature`
+    their features. Leaves are ranked in node order.
+    """
+
+    keys: np.ndarray          # int64, ascending
+    order: np.ndarray         # int64
+    distinct: np.ndarray      # float64, ascending
+    lo: np.ndarray            # int64, per inner node
+    hi: np.ndarray            # int64, per inner node
+    tree: np.ndarray          # int64, per inner node
+    zero_side: np.ndarray     # int64
+    zero_feature: np.ndarray  # int64
+    first_leaf: np.ndarray    # int64, the rank of each tree's leftmost leaf
+    leaf_node: np.ndarray     # int64, the node of each leaf rank
 
 
 @dataclass
 class _TreeEnsemble:
-    """Trees as flat node arrays; tree t starts at node `roots[t]`.
+    """Trees as flat node arrays; tree t is nodes `roots[t]` to
+    `roots[t + 1] - 1` (the last tree runs to the end).
 
     Node i sends a row whose value of feature `feature[i]` is >= `threshold[i]`
-    to node `right[i]`, any other row to `left[i]`. Leaves have feature -1 and
-    children -1. `p1` is the share of label-1 training rows at the node and
-    `n` their count. Children come after their parent, so every walk ends.
+    to node `right[i]`, any other row to `left[i]`; a feature the row does not
+    store reads 0. Leaves have feature -1 and children -1. `p1` is the share
+    of label-1 training rows at the node and `n` their count.
+
+    Each tree is stored in pre-order, left child first, as `_grow_tree`
+    builds it: `left[i] == i + 1`, and `right[i]` is the node after the left
+    subtree. Loading checks that layout and raises `PredictionError` for any
+    other, such as a node with two parents or one no root reaches. So the
+    left subtree of node i is nodes `left[i]` to `right[i] - 1`, and its
+    leaves are a run of consecutive leaf ranks, numbering leaves in node
+    order. From that, `__post_init__` builds a `_FeatureIndex`.
     """
 
     feature: np.ndarray    # int64
@@ -430,53 +469,149 @@ class _TreeEnsemble:
     roots: np.ndarray      # int64
     n_features: int
     train_meta: dict
+    index: _FeatureIndex = field(init=False, repr=False, compare=False,
+                                 metadata={"stored": False})
 
     def __post_init__(self):
-        size = self.feature.size
-        inner = np.flatnonzero(self.feature >= 0)
-        children = np.concatenate([self.left[inner], self.right[inner]])
-        if (self.roots.size == 0 or np.any((self.roots < 0) | (self.roots >= size))
-                or np.any(self.feature >= self.n_features)
-                or np.any(children <= np.tile(inner, 2)) or np.any(children >= size)):
+        size, roots = self.feature.size, self.roots
+        if (any(getattr(self, name).shape != (size,) for name in _NODE_ARRAYS)
+                or roots.ndim != 1 or roots.size == 0 or roots[0] != 0
+                or np.any(np.diff(roots) <= 0) or roots[-1] >= size
+                or np.any(self.feature >= self.n_features)):
             raise PredictionError("malformed tree node arrays")
+        inner = self.feature >= 0
+        # Read in pre-order, every node fills one open slot and an inner node
+        # opens two; `opened[i]` counts the slots opened before node i, less
+        # those filled. A tree's nodes keep a slot open until its last node.
+        opened = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.where(inner, 1, -1), out=opened[1:])
+        ends = np.append(roots[1:], size)
+        tree = np.repeat(np.arange(roots.size), ends - roots)
+        # The right child of an inner node is the next node that finds as
+        # many slots open; no node between them finds fewer.
+        by_level = np.argsort(opened[:-1], kind="stable")
+        next_same = np.full(size, -1, dtype=np.int64)
+        same = opened[by_level[1:]] == opened[by_level[:-1]]
+        next_same[by_level[:-1][same]] = by_level[1:][same]
+        if (np.any(opened[:-1] < opened[roots][tree])
+                or np.any(opened[ends] != opened[roots] - 1)
+                or not np.array_equal(self.left, np.where(inner, np.arange(1, size + 1), -1))
+                or not np.array_equal(self.right, np.where(inner, next_same, -1))):
+            raise PredictionError("tree nodes are not stored in pre-order, left child first")
+
+        leaves_before = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(~inner, out=leaves_before[1:])
+        at = np.flatnonzero(inner)
+        features, thresholds = self.feature[at], self.threshold[at]
+        # Not np.unique: its first call imports numpy.ma, which would add about
+        # 25 ms to loading a bundle in a fresh process.
+        distinct = np.sort(thresholds)
+        kept = np.ones(distinct.size, dtype=bool)
+        kept[1:] = distinct[1:] != distinct[:-1]
+        distinct = distinct[kept]
+        keys = features * (distinct.size + 1) + np.searchsorted(distinct, thresholds)
+        order = np.argsort(keys, kind="stable")
+        zero_side = np.flatnonzero(thresholds <= 0)
+        self.index = _FeatureIndex(
+            keys=keys[order], order=order, distinct=distinct,
+            lo=leaves_before[at], hi=leaves_before[self.right[at]], tree=tree[at],
+            zero_side=zero_side, zero_feature=features[zero_side],
+            first_leaf=leaves_before[roots], leaf_node=np.flatnonzero(~inner))
 
     def leaves(self, x: CsrMatrix) -> np.ndarray:
-        """Leaf reached by every row in every tree, shape (rows, trees).
+        """Leaf reached by every row in every tree, shape (rows, trees), for
+        a matrix no wider than the model's.
 
-        Each step moves all unfinished (row, tree) pairs down one level.
+        Scores by feature, as QuickScorer does (Lucchese et al., SIGIR
+        2015). A node that sends a row right rules out the leaves of its
+        left subtree, and the row's exit leaf in a tree is the leftmost leaf
+        that none of the tree's such nodes rules out. The work is in the
+        nodes that test the rows' stored features, not in the trees' depth.
+        At most `TREE_CHUNK` rows are scored per pass.
         """
-        n_trees = self.roots.size
-        node = np.tile(self.roots, len(x))
-        row = np.repeat(np.arange(len(x)), n_trees)
-        # Entry keys increase strictly; a -1 sentinel makes "absent" a miss.
-        width = max(self.n_features, x.n_features)
-        keys = np.append(x.row_ids * width + x.indices, -1)
-        data = np.append(x.data, 0.0)
-        live = np.flatnonzero(self.feature[node] >= 0)
-        while live.size:
-            at = node[live]
-            query = row[live] * width + self.feature[at]
-            pos = np.searchsorted(keys[:-1], query)
-            value = np.where(keys[pos] == query, data[pos], 0.0)
-            node[live] = np.where(value >= self.threshold[at], self.right[at], self.left[at])
-            live = live[self.feature[node[live]] >= 0]
-        return node.reshape(len(x), n_trees)
+        return self._by_chunk(x, lambda leaves: leaves, (self.roots.size,), np.int64)
+
+    def score(self, x: CsrMatrix) -> np.ndarray:
+        """Each row's score from its leaves (`_leaf_scores`), `TREE_CHUNK`
+        rows at a time, so no (rows, trees) array of the whole batch is made."""
+        return self._by_chunk(x, self._leaf_scores, (), np.float64)
+
+    def _by_chunk(self, x: CsrMatrix, fn: Callable, shape: tuple, dtype) -> np.ndarray:
+        """`fn` of the leaves of each chunk of rows, into one array."""
+        out = np.empty((len(x), *shape), dtype=dtype)
+        for start in range(0, len(x), TREE_CHUNK):
+            stop = min(start + TREE_CHUNK, len(x))
+            out[start:stop] = fn(self._exit_leaves(x, start, stop))
+        return out
+
+    def _exit_leaves(self, x: CsrMatrix, start: int, stop: int) -> np.ndarray:
+        """`leaves` of rows `start` to `stop - 1` of `x`."""
+        index, n_trees = self.index, self.roots.size
+        a, b = x.indptr[start], x.indptr[stop]
+        features, values = x.indices[a:b], x.data[a:b]
+        rows = x.row_ids[a:b] - start
+        # The nodes each stored entry sends right: its feature's nodes with
+        # threshold <= value.
+        keys = index.keys
+        base = features * (index.distinct.size + 1)
+        first = keys.searchsorted(base)
+        counts = keys.searchsorted(base + index.distinct.searchsorted(values, side="right"))
+        counts -= first
+        right = index.order[featurize.entry_positions(first, counts)]
+        owner = rows.repeat(counts)
+        if index.zero_side.size:
+            # A node with threshold <= 0 sends right every row that does not
+            # store its feature.
+            n_rows, width = stop - start, self.n_features
+            zero_owner = np.repeat(np.arange(n_rows), index.zero_side.size)
+            query = zero_owner * width + np.tile(index.zero_feature, n_rows)
+            stored = np.append(rows * width + features, -1)
+            absent = stored[np.searchsorted(stored[:-1], query)] != query
+            right = np.concatenate([right, np.tile(index.zero_side, n_rows)[absent]])
+            owner = np.concatenate([owner, zero_owner[absent]])
+
+        exits = np.empty((stop - start, n_trees), dtype=np.int64)
+        exits[:] = index.leaf_node[index.first_leaf]
+        if right.size:
+            # Sort by (row, node): by (row, tree, lo). Sweep each (row, tree)
+            # group's intervals [lo, hi) left to right; `reach` is the end of
+            # the run of leaves the intervals before cover from the tree's
+            # first leaf. The first interval that starts past its reach leaves
+            # a gap there; with none, the exit is past the last interval.
+            n_inner = index.lo.size
+            owner, right = np.divmod(np.sort(owner * n_inner + right), n_inner)
+            tree = index.tree[right]
+            group = owner * n_trees + tree
+            offset = group * (index.leaf_node.size + 1)
+            covered = np.maximum.accumulate(offset + index.hi[right]) - offset
+            new_group = np.empty(group.size, dtype=bool)
+            new_group[0] = True
+            np.not_equal(group[1:], group[:-1], out=new_group[1:])
+            starts = np.flatnonzero(new_group)
+            reach = np.empty_like(covered)
+            reach[1:] = covered[:-1]
+            reach[starts] = index.first_leaf[tree[starts]]
+            gap = np.where(index.lo[right] > reach, reach, index.leaf_node.size)
+            exit_rank = np.minimum(np.minimum.reduceat(gap, starts),
+                                   np.maximum.reduceat(covered, starts))
+            exits.reshape(-1)[group[starts]] = index.leaf_node[exit_rank]
+        return exits
 
 
 @dataclass
 class DecisionTreeModel(_TreeEnsemble):
     kind: ClassVar[str] = "decision_tree"
 
-    def score(self, x: CsrMatrix) -> np.ndarray:
-        return self.p1[self.leaves(x)[:, 0]]
+    def _leaf_scores(self, leaves: np.ndarray) -> np.ndarray:
+        return self.p1[leaves[:, 0]]
 
 
 @dataclass
 class RandomForestModel(_TreeEnsemble):
     kind: ClassVar[str] = "random_forest"
 
-    def score(self, x: CsrMatrix) -> np.ndarray:
-        votes = (self.p1[self.leaves(x)] >= 0.5).sum(axis=1)
+    def _leaf_scores(self, leaves: np.ndarray) -> np.ndarray:
+        votes = (self.p1[leaves] >= 0.5).sum(axis=1)
         return votes / self.roots.size
 
 
@@ -602,8 +737,8 @@ def _best_split(entries, ones: np.ndarray, min_leaf: int):
 def _grow_tree(x: CsrMatrix, labels: np.ndarray, rows, *, max_depth, min_leaf, mtry,
                rng) -> dict:
     """Grow one tree depth-first on `rows` of `x` (duplicates allowed), with
-    `labels` the int64 labels of all of `x`'s rows; returns its node arrays,
-    root first."""
+    `labels` the int64 labels of all of `x`'s rows; returns its node arrays
+    in pre-order, left child first, the layout `_TreeEnsemble` requires."""
     y01, n_features = labels, x.n_features
     # Marks the `mtry` features drawn for the node being split, then is cleared.
     sampled = np.zeros(n_features, dtype=bool) if mtry is not None and mtry < n_features else None

@@ -273,6 +273,34 @@ class TestMalformedBundles:
         with pytest.raises(BundleFormatError):
             bm.load_model(write_sections(tmp_path, valid))
 
+    def test_shared_child_rejected(self, valid, tmp_path):
+        # The root's right child is replaced by its left child's right
+        # child, which then has two parents.
+        arrays = npz_arrays(valid["arrays"])
+        left, right = arrays["left"], arrays["right"]
+        assert arrays["feature"][1] >= 0 and left[0] == 1
+        right[0] = right[1]
+        valid["arrays"] = npz_bytes(arrays)
+        with pytest.raises(BundleFormatError, match="pre-order"):
+            bm.load_model(write_sections(tmp_path, valid))
+
+    def test_unreachable_node_rejected(self, valid, tmp_path):
+        arrays = npz_arrays(valid["arrays"])
+        leaf = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "p1": 0.5, "n": 1}
+        for name, value in leaf.items():
+            arrays[name] = np.append(arrays[name], value).astype(arrays[name].dtype)
+        valid["arrays"] = npz_bytes(arrays)
+        with pytest.raises(BundleFormatError, match="pre-order"):
+            bm.load_model(write_sections(tmp_path, valid))
+
+    def test_out_of_order_roots_rejected(self, bundle_paths, tmp_path):
+        sections = sections_of(bundle_paths["random_forest", "full"])
+        arrays = npz_arrays(sections["arrays"])
+        arrays["roots"][[1, 2]] = arrays["roots"][[2, 1]]
+        sections["arrays"] = npz_bytes(arrays)
+        with pytest.raises(BundleFormatError, match="malformed"):
+            bm.load_model(write_sections(tmp_path, sections))
+
     @pytest.mark.parametrize("tamper", ["row out of range", "wrong width", "n_features"])
     def test_tampered_lstm_rejected(self, bundle_paths, tmp_path, tamper):
         sections = sections_of(bundle_paths["lstm", "full"])

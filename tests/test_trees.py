@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,41 @@ def tree_model(cls, nodes, roots=(0,), n_features=2):
               for name, col in zip(names, columns)}
     return cls(**arrays, roots=np.array(roots, dtype=np.int64),
                n_features=n_features, train_meta={})
+
+
+# Thresholds of hand-built trees, and the values their probe rows store.
+THRESHOLDS = (-1.5, -0.5, 0.0, 0.5, 1.0, 1.5, float("nan"))
+PROBE_VALUES = (-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0)
+
+
+def grow_tree(rng, nodes, n_features, chain=0, depth=0):
+    """Append one random tree to `nodes` in pre-order, left child first, as
+    (feature, threshold, left, right, p1, n) rows. With `chain`, the tree is
+    a chain of that many inner nodes, each with one leaf child; otherwise a
+    node splits with probability 0.6 up to depth 6."""
+    idx = len(nodes)
+    nodes.append((-1, 0.0, -1, -1, float(rng.random()), 1))
+    if not (depth < chain if chain else depth < 6 and rng.random() < 0.6):
+        return
+    leaf_side = int(rng.integers(2)) if chain else -1
+    children = []
+    for side in (0, 1):
+        children.append(len(nodes))
+        if side == leaf_side:
+            nodes.append((-1, 0.0, -1, -1, float(rng.random()), 1))
+        else:
+            grow_tree(rng, nodes, n_features, chain, depth + 1)
+    nodes[idx] = (int(rng.integers(n_features)), float(rng.choice(THRESHOLDS)), *children,
+                  0.5, 2)
+
+
+def assert_leaves_match_oracle(model, probes, n_features):
+    leaves = model.leaves(csr(probes, n_features=n_features))
+    assert leaves.shape == (len(probes), model.roots.size)
+    arrays = (model.feature, model.threshold, model.left, model.right)
+    for i, probe in enumerate(probes):
+        expected = [oracles.tree_leaf(*arrays, root, probe) for root in model.roots]
+        assert leaves[i].tolist() == expected
 
 
 def is_leaf(model, idx) -> bool:
@@ -289,18 +325,60 @@ class TestRandomForest:
         assert pred.label == 1
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 100_000))
-    def test_level_walk_matches_row_by_row_walk(self, seed):
-        docs, labels, n_features = tree_instance(seed, max_rows=15)
+    @given(seed=st.integers(0, 100_000), values=st.sampled_from(["count", "tfidf", "signed"]))
+    def test_leaves_match_row_by_row_walk(self, seed, values):
+        docs, labels, n_features = tree_instance(seed, max_rows=15, values=values)
         forest = cl.fit_random_forest(csr(docs, n_features), labels,
                                       n_trees=5, seed=seed)
         rng = np.random.default_rng(seed)
-        probes = docs + [{int(f): float(rng.integers(0, 5)) for f in range(n_features)}, {}]
-        leaves = forest.leaves(csr(probes, n_features=n_features))
-        arrays = (forest.feature, forest.threshold, forest.left, forest.right)
-        for i, probe in enumerate(probes):
-            expected = [oracles.tree_leaf(*arrays, root, probe) for root in forest.roots]
-            assert leaves[i].tolist() == expected
+        low = -4 if values == "signed" else 0
+        probes = docs + [{int(f): float(rng.integers(low, 5)) for f in range(n_features)}, {}]
+        assert_leaves_match_oracle(forest, probes, n_features)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 100_000), n_trees=st.integers(1, 3), chain=st.booleans(),
+           n_rows=st.sampled_from([0, 1, cl.TREE_CHUNK, cl.TREE_CHUNK + 1]))
+    def test_leaves_of_hand_built_trees_match_row_by_row_walk(self, seed, n_trees, chain,
+                                                              n_rows):
+        """Random trees, or chains deeper than 64 levels, with thresholds
+        <= 0 and NaN among theirs, on batches of 0, 1, one chunk and one
+        chunk plus one rows."""
+        rng = np.random.default_rng(seed)
+        n_features = int(rng.integers(1, 5))
+        nodes, roots = [], []
+        for _ in range(n_trees):
+            roots.append(len(nodes))
+            grow_tree(rng, nodes, n_features, int(rng.integers(65, 81)) if chain else 0)
+        forest = tree_model(cl.RandomForestModel, nodes, roots, n_features)
+        probes = [{f: float(rng.choice(PROBE_VALUES)) for f in range(n_features)
+                   if rng.random() < 0.5} for _ in range(n_rows)]
+        assert_leaves_match_oracle(forest, probes, n_features)
+
+    def test_scoring_memory_does_not_grow_with_the_batch(self):
+        """Scoring holds one chunk's working arrays at a time: the peak
+        memory of a 20,000-row batch, less its output, stays near that of a
+        chunk-sized batch."""
+        docs, labels = planted_docs(600, 0.9, 7)
+        encoded = fz.encode(docs)
+        vocab = fz.fit_vocabulary(encoded, fz.VectorizerConfig("count"))
+        matrix = fz.transform(encoded, vocab, fz.VectorizerConfig("count"))
+        forest = cl.fit_random_forest(matrix, labels, n_trees=20, seed=3)
+
+        def peak_less_output(n_rows):
+            rows = np.arange(n_rows) % len(matrix)
+            sizes = np.diff(matrix.indptr)[rows]
+            pos = fz.entry_positions(matrix.indptr[rows], sizes)
+            batch = fz.CsrMatrix(np.append(0, np.cumsum(sizes)), matrix.indices[pos],
+                                 matrix.data[pos], matrix.n_features)
+            tracemalloc.start()
+            try:
+                scores = forest.score(batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - scores.nbytes
+
+        assert peak_less_output(20_000) < 3 * peak_less_output(cl.TREE_CHUNK)
 
     def test_validation(self):
         matrix, labels = csr([{0: 1}, {1: 1}], 2), [1, 0]
